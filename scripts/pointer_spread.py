@@ -12,16 +12,9 @@ from pathlib import Path
 
 from zenolattice import (
     PointerSpec,
+    Schedule,
     circular_variance,
-    density_from_pure,
-    density_to_momentum,
-    density_to_position,
-    build_initial_state,
-    evolve_density,
-    kernel_channel,
     load_scenario,
-    momentum_variance,
-    pointer_kernel,
     run_schedule,
     with_interval,
 )
@@ -50,26 +43,20 @@ def main() -> None:
         print(f"{alpha:>10g} {circular_variance(rec.position_dist):>14.2f} "
               f"{rec.momentum_variance:>14.2f}")
 
-    n = base.lattice.n_sites
     interval = base.schedule.measurement_interval or 10.0
     steps = int(final_time / interval)
     print()
     print(f"momentum variance after each of {steps} pointer applications")
     header = f"{'hit':>4}" + "".join(f" {'alpha=' + format(a, 'g'):>12}" for a in alphas)
     print(header)
-    states = {
-        alpha: density_from_pure(build_initial_state(base.state, n)) for alpha in alphas
-    }
-    kernels = {alpha: pointer_kernel(PointerSpec(alpha), n) for alpha in alphas}
-    dt = base.lattice.to_natural_time(interval)
-    for hit in range(1, steps + 1):
-        row = [f"{hit:>4}"]
-        for alpha in alphas:
-            rho = density_to_position(evolve_density(density_to_momentum(states[alpha]), dt))
-            rho = kernel_channel(rho, kernels[alpha])
-            states[alpha] = rho
-            row.append(f" {momentum_variance(rho):>12.2f}")
-        print("".join(row))
+    hits = tuple(hit * interval for hit in range(1, steps + 1))
+    schedule = Schedule(interval, hits[-1], hits)
+    runs = [
+        run_schedule(replace(base, measurement=PointerSpec(alpha), schedule=schedule))
+        for alpha in alphas
+    ]
+    for hit, records in enumerate(zip(*runs), start=1):
+        print(f"{hit:>4}" + "".join(f" {rec.momentum_variance:>12.2f}" for rec in records))
 
 
 if __name__ == "__main__":

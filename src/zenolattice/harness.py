@@ -17,20 +17,9 @@ from .channels import (
     pointer_kernel,
     pvm_channel,
 )
-from .lattice import (
-    DensityMatrix,
-    LatticeConfig,
-    density_to_momentum,
-    density_to_position,
-    evolve_density,
-)
-from .observables import (
-    ObservableRecord,
-    position_distribution,
-    purity,
-    region_masses,
-    signed_momentum_values,
-)
+from .lattice import DensityMatrix, LatticeConfig
+from .observables import ObservableRecord, region_masses, signed_momentum_values
+from .propagator import Propagator
 from .scenario import (
     CustomKernelSpec,
     MeasurementSpec,
@@ -40,6 +29,11 @@ from .scenario import (
     ScenarioError,
 )
 from .states import GaussianPacketSpec, PositionEigenstateSpec, build_initial_state, density_from_pure
+
+# The position-basis layers run_schedule no longer calls stay bound here:
+# bench/execution.py wraps each layer where this module sees it.
+from .lattice import density_to_momentum, density_to_position, evolve_density  # noqa: F401
+from .observables import position_distribution, purity  # noqa: F401
 
 __all__ = [
     "ConvergenceReport",
@@ -53,44 +47,46 @@ __all__ = [
 Channel = Callable[[DensityMatrix], DensityMatrix]
 
 
+def _measurement_operator(
+    measurement: MeasurementSpec, n_sites: int
+) -> DampingKernel | RegionPartition | None:
+    """The damping kernel or region partition a measurement spec describes;
+    None for an unmeasured run."""
+    if isinstance(measurement, NoMeasurement):
+        return None
+    if isinstance(measurement, RegionPvmSpec):
+        return make_regions(n_sites, measurement.m_regions)
+    if isinstance(measurement, PointerSpec):
+        return pointer_kernel(measurement, n_sites)
+    if isinstance(measurement, CustomKernelSpec):
+        return DampingKernel(np.asarray(measurement.values), measurement.distance_convention)
+    raise TypeError(f"unknown measurement spec {type(measurement).__name__}")
+
+
 def build_channel(
     measurement: MeasurementSpec, n_sites: int
 ) -> tuple[Channel | None, RegionPartition | None]:
-    """Turn a measurement spec into a channel callable.
+    """Turn a measurement spec into a position-basis channel callable.
 
     Returns (channel, partition); channel is None for an unmeasured run and
     partition is None unless the measurement is a region PVM.
     """
-    if isinstance(measurement, NoMeasurement):
+    operator = _measurement_operator(measurement, n_sites)
+    if operator is None:
         return None, None
-    if isinstance(measurement, RegionPvmSpec):
-        partition = make_regions(n_sites, measurement.m_regions)
-        return (lambda rho: pvm_channel(rho, partition)), partition
-    if isinstance(measurement, PointerSpec):
-        kernel = pointer_kernel(measurement, n_sites)
-        return (lambda rho: kernel_channel(rho, kernel)), None
-    if isinstance(measurement, CustomKernelSpec):
-        kernel = DampingKernel(np.asarray(measurement.values), measurement.distance_convention)
-        return (lambda rho: kernel_channel(rho, kernel)), None
-    raise TypeError(f"unknown measurement spec {type(measurement).__name__}")
-
-
-def _advance(rho: DensityMatrix, lattice: LatticeConfig, display_dt: float) -> DensityMatrix:
-    """One free-evolution leg: to momentum basis, phase, back to position."""
-    if display_dt <= 0:
-        return rho
-    t = lattice.to_natural_time(display_dt)
-    return density_to_position(evolve_density(density_to_momentum(rho), t))
+    if isinstance(operator, RegionPartition):
+        return (lambda rho: pvm_channel(rho, operator)), operator
+    return (lambda rho: kernel_channel(rho, operator)), None
 
 
 def _snapshot(
-    rho: DensityMatrix,
+    engine: Propagator,
     lattice: LatticeConfig,
     display_time: float,
     partition: RegionPartition | None,
 ) -> ObservableRecord:
-    pos = position_distribution(rho)
-    mom = np.diagonal(density_to_momentum(rho).entries).real.copy()
+    pos = engine.position_distribution()
+    mom = engine.momentum_distribution()
     for name, dist in (("position", pos), ("momentum", mom)):
         total = float(dist.sum())
         if abs(total - 1.0) > 1e-10:
@@ -107,7 +103,7 @@ def _snapshot(
         time_display=float(display_time),
         position_dist=pos,
         momentum_dist=mom,
-        purity=purity(rho),
+        purity=engine.purity(),
         expected_momentum_signed=mean,
         momentum_variance=variance,
         region_masses=masses,
@@ -118,19 +114,23 @@ def _snapshot(
 def run_schedule(scenario: Scenario) -> list[ObservableRecord]:
     """Run one scenario and return a record per scheduled record time.
 
-    Each measurement step is: transform to the momentum basis, evolve one
-    interval, transform back, apply the channel. Measurements fall at
-    interval, 2*interval, ... up to total_time; nothing is applied at time
-    zero. Record times may fall anywhere (evolution is exact for arbitrary
+    The run steps one Propagator: free legs are elementwise phases and each
+    measurement is applied in place. Measurements fall at interval,
+    2*interval, ... up to total_time; nothing is applied at time zero.
+    Record times may fall anywhere (evolution is exact for arbitrary
     sub-interval durations) and recording is passive. When a record time
     coincides with a measurement time the measurement is applied first.
     """
     lattice = scenario.lattice
-    rho = density_from_pure(build_initial_state(scenario.state, lattice.n_sites))
-    rho.validate()
-    channel, partition = build_channel(scenario.measurement, lattice.n_sites)
+    n = lattice.n_sites
+    state = build_initial_state(scenario.state, n)
+    density_from_pure(state).validate()
+    operator = _measurement_operator(scenario.measurement, n)
     schedule = scenario.schedule
-    interval = schedule.measurement_interval if channel is not None else None
+    interval = schedule.measurement_interval if operator is not None else None
+    step = lattice.to_natural_time(interval) if interval is not None else None
+    engine = Propagator(state, operator, step)
+    partition = operator if isinstance(operator, RegionPartition) else None
     snap = 1e-9 * (interval if interval is not None else 1.0)
 
     records = []
@@ -142,14 +142,17 @@ def run_schedule(scenario: Scenario) -> list[ObservableRecord]:
                 due = (applied + 1) * interval
                 if due > schedule.total_time + snap or due > target + snap:
                     break
-                rho = _advance(rho, lattice, due - now)
-                rho = channel(rho)
+                # A leg that starts at a measurement is one whole interval,
+                # whose phases the engine keeps.
+                on_grid = now == applied * interval
+                engine.advance(step if on_grid else lattice.to_natural_time(due - now))
+                engine.measure()
                 now = due
                 applied += 1
         if target - now > snap:
-            rho = _advance(rho, lattice, target - now)
+            engine.advance(lattice.to_natural_time(target - now))
             now = target
-        records.append(_snapshot(rho, lattice, target, partition))
+        records.append(_snapshot(engine, lattice, target, partition))
     return records
 
 

@@ -186,24 +186,17 @@ def density_to_position(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(out, Basis.POSITION)
 
 
-@functools.lru_cache(maxsize=32)
-def _phase_table(t: float, n_sites: int) -> np.ndarray:
-    # E(k') - E(k) is exactly 0.0 on the diagonal, so diagonal phases are
-    # exactly 1 and the momentum distribution is preserved bit for bit.
-    energies = dispersion_table(n_sites)
-    table = np.exp(1j * t * (energies[None, :] - energies[:, None]))
-    table.flags.writeable = False
-    return table
-
-
 def evolve_density(rho: DensityMatrix, t: float) -> DensityMatrix:
     """Free evolution for natural time t (t < 0 runs backward).
 
     Entry (k, k') picks up the phase exp(i*t*(E(k') - E(k))). The phase
-    table is cached per (t, N), so repeating the same interval is cheap.
+    table is built per call and not kept.
     """
     _require_basis(rho, Basis.MOMENTUM, "evolve_density")
-    phases = _phase_table(float(t), rho.n_sites)
+    # E(k') - E(k) is exactly 0.0 on the diagonal, so diagonal phases are
+    # exactly 1 and the momentum distribution is preserved bit for bit.
+    energies = dispersion_table(rho.n_sites)
+    phases = np.exp(1j * float(t) * (energies[None, :] - energies[:, None]))
     return DensityMatrix(rho.entries * phases, Basis.MOMENTUM)
 
 

@@ -1,15 +1,19 @@
 """Run loop, grid doubling and CSV emission."""
 
 import textwrap
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenolattice import (
     Basis,
     CustomKernelSpec,
+    DistanceConvention,
     GaussianPacketSpec,
     LatticeConfig,
     NoMeasurement,
@@ -21,6 +25,7 @@ from zenolattice import (
     Schedule,
     build_channel,
     build_gaussian_packet,
+    build_initial_state,
     density_from_pure,
     density_to_momentum,
     density_to_position,
@@ -28,6 +33,9 @@ from zenolattice import (
     evolve_density,
     grid_doubling_check,
     make_regions,
+    momentum_distribution,
+    position_distribution,
+    purity,
     region_masses,
     run_and_emit,
     run_schedule,
@@ -102,9 +110,7 @@ class TestRunSchedule:
                                    records=(0.0, 50.0, 100.0))
         records = run_schedule(scenario)
         for later in records[1:]:
-            np.testing.assert_allclose(
-                later.momentum_dist, records[0].momentum_dist, atol=1e-13
-            )
+            np.testing.assert_array_equal(later.momentum_dist, records[0].momentum_dist)
 
     def test_custom_kernel_measurement_runs(self):
         n = 16
@@ -117,6 +123,114 @@ class TestRunSchedule:
         )
         records = run_schedule(scenario)
         assert records[-1].purity < records[0].purity
+
+    def test_memory_is_bounded_by_the_run(self):
+        """Forty distinct leg lengths leave no phase table per length behind."""
+        n = 256
+        times = tuple(float(t) for t in np.cumsum(0.37 * np.arange(1, 41)))
+        scenario = packet_scenario(measurement=NoMeasurement(), interval=None,
+                                   total=times[-1], records=times)
+        rho = density_to_momentum(density_from_pure(build_gaussian_packet(scenario.state, n)))
+        bound = 8 * n * n * 16
+        tracemalloc.start()
+        try:
+            run_schedule(scenario)
+            run_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            for t in times:
+                evolve_density(rho, t / 1000.0)
+            evolve_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run_peak < bound
+        assert evolve_peak < bound
+
+
+def reference_records(scenario):
+    """run_schedule's schedule stepped with the position-basis functions.
+
+    Measurements fall at interval, 2*interval, ... up to total_time, and one
+    coinciding with a record time is applied first.
+    """
+    lattice = scenario.lattice
+    rho = density_from_pure(build_initial_state(scenario.state, lattice.n_sites))
+    channel, partition = build_channel(scenario.measurement, lattice.n_sites)
+    schedule = scenario.schedule
+    events = [(t, 1) for t in schedule.record_times]
+    if channel is not None:
+        interval = schedule.measurement_interval
+        count = int(schedule.total_time / interval + 1e-9)
+        events += [(j * interval, 0) for j in range(1, count + 1)]
+    now = 0.0
+    records = []
+    for time, is_record in sorted(events):
+        if time > now:
+            t = lattice.to_natural_time(time - now)
+            rho = density_to_position(evolve_density(density_to_momentum(rho), t))
+            now = time
+        if not is_record:
+            rho = channel(rho)
+            continue
+        pos = position_distribution(rho)
+        masses = region_masses(pos, partition) if partition is not None else np.empty(0)
+        records.append((time, pos, momentum_distribution(rho), purity(rho), masses))
+    return records
+
+
+def autocorrelation_kernel(weights):
+    """Minimal-image damping values of a nonnegative integer profile: PSD,
+    symmetric and within [0, 1], with values[0] exactly 1 (integer sums
+    are exact)."""
+    f = np.asarray(weights, dtype=float)
+    corr = np.array([f @ np.roll(f, d) for d in range(f.size)])
+    return tuple(corr / corr[0])
+
+
+@st.composite
+def random_scenarios(draw):
+    n = draw(st.sampled_from([8, 16, 32, 64]))
+    state = GaussianPacketSpec(
+        draw(st.integers(0, n - 1)),
+        draw(st.floats(0.5, n / 2)),
+        draw(st.integers(-n // 2 + 1, n // 2)),
+    )
+    kind = draw(st.sampled_from(["pvm", "pointer", "linear", "custom", "none"]))
+    if kind == "pvm":
+        measurement = RegionPvmSpec(draw(st.integers(1, n)))
+    elif kind == "pointer":
+        measurement = PointerSpec(draw(st.floats(1.2, 3.0)))
+    elif kind == "linear":
+        measurement = PointerSpec(draw(st.floats(0.1, 3.0)), DistanceConvention.LINEAR)
+    elif kind == "custom":
+        weights = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any))
+        measurement = CustomKernelSpec(autocorrelation_kernel(weights))
+    else:
+        measurement = NoMeasurement()
+    interval = draw(st.floats(0.5, 5.0))
+    count = draw(st.integers(1, 12))
+    total = (count + draw(st.integers(0, 9)) / 10) * interval
+    # Record times on the measurement grid or a twentieth of an interval
+    # apart from it and from each other: none falls within the run's snap.
+    slots = draw(st.sets(st.tuples(st.integers(0, count), st.integers(0, 19)), min_size=1, max_size=6))
+    times = sorted({j * interval if i == 0 else (j + i / 20) * interval for j, i in slots})
+    times = [t for t in times if t <= total] or [total]
+    schedule = Schedule(None if kind == "none" else interval, total, tuple(times))
+    return Scenario(lattice=LatticeConfig(n), state=state, measurement=measurement, schedule=schedule)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_scenarios())
+def test_run_schedule_matches_position_basis_reference(scenario):
+    records = run_schedule(scenario)
+    expected = reference_records(scenario)
+    assert len(records) == len(expected)
+    for rec, (time, pos, mom, pur, masses) in zip(records, expected):
+        assert rec.time_display == time
+        np.testing.assert_allclose(rec.position_dist, pos, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rec.momentum_dist, mom, rtol=0, atol=1e-12)
+        assert abs(rec.purity - pur) <= 1e-12
+        assert rec.region_masses.shape == masses.shape
+        np.testing.assert_allclose(rec.region_masses, masses, rtol=0, atol=1e-12)
 
 
 class TestZenoOrdering:
