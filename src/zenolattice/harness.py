@@ -28,12 +28,13 @@ from .scenario import (
     Scenario,
     ScenarioError,
 )
-from .states import GaussianPacketSpec, PositionEigenstateSpec, build_initial_state, density_from_pure
+from .states import GaussianPacketSpec, PositionEigenstateSpec, build_initial_state
 
 # The position-basis layers run_schedule no longer calls stay bound here:
 # bench/execution.py wraps each layer where this module sees it.
 from .lattice import density_to_momentum, density_to_position, evolve_density  # noqa: F401
 from .observables import position_distribution, purity  # noqa: F401
+from .states import density_from_pure  # noqa: F401
 
 __all__ = [
     "ConvergenceReport",
@@ -124,7 +125,6 @@ def run_schedule(scenario: Scenario) -> list[ObservableRecord]:
     lattice = scenario.lattice
     n = lattice.n_sites
     state = build_initial_state(scenario.state, n)
-    density_from_pure(state).validate()
     operator = _measurement_operator(scenario.measurement, n)
     schedule = scenario.schedule
     interval = schedule.measurement_interval if operator is not None else None

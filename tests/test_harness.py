@@ -34,6 +34,7 @@ from zenolattice import (
     grid_doubling_check,
     make_regions,
     momentum_distribution,
+    pointer_kernel,
     position_distribution,
     purity,
     region_masses,
@@ -42,6 +43,7 @@ from zenolattice import (
     with_interval,
     with_regions,
 )
+from zenolattice.propagator import Propagator
 
 
 def packet_scenario(
@@ -131,7 +133,7 @@ class TestRunSchedule:
         scenario = packet_scenario(measurement=NoMeasurement(), interval=None,
                                    total=times[-1], records=times)
         rho = density_to_momentum(density_from_pure(build_gaussian_packet(scenario.state, n)))
-        bound = 8 * n * n * 16
+        matrix = n * n * 16
         tracemalloc.start()
         try:
             run_schedule(scenario)
@@ -142,8 +144,64 @@ class TestRunSchedule:
             evolve_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert run_peak < bound
-        assert evolve_peak < bound
+        assert run_peak < 2.5 * matrix
+        assert evolve_peak < 8 * matrix
+
+    @pytest.mark.parametrize("measurement, bound", [(PointerSpec(0.2), 2.5), (RegionPvmSpec(6), 3.5)])
+    def test_measured_run_memory_is_bounded(self, measurement, bound):
+        """Records off the measurement grid need phases of their own; the
+        run's peak stays a small multiple of one N x N matrix."""
+        n = 256
+        times = tuple(j + 0.5 for j in range(0, 20, 2))
+        scenario = packet_scenario(measurement=measurement, total=times[-1], records=times)
+        tracemalloc.start()
+        try:
+            run_schedule(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * n * n * 16
+
+    @pytest.mark.parametrize("measurement", [RegionPvmSpec(6), PointerSpec(0.5)])
+    def test_long_horizon_drift_per_step(self, measurement):
+        """Over 5,000 measurements the distributions' sums drift by at
+        most 1e-16 per step, checked every 500 steps."""
+        steps = 5000
+        scenario = Scenario(
+            lattice=LatticeConfig(64),
+            state=GaussianPacketSpec(8, 4.0, 7),
+            measurement=measurement,
+            schedule=Schedule(1.0, float(steps), tuple(float(t) for t in range(500, steps + 1, 500))),
+        )
+        for rec in run_schedule(scenario):
+            allowed = 1e-14 + 1e-16 * rec.time_display
+            assert abs(rec.position_dist.sum() - 1.0) <= allowed
+            assert abs(rec.momentum_dist.sum() - 1.0) <= allowed
+
+
+class TestPropagator:
+    def test_stores_rows_zero_to_half(self):
+        """A pointer run holds no array larger than the half chord matrix;
+        only PVM and LINEAR runs add a full N x N work buffer."""
+        n = 32
+        state = build_initial_state(GaussianPacketSpec(8, 3.0, 5), n)
+        engine = Propagator(state, pointer_kernel(PointerSpec(1.5), n), 0.001)
+        engine.advance(0.002)
+        assert engine._g.shape == (n // 2 + 1, n)
+        arrays = [v for v in vars(engine).values() if isinstance(v, np.ndarray)]
+        assert max(a.size for a in arrays) == (n // 2 + 1) * n
+
+    def test_initial_trace_is_checked(self):
+        state = build_initial_state(GaussianPacketSpec(8, 3.0, 5), 32)
+        state.amplitudes *= 1.001
+        with pytest.raises(ValueError, match="trace is"):
+            Propagator(state)
+
+    def test_momentum_snapshot_rejects_imaginary_diagonal(self):
+        engine = Propagator(build_initial_state(GaussianPacketSpec(8, 3.0, 5), 32))
+        engine._g[0, 3] += 1e-9j
+        with pytest.raises(ValueError, match="imaginary parts"):
+            engine.momentum_distribution()
 
 
 def reference_records(scenario):
