@@ -19,28 +19,19 @@ def _parse_interval_token(token: str) -> float | None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="accepted for interface compatibility; the simulation is deterministic",
-    )
-
     parser = argparse.ArgumentParser(
         prog="zenolattice",
         description="Repeated measurement of a free particle on a periodic lattice",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", parents=[common], help="run one scenario and write CSV output")
+    run = sub.add_parser("run", help="run one scenario and write CSV output")
     run.add_argument("scenario", help="path to a scenario file")
     run.add_argument("--out", default=None, help="override the scenario's output directory")
     run.set_defaults(handler=_cmd_run)
 
     conv = sub.add_parser(
         "convergence",
-        parents=[common],
         help="rerun a scenario on a doubled grid and report the differences",
     )
     conv.add_argument("scenario", help="path to a scenario file")
@@ -48,7 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
-        parents=[common],
         help="rerun a scenario over several intervals or region counts",
     )
     sweep.add_argument("scenario", help="path to a scenario file")
@@ -127,8 +117,6 @@ def _cmd_sweep(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None:
-        print("warning: the simulation is deterministic; --seed is ignored", file=sys.stderr)
     try:
         return args.handler(args)
     except (ScenarioError, ValueError) as err:

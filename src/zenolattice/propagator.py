@@ -17,15 +17,26 @@ that this puts on the distributions. In these coordinates:
   which is exactly 1 on row delta = 0, the momentum distribution:
   0 FFT passes;
 - an inverse FFT along k gives H[delta, d], where d = m - n is the site
-  separation of the position-basis entry rho(m, n), so a minimal-image
-  damping kernel is a multiply by values[d] between two FFT passes over
-  half the rows, one pass in all;
-- a region PVM or a LINEAR kernel is a fixed mask on rho((n + d) mod N, n),
-  which a further inverse FFT along delta gives up to a factor N. That
-  needs every row: the step unfolds G into a full N x N work buffer (the
-  kept rows by an inverse FFT along k, rows N - delta by a conjugate
-  gather and an inverse FFT), transforms along delta, masks, transforms
-  back and folds rows 0..N/2 into G with an FFT along k: 3.5 passes;
+  separation of the position-basis entry rho(m, n). A further inverse FFT
+  along delta gives rho((n + d) mod N, n) up to a factor N, and every
+  channel is a fixed mask on that. Column d of the mask is either one
+  value at every n (constant) or not (cut). A constant column is a multiply
+  of column d of H by that value, with no transform along delta. A
+  minimal-image damping kernel has no cut columns: its step is an inverse
+  FFT along k, a multiply by values[d] and an FFT back, one pass in all;
+- a region PVM of two regions or more, the largest with L sites, cuts the
+  columns with 0 < min(d, N - d) < L: P = 2(L - 1) of them when
+  L <= N/2. A LINEAR kernel cuts the columns with values[d] != values[N - d].
+  The cut columns come in pairs d, N - d, since the mask is symmetric, and
+  the identity above becomes
+
+      H[N - delta, d] = exp(-2 pi i delta d / N) conj H[delta, N - d].
+
+  The step gathers the cut columns d <= N/2 into a buffer with delta on the
+  contiguous axis, rows 0..N/2 from H and rows N - delta from the columns
+  N - d by the identity. It transforms that buffer along delta, masks it,
+  transforms it back and writes rows 0..N/2 of columns d into H, and those
+  of columns N - d by the identity again: 1 + P/N passes;
 - a snapshot costs O(N^2) and no transform: p(k) is row 0, p(n) is the
   inverse FFT of the row sums s[delta], with s[N - delta] = conj s[delta]
   filling in the rest, and the purity is
@@ -80,28 +91,19 @@ class Propagator:
         self._energy_diff -= energies
         del behind  # set-up temporaries go before the buffers below
 
-        self._values = None
-        self._mask = None
-        self._full = None
+        self._scale = None
         self._work = None  # phases of other leg lengths, allocated on first use
-        if isinstance(measurement, DampingKernel):
-            if measurement.distance_convention is DistanceConvention.MINIMAL_IMAGE:
-                self._values = measurement.values
-            else:
-                ahead = (sites[:, None] + sites[None, :]) % n  # (n + d) mod N
-                self._mask = measurement.values[np.abs(ahead - sites[:, None])]
-        elif isinstance(measurement, RegionPartition):
-            region = measurement.region_of
-            self._mask = region[(sites[:, None] + sites[None, :]) % n] == region[:, None]
-        if self._mask is not None:
-            # Row N - delta of the full matrix is G[delta, (k + delta) mod N]
-            # conjugated: flat indices into G for delta = N/2 - 1 .. 1.
-            delta = n - sites[half:, None]
-            self._mirror = delta * n + (sites + delta) % n
-            self._full = np.empty((n, n), dtype=complex)
-            # Measurements overwrite the whole buffer, so legs may use its
-            # first rows for their phases.
-            self._work = self._full[:half]
+        if measurement is not None:
+            self._scale, self._cols, self._cut = _sort_columns(measurement, n)
+            count = self._cols.size
+            if count:
+                # The work buffer also takes every cut column of H, delta-major.
+                self._work = np.empty_like(self._g)
+                self._gathered = self._work.reshape(-1)[: half * count].reshape(half, count)
+                self._buffer = np.empty_like(self._cut, dtype=complex)
+                # exp(-2 pi i delta d / N) for the kept columns d, delta = 0..N/2
+                turns = np.outer(self._cols[: len(self._cut)], sites[:half]) % n
+                self._twiddle = np.exp(-2j * np.pi * turns / n)
 
         self._interval = interval
         self._phases = None
@@ -125,26 +127,36 @@ class Propagator:
 
     def measure(self) -> None:
         """Apply the measurement channel once."""
-        g = self._g
-        if self._values is not None:
-            np.fft.ifft(g, axis=1, out=g)
-            np.multiply(g, self._values, out=g)
-            np.fft.fft(g, axis=1, out=g)
-            return
-        if self._mask is None:
+        if self._scale is None:
             raise ValueError("this run has no measurement")
-        full = self._full
-        half = g.shape[0]
-        np.fft.ifft(g, axis=1, out=full[:half])
-        mirror = full[half:]
-        # mode="wrap" writes straight into out; the default buffers it.
-        np.take(g, self._mirror, out=mirror, mode="wrap")
-        np.conjugate(mirror, out=mirror)
-        np.fft.ifft(mirror, axis=1, out=mirror)
-        np.fft.ifft(full, axis=0, out=full)
-        np.multiply(full, self._mask, out=full)
-        np.fft.fft(full, axis=0, out=full)
-        np.fft.fft(full[:half], axis=1, out=g)
+        g = self._g
+        np.fft.ifft(g, axis=1, out=g)
+        np.multiply(g, self._scale, out=g)  # 1 on the cut columns
+        cols = self._cols
+        if cols.size:
+            half = g.shape[0]
+            gathered, buffer, twiddle = self._gathered, self._buffer, self._twiddle
+            # Buffer row j is cut column d = cols[j] <= N/2; N - d is cols[-1 - j].
+            kept = len(buffer)
+            # mode="wrap" writes straight into out; the default buffers it.
+            np.take(g, cols, axis=1, out=gathered, mode="wrap")
+            buffer[:, :half] = gathered[:, :kept].T
+            upper = buffer[:, half:]  # rows N - delta, delta = N/2 - 1 .. 1
+            np.conjugate(gathered[half - 2 : 0 : -1, ::-1][:, :kept].T, out=upper)
+            np.multiply(upper, twiddle[:, half - 2 : 0 : -1], out=upper)
+            np.fft.ifft(buffer, axis=1, out=buffer)
+            np.multiply(buffer, self._cut, out=buffer)
+            np.fft.fft(buffer, axis=1, out=buffer)
+            g[:, cols[:kept]] = buffer[:, :half].T
+            # Rows delta = 0..N/2 of column N - d from rows (N - delta) mod N
+            # of column d, for every kept d < N/2.
+            pairs = cols.size - kept
+            mirror = buffer[:pairs, :half]
+            np.conjugate(buffer[:pairs, : half - 2 : -1], out=mirror[:, 1:])
+            np.conjugate(mirror[:, 0], out=mirror[:, 0])
+            np.multiply(mirror, twiddle[:pairs], out=mirror)
+            g[:, cols[: kept - 1 : -1]] = mirror.T
+        np.fft.fft(g, axis=1, out=g)
 
     def momentum_distribution(self) -> np.ndarray:
         """p(k) = R[k, k], row delta = 0."""
@@ -173,3 +185,41 @@ class Propagator:
         inner = g[1:-1]
         edges = np.vdot(g[0], g[0]).real + np.vdot(g[-1], g[-1]).real
         return float(edges + 2.0 * np.vdot(inner, inner).real)
+
+
+def _sort_columns(
+    measurement: DampingKernel | RegionPartition, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort the columns d of the measurement's mask on rho((n + d) mod N, n).
+
+    Returns (scale, cols, cut). scale[d] is the value of constant column d,
+    and 1 on a cut column. cols lists the cut columns in increasing order,
+    a set closed under d -> N - d, and cut holds the mask down the cut
+    columns d <= N/2, one row per column, indexed by n.
+    """
+    none = np.empty(0, dtype=np.intp)
+    if isinstance(measurement, DampingKernel):
+        values = measurement.values
+        if measurement.distance_convention is DistanceConvention.MINIMAL_IMAGE:
+            return values, none, np.empty((0, n))
+        # LINEAR: column d is values[d] where n + d < N and values[N - d]
+        # past the wrap.
+        sites = np.arange(n)
+        mirrored = values[-sites]
+        constant = values == mirrored
+        cols = np.flatnonzero(~constant)
+        kept = cols[: (cols.size + 1) // 2, None]
+        cut = np.where(sites < n - kept, values[kept], mirrored[kept])
+        return np.where(constant, values, 1.0), cols, cut
+    if measurement.n_regions == 1:
+        return np.ones(n), none, np.empty((0, n))
+    # Regions are contiguous and do not wrap, so some pair at separation d
+    # shares a region iff min(d, N - d) is below the largest region's size;
+    # with two regions or more, some pair at every d > 0 does not.
+    sites = np.arange(n)
+    largest = max(np.diff(measurement.boundaries + (n,)))
+    shared = np.minimum(sites, n - sites) < largest
+    cols = np.flatnonzero(shared[1:]) + 1
+    kept = cols[: (cols.size + 1) // 2, None]
+    region = measurement.region_of
+    return shared.astype(float), cols, region[(sites + kept) % n] == region

@@ -51,9 +51,10 @@ def test_run_out_override(tiny_scenario, tmp_path):
     assert (target / "summary.csv").is_file()
 
 
-def test_seed_is_ignored_with_warning(tiny_scenario, capsys):
-    assert main(["run", str(tiny_scenario), "--seed", "7"]) == 0
-    assert "ignored" in capsys.readouterr().err
+def test_seed_is_rejected(tiny_scenario):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", str(tiny_scenario), "--seed", "7"])
+    assert exit_info.value.code == 2
 
 
 def test_missing_scenario_fails_cleanly(capsys):

@@ -19,6 +19,7 @@ from zenolattice import (
     NoMeasurement,
     PointerSpec,
     PositionEigenstateSpec,
+    RegionPartition,
     RegionPvmSpec,
     Scenario,
     ScenarioError,
@@ -32,11 +33,13 @@ from zenolattice import (
     emit_csv,
     evolve_density,
     grid_doubling_check,
+    kernel_channel,
     make_regions,
     momentum_distribution,
     pointer_kernel,
     position_distribution,
     purity,
+    pvm_channel,
     region_masses,
     run_and_emit,
     run_schedule,
@@ -147,7 +150,15 @@ class TestRunSchedule:
         assert run_peak < 2.5 * matrix
         assert evolve_peak < 8 * matrix
 
-    @pytest.mark.parametrize("measurement, bound", [(PointerSpec(0.2), 2.5), (RegionPvmSpec(6), 3.5)])
+    @pytest.mark.parametrize(
+        "measurement, bound",
+        [
+            (PointerSpec(0.2), 2.5),
+            (RegionPvmSpec(6), 3.0),
+            (PointerSpec(1.0, DistanceConvention.LINEAR), 3.25),
+            (PointerSpec(0.2, DistanceConvention.LINEAR), 3.7),
+        ],
+    )
     def test_measured_run_memory_is_bounded(self, measurement, bound):
         """Records off the measurement grid need phases of their own; the
         run's peak stays a small multiple of one N x N matrix."""
@@ -179,17 +190,87 @@ class TestRunSchedule:
             assert abs(rec.momentum_dist.sum() - 1.0) <= allowed
 
 
+def region_mask(partition):
+    """mask[n, d] = [sites (n + d) mod N and n share a region], built whole."""
+    n = partition.n_sites
+    sites = np.arange(n)
+    region = partition.region_of
+    return region[(sites[:, None] + sites[None, :]) % n] == region[:, None]
+
+
 class TestPropagator:
     def test_stores_rows_zero_to_half(self):
-        """A pointer run holds no array larger than the half chord matrix;
-        only PVM and LINEAR runs add a full N x N work buffer."""
+        """No run holds an array larger than the half chord matrix."""
         n = 32
         state = build_initial_state(GaussianPacketSpec(8, 3.0, 5), n)
-        engine = Propagator(state, pointer_kernel(PointerSpec(1.5), n), 0.001)
-        engine.advance(0.002)
-        assert engine._g.shape == (n // 2 + 1, n)
-        arrays = [v for v in vars(engine).values() if isinstance(v, np.ndarray)]
-        assert max(a.size for a in arrays) == (n // 2 + 1) * n
+        for operator in (
+            pointer_kernel(PointerSpec(1.5), n),
+            make_regions(n, 6),
+            pointer_kernel(PointerSpec(0.2, DistanceConvention.LINEAR), n),
+            pointer_kernel(PointerSpec(1.0, DistanceConvention.LINEAR), n),
+        ):
+            engine = Propagator(state, operator, 0.001)
+            engine.advance(0.002)
+            engine.measure()
+            assert engine._g.shape == (n // 2 + 1, n)
+            arrays = [v for v in vars(engine).values() if isinstance(v, np.ndarray)]
+            assert max(a.size for a in arrays) == (n // 2 + 1) * n
+
+    @pytest.mark.parametrize("m_regions, cut", [(1, 0), (6, 82), (7, 70), (100, 110), (256, 0)])
+    def test_pvm_cuts_only_columns_below_the_largest_region(self, m_regions, cut):
+        """A PVM cuts the 2(L - 1) site separations that some pair inside the
+        largest region (L sites) spans, and no other column of its mask."""
+        partition = make_regions(256, m_regions)
+        state = build_initial_state(GaussianPacketSpec(8, 8.0, 31), 256)
+        engine = Propagator(state, partition, 0.001)
+        mask = region_mask(partition)
+        varies = mask.any(axis=0) & ~mask.all(axis=0)
+        assert engine._cols.size == cut
+        np.testing.assert_array_equal(engine._cols, np.flatnonzero(varies))
+
+    @pytest.mark.parametrize(
+        "operator",
+        [make_regions(256, m) for m in (1, 6, 7, 100, 256)]
+        + [
+            RegionPartition((0, 5), 256),  # cuts column N/2: an odd number of cut columns
+            pointer_kernel(PointerSpec(0.2, DistanceConvention.LINEAR), 256),
+            pointer_kernel(PointerSpec(1.0, DistanceConvention.LINEAR), 256),
+        ],
+        ids=["pvm1", "pvm6", "pvm7", "pvm100", "pvm256", "pvm_wide", "linear0.2", "linear1"],
+    )
+    def test_measurement_matches_position_basis_channel(self, operator):
+        """One leg and one measurement at N = 256, where cut columns are a
+        minority, against the position-basis channel; a second measurement
+        leaves the chord matrix where it is."""
+        n, t = 256, 0.004
+        state = build_initial_state(GaussianPacketSpec(8, 8.0, 31), n)
+        engine = Propagator(state, operator, t)
+        engine.advance(t)
+        engine.measure()
+        rho = density_to_position(evolve_density(density_to_momentum(density_from_pure(state)), t))
+        if isinstance(operator, RegionPartition):
+            rho = pvm_channel(rho, operator)
+        else:
+            rho = kernel_channel(rho, operator)
+        for got, want in (
+            (engine.position_distribution(), position_distribution(rho)),
+            (engine.momentum_distribution(), momentum_distribution(rho)),
+        ):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert abs(engine.purity() - purity(rho)) <= 1e-12
+        if isinstance(operator, RegionPartition):
+            once = engine._g.copy()
+            engine.measure()
+            assert np.max(np.abs(engine._g - once)) <= 1e-14
+
+    def test_minimal_image_step_is_one_multiply_between_transforms(self):
+        n, t = 256, 0.004
+        kernel = pointer_kernel(PointerSpec(0.2), n)
+        engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), kernel, t)
+        engine.advance(t)
+        expected = np.fft.fft(np.fft.ifft(engine._g, axis=1) * kernel.values, axis=1)
+        engine.measure()
+        np.testing.assert_array_equal(engine._g, expected)
 
     def test_initial_trace_is_checked(self):
         state = build_initial_state(GaussianPacketSpec(8, 3.0, 5), 32)
