@@ -14,7 +14,7 @@ import numpy as np
 
 from zenolattice import DistanceConvention, GaussianPacketSpec, PointerSpec
 from zenolattice import build_gaussian_packet, make_regions, pointer_kernel
-from zenolattice.propagator import Propagator
+from zenolattice.propagator import Propagator, Snapshots
 
 INTERVAL = 0.001  # one display unit of natural time
 REPEATS = 25
@@ -40,12 +40,13 @@ def costs(n):
         "linear_step": pointer_kernel(PointerSpec(alpha, DistanceConvention.LINEAR), n),
     }
     free = Propagator(state, None, INTERVAL)
-    row = {
-        "free_leg": median_ms(lambda: free.advance(INTERVAL)),
-        "snapshot": median_ms(
-            lambda: (free.position_distribution(), free.momentum_distribution(), free.purity()),
-        ),
-    }
+    snapshots = Snapshots(1, n)
+
+    def snapshot():
+        free.record(snapshots, 0)
+        snapshots.position_distribution(0), snapshots.momentum_distribution(0), snapshots.purity(0)
+
+    row = {"free_leg": median_ms(lambda: free.advance(INTERVAL)), "snapshot": median_ms(snapshot)}
     for name, measurement in measurements.items():
         engine = Propagator(state, measurement, INTERVAL)
         row[name] = median_ms(lambda: (engine.advance(INTERVAL), engine.measure()))

@@ -19,7 +19,7 @@ from .channels import (
 )
 from .lattice import DensityMatrix, LatticeConfig
 from .observables import ObservableRecord, region_masses, signed_momentum_values
-from .propagator import Propagator
+from .propagator import Propagator, Snapshots, run_blocks
 from .scenario import (
     CustomKernelSpec,
     MeasurementSpec,
@@ -81,13 +81,14 @@ def build_channel(
 
 
 def _snapshot(
-    engine: Propagator,
+    snapshots: Snapshots,
+    j: int,
     lattice: LatticeConfig,
     display_time: float,
     partition: RegionPartition | None,
 ) -> ObservableRecord:
-    pos = engine.position_distribution()
-    mom = engine.momentum_distribution()
+    pos = snapshots.position_distribution(j)
+    mom = snapshots.momentum_distribution(j)
     for name, dist in (("position", pos), ("momentum", mom)):
         total = float(dist.sum())
         if abs(total - 1.0) > 1e-10:
@@ -104,7 +105,7 @@ def _snapshot(
         time_display=float(display_time),
         position_dist=pos,
         momentum_dist=mom,
-        purity=engine.purity(),
+        purity=snapshots.purity(j),
         expected_momentum_signed=mean,
         momentum_variance=variance,
         region_masses=masses,
@@ -115,12 +116,14 @@ def _snapshot(
 def run_schedule(scenario: Scenario) -> list[ObservableRecord]:
     """Run one scenario and return a record per scheduled record time.
 
-    The run steps one Propagator: free legs are elementwise phases and each
-    measurement is applied in place. Measurements fall at interval,
-    2*interval, ... up to total_time; nothing is applied at time zero.
-    Record times may fall anywhere (evolution is exact for arbitrary
-    sub-interval durations) and recording is passive. When a record time
-    coincides with a measurement time the measurement is applied first.
+    The schedule becomes one list of operations on a Propagator: free legs
+    are elementwise phases and each measurement is applied in place.
+    Measurements fall at interval, 2*interval, ... up to total_time; nothing
+    is applied at time zero. Record times may fall anywhere (evolution is
+    exact for arbitrary sub-interval durations) and recording is passive.
+    When a record time coincides with a measurement time the measurement is
+    applied first. run_blocks takes each block of rows through the list;
+    the records are read off the combined snapshots afterwards.
     """
     lattice = scenario.lattice
     n = lattice.n_sites
@@ -129,14 +132,13 @@ def run_schedule(scenario: Scenario) -> list[ObservableRecord]:
     schedule = scenario.schedule
     interval = schedule.measurement_interval if operator is not None else None
     step = lattice.to_natural_time(interval) if interval is not None else None
-    engine = Propagator(state, operator, step)
-    partition = operator if isinstance(operator, RegionPartition) else None
+    snapshots = Snapshots(len(schedule.record_times), n)
     snap = 1e-9 * (interval if interval is not None else 1.0)
 
-    records = []
+    ops: list[tuple] = []
     now = 0.0
     applied = 0
-    for target in schedule.record_times:
+    for j, target in enumerate(schedule.record_times):
         if interval is not None:
             while True:
                 due = (applied + 1) * interval
@@ -145,15 +147,21 @@ def run_schedule(scenario: Scenario) -> list[ObservableRecord]:
                 # A leg that starts at a measurement is one whole interval,
                 # whose phases the engine keeps.
                 on_grid = now == applied * interval
-                engine.advance(step if on_grid else lattice.to_natural_time(due - now))
-                engine.measure()
+                leg = step if on_grid else lattice.to_natural_time(due - now)
+                ops += [(Propagator.advance, leg), (Propagator.measure,)]
                 now = due
                 applied += 1
         if target - now > snap:
-            engine.advance(lattice.to_natural_time(target - now))
+            ops.append((Propagator.advance, lattice.to_natural_time(target - now)))
             now = target
-        records.append(_snapshot(engine, lattice, target, partition))
-    return records
+        ops.append((Propagator.record, snapshots, j))
+    run_blocks(state, operator, step, ops)
+
+    partition = operator if isinstance(operator, RegionPartition) else None
+    return [
+        _snapshot(snapshots, j, lattice, target, partition)
+        for j, target in enumerate(schedule.record_times)
+    ]
 
 
 @dataclass

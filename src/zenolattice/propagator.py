@@ -42,18 +42,46 @@ that this puts on the distributions. In these coordinates:
   filling in the rest, and the purity is
   |row 0|^2 + 2 sum_{delta=1}^{N/2-1} |row delta|^2 + |row N/2|^2.
 
+Free legs, channels without cut columns and snapshots all act on each row
+delta alone, so a Propagator may hold any range of rows, built from the
+state's momentum amplitudes phi with G[delta, k] = conj phi[k - delta] phi[k] / N
+and the energy differences and phase tables of those rows only.
+run_blocks splits the rows of such a run into blocks of about
+BLOCK_ENTRIES entries, small enough that a block's G, phases and energy
+differences stay in a core's L2 cache, and takes each block through the
+whole schedule on its own: the calling thread and at most one more take
+blocks in turn, with no synchronisation between steps. numpy's FFTs and
+ufuncs release the GIL, so the two threads step at once. A snapshot writes
+its rows' partials, the row sums s[delta], the squared norms of the rows
+and the real part of row 0 with its largest imaginary part, into a
+Snapshots object indexed by row; the observables are
+read off the combined partials in a fixed order, so no result depends on
+which thread stepped which block. A channel that cuts a column (a PVM of
+two regions or more, most LINEAR kernels) couples rows through its
+transform along delta, so such a run takes one block of all rows on the
+calling thread, as does a run too small for two blocks; neither starts a
+thread.
+
 The position-basis functions in lattice and channels compute the same
 steps one at a time; the tests use them as this engine's reference.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 from .channels import DampingKernel, DistanceConvention, RegionPartition
 from .lattice import Basis, StateVector, _require_basis, dispersion_table
 
-__all__ = ["Propagator"]
+__all__ = ["Propagator", "Snapshots", "run_blocks"]
+
+# Entries of G per row block: 2**15 complex128 values are 512 KiB, and with
+# the block's phase table and energy differences about 1.3 MiB, well inside
+# the reference machine's 4 MiB L2 per core.
+BLOCK_ENTRIES = 2**15
 
 
 class Propagator:
@@ -62,7 +90,9 @@ class Propagator:
     measurement is a damping kernel, a region partition, or None for a run
     that is never measured. interval (natural time) is the leg length whose
     phase table is kept for the life of the engine; legs of any other
-    length compute their phases into the work buffer. The state must be a
+    length compute their phases into the work buffer. rows is the range of
+    rows delta the engine holds, all of 0..N/2 by default; a measurement
+    that cuts a column needs all of them. The state must be a
     position-basis vector on a power-of-two ring.
     """
 
@@ -71,21 +101,26 @@ class Propagator:
         state: StateVector,
         measurement: DampingKernel | RegionPartition | None = None,
         interval: float | None = None,
+        rows: range | None = None,
     ) -> None:
         _require_basis(state, Basis.POSITION, "Propagator")
         n = state.n_sites
         if measurement is not None and measurement.n_sites != n:
             raise ValueError("measurement size does not match the state")
         half = n // 2 + 1
-        sites = np.arange(n)
-        behind = (sites[None, :] - sites[:half, None]) % n  # (k - delta) mod N
+        rows = range(half) if rows is None else rows
+        self._rows = rows
         phi = np.fft.fft(state.amplitudes)
+        if rows.start == 0:
+            # The trace is sum |phi|^2 / N, checked once, by the block of row 0.
+            trace = float(np.vdot(phi, phi).real) / n
+            if abs(trace - 1.0) > 1e-12:
+                raise ValueError(f"trace is {trace}, expected 1")
+        sites = np.arange(n)
+        behind = (sites[None, :] - sites[rows.start : rows.stop, None]) % n  # (k - delta) mod N
         # N is a power of two, so phi / n is exact and row 0 is |phi|^2 / N.
         self._g = phi.conj()[behind]
         np.multiply(self._g, phi / n, out=self._g)
-        trace = complex(self._g[0].sum())
-        if abs(trace - 1.0) > 1e-12:
-            raise ValueError(f"trace is {trace}, expected 1")
         energies = dispersion_table(n)
         self._energy_diff = energies[behind]
         self._energy_diff -= energies
@@ -96,7 +131,11 @@ class Propagator:
         if measurement is not None:
             self._scale, self._cols, self._cut = _sort_columns(measurement, n)
             count = self._cols.size
+            # No cut column and a scale of 1 everywhere: the channel is the identity.
+            self._identity = not count and bool(np.all(self._scale == 1.0))
             if count:
+                if rows != range(half):
+                    raise ValueError("this measurement couples rows; hold all rows 0..N/2")
                 # The work buffer also takes every cut column of H, delta-major.
                 self._work = np.empty_like(self._g)
                 self._gathered = self._work.reshape(-1)[: half * count].reshape(half, count)
@@ -129,6 +168,8 @@ class Propagator:
         """Apply the measurement channel once."""
         if self._scale is None:
             raise ValueError("this run has no measurement")
+        if self._identity:
+            return
         g = self._g
         np.fft.ifft(g, axis=1, out=g)
         np.multiply(g, self._scale, out=g)  # 1 on the cut columns
@@ -158,19 +199,48 @@ class Propagator:
             g[:, cols[: kept - 1 : -1]] = mirror.T
         np.fft.fft(g, axis=1, out=g)
 
-    def momentum_distribution(self) -> np.ndarray:
-        """p(k) = R[k, k], row delta = 0."""
-        row = self._g[0]
-        worst = float(np.max(np.abs(row.imag)))
+    def record(self, snapshots: Snapshots, j: int) -> None:
+        """Write this engine's rows of snapshot j: row sums, squared row
+        norms and, if it holds row 0, the real part of row 0 and the
+        largest imaginary part on it."""
+        g = self._g
+        rows = slice(self._rows.start, self._rows.stop)
+        g.sum(axis=1, out=snapshots.row_sums[j, rows])
+        pairs = g.view(np.float64)  # |G|^2 is the sum of squares of re and im
+        np.einsum("ij,ij->i", pairs, pairs, out=snapshots.row_norms[j, rows])
+        if self._rows.start == 0:
+            snapshots.momentum[j] = g[0].real
+            snapshots.momentum_imag[j] = np.max(np.abs(g[0].imag))
+
+
+class Snapshots:
+    """Per-row partials of a run's snapshots, filled by Propagator.record
+    block by block, and the observables combined from them.
+
+    Each observable reads all rows in one fixed order, so it does not
+    depend on how the rows were split into blocks.
+    """
+
+    def __init__(self, count: int, n: int) -> None:
+        half = n // 2 + 1
+        self.row_sums = np.empty((count, half), dtype=complex)
+        self.row_norms = np.empty((count, half))
+        self.momentum = np.empty((count, n))
+        self.momentum_imag = np.empty(count)
+
+    def momentum_distribution(self, j: int) -> np.ndarray:
+        """p(k) = R[k, k], row delta = 0; row j of the stored array, not a
+        copy, so a run holds each momentum distribution once."""
+        worst = float(self.momentum_imag[j])
         if worst > 1e-12:
             raise ValueError(f"momentum distribution has imaginary parts up to {worst:.3e}")
-        return row.real.copy()
+        return self.momentum[j]
 
-    def position_distribution(self) -> np.ndarray:
+    def position_distribution(self, j: int) -> np.ndarray:
         """p(n) = rho(n, n), the inverse FFT of the row sums of G."""
-        half, n = self._g.shape
+        half, n = self.row_sums.shape[1], self.momentum.shape[1]
         sums = np.empty(n, dtype=complex)
-        self._g.sum(axis=1, out=sums[:half])
+        sums[:half] = self.row_sums[j]
         sums[half:] = sums[n - half : 0 : -1].conj()  # s[N - delta] = conj s[delta]
         diag = np.fft.ifft(sums)
         worst = float(np.max(np.abs(diag.imag)))
@@ -178,13 +248,71 @@ class Propagator:
             raise ValueError(f"diagonal has imaginary parts up to {worst:.3e}")
         return diag.real.copy()
 
-    def purity(self) -> float:
+    def purity(self, j: int) -> float:
         """Tr(rho^2) = sum |G|^2 over all N rows; the rows 1..N/2 - 1 stand
         for their mirrors too."""
-        g = self._g
-        inner = g[1:-1]
-        edges = np.vdot(g[0], g[0]).real + np.vdot(g[-1], g[-1]).real
-        return float(edges + 2.0 * np.vdot(inner, inner).real)
+        norms = self.row_norms[j]
+        return float(norms[0] + norms[-1] + 2.0 * norms[1:-1].sum())
+
+
+def run_blocks(
+    state: StateVector,
+    measurement: DampingKernel | RegionPartition | None,
+    interval: float | None,
+    ops: list[tuple],
+) -> None:
+    """Take every block of rows through ops, each block on a Propagator of
+    its own.
+
+    ops is a list of (method, *args), with method Propagator.advance,
+    Propagator.measure or Propagator.record; a block runs them in order.
+    The calling thread and, when the run has two blocks or more and the
+    host two cores, one worker thread take blocks in turn. The worker is
+    joined before this returns.
+    """
+    n = state.n_sites
+    half = n // 2 + 1
+    couples = measurement is not None and _sort_columns(measurement, n)[1].size > 0
+    count = 1 if couples else -(-half * n // BLOCK_ENTRIES)
+    bounds = [half * i // count for i in range(count + 1)]
+    blocks = iter([range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+    lock = threading.Lock()
+
+    def run_block(rows: range) -> None:
+        # The engine goes on return, before the next block's is built.
+        engine = Propagator(state, measurement, interval, rows)
+        for method, *args in ops:
+            method(engine, *args)
+
+    def take_blocks() -> None:
+        while True:
+            with lock:
+                rows = next(blocks, None)
+            if rows is None:
+                return
+            run_block(rows)
+
+    if min(2, os.cpu_count() or 1, count) == 1:
+        take_blocks()
+        return
+    failures = []
+
+    def work() -> None:
+        try:
+            take_blocks()
+        except BaseException as err:  # raised again on the calling thread
+            failures.append(err)
+
+    # threading, not concurrent.futures: numpy has imported it already, and
+    # the executor's import would add about 8 ms to every process start.
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        take_blocks()
+    finally:
+        worker.join()
+    if failures:
+        raise failures[0]
 
 
 def _sort_columns(

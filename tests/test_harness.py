@@ -1,9 +1,13 @@
 """Run loop, grid doubling and CSV emission."""
 
+import os
+import sys
 import textwrap
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import strategies as st
 from zenolattice import (
     Basis,
     CustomKernelSpec,
+    DampingKernel,
     DistanceConvention,
     GaussianPacketSpec,
     LatticeConfig,
@@ -46,7 +51,8 @@ from zenolattice import (
     with_interval,
     with_regions,
 )
-from zenolattice.propagator import Propagator
+from zenolattice import harness
+from zenolattice.propagator import Propagator, Snapshots, run_blocks
 
 
 def packet_scenario(
@@ -130,7 +136,9 @@ class TestRunSchedule:
         assert records[-1].purity < records[0].purity
 
     def test_memory_is_bounded_by_the_run(self):
-        """Forty distinct leg lengths leave no phase table per length behind."""
+        """Forty distinct leg lengths leave no phase table per length behind.
+        The run's two row blocks step at once; it peaks at 1.59-1.86 N x N
+        matrices, and the bound leaves 10% above that."""
         n = 256
         times = tuple(float(t) for t in np.cumsum(0.37 * np.arange(1, 41)))
         scenario = packet_scenario(measurement=NoMeasurement(), interval=None,
@@ -147,13 +155,13 @@ class TestRunSchedule:
             evolve_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert run_peak < 2.5 * matrix
+        assert run_peak < 2.05 * matrix
         assert evolve_peak < 8 * matrix
 
     @pytest.mark.parametrize(
         "measurement, bound",
         [
-            (PointerSpec(0.2), 2.5),
+            (PointerSpec(0.2), 2.3),  # peaks at 2.09 with two row blocks at once: 10% margin
             (RegionPvmSpec(6), 3.0),
             (PointerSpec(1.0, DistanceConvention.LINEAR), 3.25),
             (PointerSpec(0.2, DistanceConvention.LINEAR), 3.7),
@@ -173,6 +181,25 @@ class TestRunSchedule:
             tracemalloc.stop()
         assert peak < bound * n * n * 16
 
+    def test_pointer_run_memory_is_bounded_at_large_n(self):
+        """Row blocks hold a pointer run at N = 4096, with an off-grid record
+        that needs phases of its own, below 1/16 of one N x N matrix; it
+        peaks at about 4 MiB, 1/64 of one."""
+        n = 4096
+        scenario = Scenario(
+            lattice=LatticeConfig(n),
+            state=GaussianPacketSpec(n // 2, 128.0, 0),
+            measurement=PointerSpec(0.0125),
+            schedule=Schedule(1.0, 2.5, (2.5,)),
+        )
+        tracemalloc.start()
+        try:
+            run_schedule(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 16 / 16
+
     @pytest.mark.parametrize("measurement", [RegionPvmSpec(6), PointerSpec(0.5)])
     def test_long_horizon_drift_per_step(self, measurement):
         """Over 5,000 measurements the distributions' sums drift by at
@@ -188,6 +215,13 @@ class TestRunSchedule:
             allowed = 1e-14 + 1e-16 * rec.time_display
             assert abs(rec.position_dist.sum() - 1.0) <= allowed
             assert abs(rec.momentum_dist.sum() - 1.0) <= allowed
+
+
+def snapshot(engine, n):
+    """The one snapshot of an engine that holds every row."""
+    snapshots = Snapshots(1, n)
+    engine.record(snapshots, 0)
+    return snapshots
 
 
 def region_mask(partition):
@@ -252,12 +286,13 @@ class TestPropagator:
             rho = pvm_channel(rho, operator)
         else:
             rho = kernel_channel(rho, operator)
+        snapshots = snapshot(engine, n)
         for got, want in (
-            (engine.position_distribution(), position_distribution(rho)),
-            (engine.momentum_distribution(), momentum_distribution(rho)),
+            (snapshots.position_distribution(0), position_distribution(rho)),
+            (snapshots.momentum_distribution(0), momentum_distribution(rho)),
         ):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        assert abs(engine.purity() - purity(rho)) <= 1e-12
+        assert abs(snapshots.purity(0) - purity(rho)) <= 1e-12
         if isinstance(operator, RegionPartition):
             once = engine._g.copy()
             engine.measure()
@@ -272,6 +307,17 @@ class TestPropagator:
         engine.measure()
         np.testing.assert_array_equal(engine._g, expected)
 
+    @pytest.mark.parametrize(
+        "operator", [make_regions(64, 1), DampingKernel(np.ones(64))], ids=["pvm1", "ones"]
+    )
+    def test_identity_channel_leaves_the_state_alone(self, operator):
+        """A channel that cuts no column and scales every one by 1 is skipped."""
+        engine = Propagator(build_initial_state(GaussianPacketSpec(8, 3.0, 5), 64), operator, 0.001)
+        engine.advance(0.001)
+        before = engine._g.copy()
+        engine.measure()
+        np.testing.assert_array_equal(engine._g, before)
+
     def test_initial_trace_is_checked(self):
         state = build_initial_state(GaussianPacketSpec(8, 3.0, 5), 32)
         state.amplitudes *= 1.001
@@ -282,7 +328,7 @@ class TestPropagator:
         engine = Propagator(build_initial_state(GaussianPacketSpec(8, 3.0, 5), 32))
         engine._g[0, 3] += 1e-9j
         with pytest.raises(ValueError, match="imaginary parts"):
-            engine.momentum_distribution()
+            snapshot(engine, 32).momentum_distribution(0)
 
 
 def reference_records(scenario):
@@ -325,6 +371,19 @@ def autocorrelation_kernel(weights):
     return tuple(corr / corr[0])
 
 
+def draw_schedule(draw, measured, max_count):
+    """1..max_count intervals plus a random part of one, and record times
+    on the measurement grid or a twentieth of an interval apart from it and
+    from each other: none falls within the run's snap."""
+    interval = draw(st.floats(0.5, 5.0))
+    count = draw(st.integers(1, max_count))
+    total = (count + draw(st.integers(0, 9)) / 10) * interval
+    slots = draw(st.sets(st.tuples(st.integers(0, count), st.integers(0, 19)), min_size=1, max_size=6))
+    times = sorted({j * interval if i == 0 else (j + i / 20) * interval for j, i in slots})
+    times = [t for t in times if t <= total] or [total]
+    return Schedule(interval if measured else None, total, tuple(times))
+
+
 @st.composite
 def random_scenarios(draw):
     n = draw(st.sampled_from([8, 16, 32, 64]))
@@ -345,15 +404,7 @@ def random_scenarios(draw):
         measurement = CustomKernelSpec(autocorrelation_kernel(weights))
     else:
         measurement = NoMeasurement()
-    interval = draw(st.floats(0.5, 5.0))
-    count = draw(st.integers(1, 12))
-    total = (count + draw(st.integers(0, 9)) / 10) * interval
-    # Record times on the measurement grid or a twentieth of an interval
-    # apart from it and from each other: none falls within the run's snap.
-    slots = draw(st.sets(st.tuples(st.integers(0, count), st.integers(0, 19)), min_size=1, max_size=6))
-    times = sorted({j * interval if i == 0 else (j + i / 20) * interval for j, i in slots})
-    times = [t for t in times if t <= total] or [total]
-    schedule = Schedule(None if kind == "none" else interval, total, tuple(times))
+    schedule = draw_schedule(draw, kind != "none", 12)
     return Scenario(lattice=LatticeConfig(n), state=state, measurement=measurement, schedule=schedule)
 
 
@@ -370,6 +421,136 @@ def test_run_schedule_matches_position_basis_reference(scenario):
         assert abs(rec.purity - pur) <= 1e-12
         assert rec.region_masses.shape == masses.shape
         np.testing.assert_allclose(rec.region_masses, masses, rtol=0, atol=1e-12)
+
+
+@st.composite
+def blocked_scenarios(draw, kinds):
+    """Runs that step in row blocks, at N = 256 and 1024: Gaussian pointers,
+    autocorrelations of a short random profile (both minimal-image) and
+    unmeasured runs."""
+    n = draw(st.sampled_from([256, 1024]))
+    state = GaussianPacketSpec(
+        draw(st.integers(0, n - 1)),
+        draw(st.floats(2.0, n / 8)),
+        draw(st.integers(-n // 2 + 1, n // 2)),
+    )
+    kind = draw(st.sampled_from(kinds))
+    if kind == "pointer":
+        measurement = PointerSpec(draw(st.floats(0.2, 3.0)))
+    elif kind == "custom":
+        profile = draw(st.lists(st.integers(0, 9), min_size=1, max_size=16).filter(any))
+        measurement = CustomKernelSpec(autocorrelation_kernel(profile + [0] * (n - len(profile))))
+    else:
+        measurement = NoMeasurement()
+    schedule = draw_schedule(draw, kind != "none", 6)
+    return Scenario(lattice=LatticeConfig(n), state=state, measurement=measurement, schedule=schedule)
+
+
+def assert_same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.position_dist, b.position_dist)
+        np.testing.assert_array_equal(a.momentum_dist, b.momentum_dist)
+        assert a.purity == b.purity
+        assert a.momentum_variance == b.momentum_variance
+
+
+@settings(max_examples=10, deadline=None)
+@given(blocked_scenarios(["pointer", "custom", "none"]))
+def test_row_blocks_match_one_block_of_all_rows(scenario):
+    """run_schedule steps row blocks on up to two threads; one Propagator of
+    all rows, stepped through the same operations, gives the same records,
+    and so does a run on one thread."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        run_blocks(*args)
+
+    threads = threading.active_count()
+    with mock.patch.object(harness, "run_blocks", spy):
+        records = run_schedule(scenario)
+    assert threading.active_count() == threads  # the worker is joined
+
+    state, operator, step, ops = calls[0]
+    engine = Propagator(state, operator, step)
+    whole = Snapshots(len(records), scenario.lattice.n_sites)
+    for method, *args in ops:
+        if method is Propagator.record:
+            args = (whole, args[1])
+        method(engine, *args)
+    for j, rec in enumerate(records):
+        np.testing.assert_array_equal(rec.position_dist, whole.position_distribution(j))
+        np.testing.assert_array_equal(rec.momentum_dist, whole.momentum_distribution(j))
+        assert abs(rec.purity - whole.purity(j)) <= 1e-15
+
+    assert_same_records(run_schedule(scenario), records)
+    with mock.patch.object(os, "cpu_count", return_value=1):
+        assert_same_records(run_schedule(scenario), records)
+
+
+def test_every_block_runs_once_under_frequent_switches():
+    """Two threads take each block of rows exactly once, even when the
+    interpreter switches between them every microsecond."""
+    n = 1024
+    state = build_initial_state(GaussianPacketSpec(512, 32.0, 0), n)
+    taken = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(os, "cpu_count", return_value=2):
+            run_blocks(state, None, None, [(lambda engine: taken.append(engine._rows),)])
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(taken) > 2
+    assert sorted(row for rows in taken for row in rows) == list(range(n // 2 + 1))
+
+
+def test_worker_error_is_raised_by_the_caller():
+    """An error in the worker thread reaches run_blocks' caller, after the
+    worker has been joined."""
+
+    worker_ran = threading.Event()
+
+    def fail_off_the_calling_thread(engine):
+        if threading.current_thread() is threading.main_thread():
+            worker_ran.wait(timeout=10)  # so that the worker takes a block
+        else:
+            worker_ran.set()
+            raise ArithmeticError("worker failed")
+
+    state = build_initial_state(GaussianPacketSpec(128, 8.0, 0), 256)
+    threads = threading.active_count()
+    with mock.patch.object(os, "cpu_count", return_value=2):
+        with pytest.raises(ArithmeticError, match="worker failed"):
+            run_blocks(state, None, None, [(fail_off_the_calling_thread,)])
+    assert threading.active_count() == threads
+
+
+@settings(max_examples=20, deadline=None)
+@given(blocked_scenarios(["pointer", "custom"]))
+def test_pointer_momentum_matches_closed_form(scenario):
+    """A minimal-image kernel is a mixture of momentum boosts with weights
+    w = DFT(values) / N, and free legs leave p(k) alone, so after m
+    applications p(k) is p0 circularly convolved m times with w, whatever
+    the legs between them."""
+    n = scenario.lattice.n_sites
+    measurement = scenario.measurement
+    if isinstance(measurement, PointerSpec):
+        values = pointer_kernel(measurement, n).values
+    else:
+        values = np.asarray(measurement.values)
+    w = np.fft.fft(values).real / n
+    sites = np.arange(n)
+    boost = w[(sites[:, None] - sites[None, :]) % n]  # boost[k, q] = w(k - q)
+    p = np.abs(np.fft.fft(build_initial_state(scenario.state, n).amplitudes)) ** 2 / n
+    interval = scenario.schedule.measurement_interval
+    applied = 0
+    for rec in run_schedule(scenario):
+        for _ in range(int(rec.time_display / interval + 1e-9) - applied):
+            p = boost @ p
+            applied += 1
+        np.testing.assert_allclose(rec.momentum_dist, p, rtol=0, atol=1e-15)
 
 
 class TestZenoOrdering:
