@@ -25,18 +25,20 @@ that this puts on the distributions. In these coordinates:
   minimal-image damping kernel has no cut columns: its step is an inverse
   FFT along k, a multiply by values[d] and an FFT back, one pass in all;
 - a region PVM of two regions or more, the largest with L sites, cuts the
-  columns with 0 < min(d, N - d) < L: P = 2(L - 1) of them when
-  L <= N/2. A LINEAR kernel cuts the columns with values[d] != values[N - d].
-  The cut columns come in pairs d, N - d, since the mask is symmetric, and
-  the identity above becomes
+  columns with 0 < min(d, N - d) < L. A LINEAR kernel cuts the columns with
+  values[d] != values[N - d]. The mask is symmetric, so the cut columns
+  lie in a window of the columns d = 1..c and their mirrors N - d, with
+  c = min(L - 1, N/2) for a PVM and the largest cut min(d, N - d) for a
+  LINEAR kernel; a constant column inside the window is masked by its
+  value. The identity above becomes
 
       H[N - delta, d] = exp(-2 pi i delta d / N) conj H[delta, N - d].
 
-  The step gathers the cut columns d <= N/2 into a buffer with delta on the
-  contiguous axis, rows 0..N/2 from H and rows N - delta from the columns
-  N - d by the identity. It transforms that buffer along delta, masks it,
-  transforms it back and writes rows 0..N/2 of columns d into H, and those
-  of columns N - d by the identity again: 1 + P/N passes;
+  The step copies columns d = 1..c, rows 0..N/2, into an (N, c) buffer
+  and builds its rows N - delta from columns N - d by that identity, all
+  through basic slices. It transforms that buffer along delta, masks it,
+  transforms it back, copies rows 0..N/2 back to columns d and builds
+  those of columns N - d by the identity again: 1 + 2c/N passes;
 - a snapshot costs O(N^2) and no transform: p(k) is row 0, p(n) is the
   inverse FFT of the row sums s[delta], with s[N - delta] = conj s[delta]
   filling in the rest, and the purity is
@@ -54,8 +56,9 @@ blocks in turn, with no synchronisation between steps. numpy's FFTs and
 ufuncs release the GIL, so the two threads step at once. A snapshot writes
 its rows' partials, the row sums s[delta], the squared norms of the rows
 and the real part of row 0 with its largest imaginary part, into a
-Snapshots object indexed by row; the observables are
-read off the combined partials in a fixed order, so no result depends on
+Snapshots object indexed by row, which allocates a snapshot's partials
+when the first block records it; the observables are read off the
+combined partials in a fixed order, so no result depends on
 which thread stepped which block. A channel that cuts a column (a PVM of
 two regions or more, most LINEAR kernels) couples rows through its
 transform along delta, so such a run takes one block of all rows on the
@@ -129,20 +132,19 @@ class Propagator:
         self._scale = None
         self._work = None  # phases of other leg lengths, allocated on first use
         if measurement is not None:
-            self._scale, self._cols, self._cut = _sort_columns(measurement, n)
-            count = self._cols.size
+            self._scale, window, cut = _sort_columns(measurement, n)
+            self._window = window
             # No cut column and a scale of 1 everywhere: the channel is the identity.
-            self._identity = not count and bool(np.all(self._scale == 1.0))
-            if count:
+            self._identity = not window and bool(np.all(self._scale == 1.0))
+            if window:
                 if rows != range(half):
                     raise ValueError("this measurement couples rows; hold all rows 0..N/2")
-                # The work buffer also takes every cut column of H, delta-major.
-                self._work = np.empty_like(self._g)
-                self._gathered = self._work.reshape(-1)[: half * count].reshape(half, count)
-                self._buffer = np.empty_like(self._cut, dtype=complex)
-                # exp(-2 pi i delta d / N) for the kept columns d, delta = 0..N/2
-                turns = np.outer(self._cols[: len(self._cut)], sites[:half]) % n
-                self._twiddle = np.exp(-2j * np.pi * turns / n)
+                self._cut = cut
+                self._buffer = np.empty(cut.shape, dtype=complex)
+                # conj exp(-2 pi i delta d / N) at [N/2 - delta, d - 1], for
+                # buffer row N - delta: delta = N/2..1 down the rows, d = 1..c.
+                turns = np.outer(sites[half - 1 : 0 : -1], sites[1 : window + 1]) % n
+                self._twiddle = np.exp(-2j * np.pi * turns / n).conj()
 
         self._interval = interval
         self._phases = None
@@ -172,31 +174,33 @@ class Propagator:
             return
         g = self._g
         np.fft.ifft(g, axis=1, out=g)
-        np.multiply(g, self._scale, out=g)  # 1 on the cut columns
-        cols = self._cols
-        if cols.size:
-            half = g.shape[0]
-            gathered, buffer, twiddle = self._gathered, self._buffer, self._twiddle
-            # Buffer row j is cut column d = cols[j] <= N/2; N - d is cols[-1 - j].
-            kept = len(buffer)
-            # mode="wrap" writes straight into out; the default buffers it.
-            np.take(g, cols, axis=1, out=gathered, mode="wrap")
-            buffer[:, :half] = gathered[:, :kept].T
-            upper = buffer[:, half:]  # rows N - delta, delta = N/2 - 1 .. 1
-            np.conjugate(gathered[half - 2 : 0 : -1, ::-1][:, :kept].T, out=upper)
-            np.multiply(upper, twiddle[:, half - 2 : 0 : -1], out=upper)
-            np.fft.ifft(buffer, axis=1, out=buffer)
+        np.multiply(g, self._scale, out=g)  # 1 inside the window
+        c = self._window
+        if c:
+            half, n = g.shape
+            buffer, twiddle = self._buffer, self._twiddle
+            # Column j of buffer is d = j + 1 and column j of mirror is N - d.
+            # Buffer rows N/2..N - 1 are rows N - delta for delta = N/2..1,
+            # the rows of twiddle; w conj(x) = conj(x conj(w)) builds them in
+            # place, in contiguous passes.
+            mirror = g[:, n - 1 : n - c - 1 : -1]
+            buffer[:half] = g[:, 1 : c + 1]
+            upper = buffer[half:]  # rows N - delta, delta = N/2 - 1 .. 1
+            upper[:] = mirror[half - 2 : 0 : -1]
+            np.multiply(upper, twiddle[1:], out=upper)
+            np.conjugate(upper, out=upper)
+            np.fft.ifft(buffer, axis=0, out=buffer)
             np.multiply(buffer, self._cut, out=buffer)
-            np.fft.fft(buffer, axis=1, out=buffer)
-            g[:, cols[:kept]] = buffer[:, :half].T
+            np.fft.fft(buffer, axis=0, out=buffer)
+            g[:, 1 : c + 1] = buffer[:half]
             # Rows delta = 0..N/2 of column N - d from rows (N - delta) mod N
-            # of column d, for every kept d < N/2.
-            pairs = cols.size - kept
-            mirror = buffer[:pairs, :half]
-            np.conjugate(buffer[:pairs, : half - 2 : -1], out=mirror[:, 1:])
-            np.conjugate(mirror[:, 0], out=mirror[:, 0])
-            np.multiply(mirror, twiddle[:pairs], out=mirror)
-            g[:, cols[: kept - 1 : -1]] = mirror.T
+            # of column d; column N/2, its own mirror, is written already.
+            pairs = min(c, half - 2)
+            lower = buffer[half - 1 :]  # rows N - delta, delta = N/2 .. 1
+            np.multiply(lower, twiddle, out=lower)
+            np.conjugate(lower, out=lower)
+            np.conjugate(buffer[0, :pairs], out=mirror[0, :pairs])
+            mirror[1:, :pairs] = lower[::-1, :pairs]
         np.fft.fft(g, axis=1, out=g)
 
     def record(self, snapshots: Snapshots, j: int) -> None:
@@ -205,42 +209,59 @@ class Propagator:
         largest imaginary part on it."""
         g = self._g
         rows = slice(self._rows.start, self._rows.stop)
-        g.sum(axis=1, out=snapshots.row_sums[j, rows])
+        sums, norms, momentum, imag = snapshots.partials(j)
+        g.sum(axis=1, out=sums[rows])
         pairs = g.view(np.float64)  # |G|^2 is the sum of squares of re and im
-        np.einsum("ij,ij->i", pairs, pairs, out=snapshots.row_norms[j, rows])
+        np.einsum("ij,ij->i", pairs, pairs, out=norms[rows])
         if self._rows.start == 0:
-            snapshots.momentum[j] = g[0].real
-            snapshots.momentum_imag[j] = np.max(np.abs(g[0].imag))
+            momentum[:] = g[0].real
+            imag[0] = np.max(np.abs(g[0].imag))
 
 
 class Snapshots:
     """Per-row partials of a run's snapshots, filled by Propagator.record
     block by block, and the observables combined from them.
 
-    Each observable reads all rows in one fixed order, so it does not
-    depend on how the rows were split into blocks.
+    A snapshot's partials are allocated when the first block records it,
+    so a run holds only the snapshots it has reached. Each observable reads
+    all rows in one fixed order, so it does not depend on how the rows
+    were split into blocks.
     """
 
     def __init__(self, count: int, n: int) -> None:
-        half = n // 2 + 1
-        self.row_sums = np.empty((count, half), dtype=complex)
-        self.row_norms = np.empty((count, half))
-        self.momentum = np.empty((count, n))
-        self.momentum_imag = np.empty(count)
+        self._n = n
+        self._partials: list[tuple | None] = [None] * count
+        self._lock = threading.Lock()
+
+    def partials(self, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Snapshot j's row sums, squared row norms, p(k) and the largest
+        imaginary part on row 0 (one entry), allocated on first use."""
+        with self._lock:  # both workers may reach snapshot j at once
+            if self._partials[j] is None:
+                half = self._n // 2 + 1
+                self._partials[j] = (
+                    np.empty(half, dtype=complex),
+                    np.empty(half),
+                    np.empty(self._n),
+                    np.empty(1),
+                )
+            return self._partials[j]
 
     def momentum_distribution(self, j: int) -> np.ndarray:
-        """p(k) = R[k, k], row delta = 0; row j of the stored array, not a
-        copy, so a run holds each momentum distribution once."""
-        worst = float(self.momentum_imag[j])
+        """p(k) = R[k, k], row delta = 0; the stored array, not a copy, so
+        a run holds each momentum distribution once."""
+        _, _, momentum, imag = self._partials[j]
+        worst = float(imag[0])
         if worst > 1e-12:
             raise ValueError(f"momentum distribution has imaginary parts up to {worst:.3e}")
-        return self.momentum[j]
+        return momentum
 
     def position_distribution(self, j: int) -> np.ndarray:
         """p(n) = rho(n, n), the inverse FFT of the row sums of G."""
-        half, n = self.row_sums.shape[1], self.momentum.shape[1]
+        row_sums = self._partials[j][0]
+        half, n = row_sums.size, self._n
         sums = np.empty(n, dtype=complex)
-        sums[:half] = self.row_sums[j]
+        sums[:half] = row_sums
         sums[half:] = sums[n - half : 0 : -1].conj()  # s[N - delta] = conj s[delta]
         diag = np.fft.ifft(sums)
         worst = float(np.max(np.abs(diag.imag)))
@@ -251,7 +272,7 @@ class Snapshots:
     def purity(self, j: int) -> float:
         """Tr(rho^2) = sum |G|^2 over all N rows; the rows 1..N/2 - 1 stand
         for their mirrors too."""
-        norms = self.row_norms[j]
+        norms = self._partials[j][1]
         return float(norms[0] + norms[-1] + 2.0 * norms[1:-1].sum())
 
 
@@ -272,7 +293,7 @@ def run_blocks(
     """
     n = state.n_sites
     half = n // 2 + 1
-    couples = measurement is not None and _sort_columns(measurement, n)[1].size > 0
+    couples = measurement is not None and _sort_columns(measurement, n)[1] > 0
     count = 1 if couples else -(-half * n // BLOCK_ENTRIES)
     bounds = [half * i // count for i in range(count + 1)]
     blocks = iter([range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
@@ -317,37 +338,39 @@ def run_blocks(
 
 def _sort_columns(
     measurement: DampingKernel | RegionPartition, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, int, np.ndarray]:
     """Sort the columns d of the measurement's mask on rho((n + d) mod N, n).
 
-    Returns (scale, cols, cut). scale[d] is the value of constant column d,
-    and 1 on a cut column. cols lists the cut columns in increasing order,
-    a set closed under d -> N - d, and cut holds the mask down the cut
-    columns d <= N/2, one row per column, indexed by n.
+    Returns (scale, c, cut). Every cut column lies in the window of the
+    columns d = 1..c and their mirrors N - d, with c <= N/2. scale[d] is
+    the value of column d outside the window, which is constant there, and
+    1 inside it. cut[n, d - 1] is the mask down column d = 1..c, an
+    (N, c) array. A minimal-image kernel's scale is its values, shared by
+    every block; one built here is complex, which numpy would otherwise
+    cast on every step.
     """
-    none = np.empty(0, dtype=np.intp)
+    sites = np.arange(n)
+    separation = np.minimum(sites, n - sites)
     if isinstance(measurement, DampingKernel):
         values = measurement.values
         if measurement.distance_convention is DistanceConvention.MINIMAL_IMAGE:
-            return values, none, np.empty((0, n))
+            return values, 0, np.empty((n, 0))
         # LINEAR: column d is values[d] where n + d < N and values[N - d]
-        # past the wrap.
-        sites = np.arange(n)
+        # past the wrap; a column inside the window whose two values agree
+        # is masked by that value.
         mirrored = values[-sites]
-        constant = values == mirrored
-        cols = np.flatnonzero(~constant)
-        kept = cols[: (cols.size + 1) // 2, None]
-        cut = np.where(sites < n - kept, values[kept], mirrored[kept])
-        return np.where(constant, values, 1.0), cols, cut
+        c = int(separation[values != mirrored].max(initial=0))
+        window = sites[1 : c + 1]
+        cut = np.where(sites[:, None] < n - window, values[window], mirrored[window])
+        inside = (separation > 0) & (separation <= c)
+        return np.where(inside, 1.0, values).astype(complex), c, cut
     if measurement.n_regions == 1:
-        return np.ones(n), none, np.empty((0, n))
+        return np.ones(n), 0, np.empty((n, 0))
     # Regions are contiguous and do not wrap, so some pair at separation d
     # shares a region iff min(d, N - d) is below the largest region's size;
     # with two regions or more, some pair at every d > 0 does not.
-    sites = np.arange(n)
     largest = max(np.diff(measurement.boundaries + (n,)))
-    shared = np.minimum(sites, n - sites) < largest
-    cols = np.flatnonzero(shared[1:]) + 1
-    kept = cols[: (cols.size + 1) // 2, None]
+    c = int(min(largest - 1, n // 2))
     region = measurement.region_of
-    return shared.astype(float), cols, region[(sites + kept) % n] == region
+    cut = region[(sites[:, None] + sites[1 : c + 1]) % n] == region[:, None]
+    return (separation < largest).astype(complex), c, cut

@@ -162,9 +162,9 @@ class TestRunSchedule:
         "measurement, bound",
         [
             (PointerSpec(0.2), 2.3),  # peaks at 2.09 with two row blocks at once: 10% margin
-            (RegionPvmSpec(6), 3.0),
-            (PointerSpec(1.0, DistanceConvention.LINEAR), 3.25),
-            (PointerSpec(0.2, DistanceConvention.LINEAR), 3.7),
+            (RegionPvmSpec(6), 2.45),  # peaks at 2.20, a window of c = 41 columns
+            (PointerSpec(1.0, DistanceConvention.LINEAR), 2.65),  # 2.37, c = 54
+            (PointerSpec(0.2, DistanceConvention.LINEAR), 3.25),  # 2.94, c = 127
         ],
     )
     def test_measured_run_memory_is_bounded(self, measurement, bound):
@@ -253,14 +253,21 @@ class TestPropagator:
     @pytest.mark.parametrize("m_regions, cut", [(1, 0), (6, 82), (7, 70), (100, 110), (256, 0)])
     def test_pvm_cuts_only_columns_below_the_largest_region(self, m_regions, cut):
         """A PVM cuts the 2(L - 1) site separations that some pair inside the
-        largest region (L sites) spans, and no other column of its mask."""
-        partition = make_regions(256, m_regions)
-        state = build_initial_state(GaussianPacketSpec(8, 8.0, 31), 256)
+        largest region (L sites) spans: its window is the columns d = 1..c,
+        c = L - 1, and their mirrors, every column outside the window is
+        constant, and the engine scales it by that constant."""
+        n = 256
+        partition = make_regions(n, m_regions)
+        state = build_initial_state(GaussianPacketSpec(8, 8.0, 31), n)
         engine = Propagator(state, partition, 0.001)
         mask = region_mask(partition)
         varies = mask.any(axis=0) & ~mask.all(axis=0)
-        assert engine._cols.size == cut
-        np.testing.assert_array_equal(engine._cols, np.flatnonzero(varies))
+        c = engine._window
+        separation = np.minimum(np.arange(n), n - np.arange(n))
+        window = (separation > 0) & (separation <= c)
+        assert 2 * c == cut
+        np.testing.assert_array_equal(window, varies)
+        np.testing.assert_array_equal(engine._scale[~window], mask[0, ~window])
 
     @pytest.mark.parametrize(
         "operator",
@@ -329,6 +336,142 @@ class TestPropagator:
         engine._g[0, 3] += 1e-9j
         with pytest.raises(ValueError, match="imaginary parts"):
             snapshot(engine, 32).momentum_distribution(0)
+
+
+def constant_column_kernel(n):
+    """A PSD LINEAR kernel, 0.5 + 0.25 cos(pi d / N) + 0.25 cos(3 pi d / N),
+    whose window (c = N/2 - 1) holds the constant column N/4."""
+    d = np.arange(n)
+    values = 0.5 + 0.25 * np.cos(np.pi * d / n) + 0.25 * np.cos(3 * np.pi * d / n)
+    return DampingKernel(values, DistanceConvention.LINEAR)
+
+
+def assert_window_steps_match_oracle(state, measurement, legs):
+    """Legs of the given lengths, each followed by one measurement, through a
+    Propagator and through the dense position-basis functions."""
+    n = state.n_sites
+    engine = Propagator(state, measurement)
+    channel = pvm_channel if isinstance(measurement, RegionPartition) else kernel_channel
+    rho = density_from_pure(state)
+    for t in legs:
+        engine.advance(t)
+        engine.measure()
+        rho = channel(density_to_position(evolve_density(density_to_momentum(rho), t)), measurement)
+    snapshots = snapshot(engine, n)
+    np.testing.assert_allclose(snapshots.position_distribution(0), position_distribution(rho),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(snapshots.momentum_distribution(0), momentum_distribution(rho),
+                               rtol=0, atol=1e-12)
+    assert abs(snapshots.purity(0) - purity(rho)) <= 1e-12
+
+
+@st.composite
+def window_steps(draw):
+    """A packet, uneven region partitions, LINEAR Gaussian pointers or the
+    constant-column kernel, and one to three legs of random length."""
+    n = draw(st.sampled_from([64, 256]))
+    state = build_initial_state(
+        GaussianPacketSpec(
+            draw(st.integers(0, n - 1)),
+            draw(st.floats(1.0, n / 4)),
+            draw(st.integers(-n // 2 + 1, n // 2)),
+        ),
+        n,
+    )
+    kind = draw(st.sampled_from(["regions", "linear", "constant"]))
+    if kind == "regions":
+        starts = draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=6))
+        measurement = RegionPartition((0, *sorted(starts)), n)
+    elif kind == "linear":
+        alpha = draw(st.floats(0.05, 3.0))
+        measurement = pointer_kernel(PointerSpec(alpha, DistanceConvention.LINEAR), n)
+    else:
+        measurement = constant_column_kernel(n)
+    legs = draw(st.lists(st.floats(1e-4, 0.02), min_size=1, max_size=3))
+    return state, measurement, legs
+
+
+@settings(max_examples=30, deadline=None)
+@given(window_steps())
+def test_window_steps_match_dense_oracle(case):
+    assert_window_steps_match_oracle(*case)
+
+
+@pytest.mark.parametrize(
+    "measurement, window",
+    [(RegionPartition((0, 40), 64), 32), (constant_column_kernel(64), 31)],
+    ids=["region_wider_than_half", "linear_constant_column"],
+)
+def test_window_edges_match_dense_oracle(measurement, window):
+    """A region of 40 of 64 sites puts column N/2 in the window; the LINEAR
+    kernel has constant column 16 inside its window of c = 31."""
+    state = build_initial_state(GaussianPacketSpec(20, 5.0, 7), 64)
+    assert Propagator(state, measurement)._window == window
+    if isinstance(measurement, DampingKernel):
+        values = measurement.values
+        assert values[16] == values[64 - 16]
+        assert all(values[d] != values[64 - d] for d in range(1, 32) if d != 16)
+    assert_window_steps_match_oracle(state, measurement, [0.004, 0.0013])
+
+
+def test_snapshots_are_allocated_when_first_recorded():
+    """A run holds only the snapshots it has reached: 1,000 snapshots at
+    N = 1024, one of them recorded, take well under one snapshot's worth
+    per record (about 20 MiB if all were allocated)."""
+    n = 1024
+    engine = Propagator(build_initial_state(GaussianPacketSpec(8, 3.0, 5), n))
+    tracemalloc.start()
+    try:
+        snapshots = Snapshots(1000, n)
+        engine.record(snapshots, 500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert snapshots.purity(500) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_snapshots_survive_concurrent_first_records():
+    """Eight threads record their own rows of the same snapshots at once,
+    with the interpreter switching every microsecond: each snapshot is
+    allocated once and holds every thread's rows. Five rounds, since one
+    lost allocation shows only when a switch falls inside it."""
+    n, count = 256, 200
+    state = build_initial_state(GaussianPacketSpec(40, 6.0, 9), n)
+    engine = Propagator(state, None, 0.001)
+    engine.advance(0.001)
+    whole = snapshot(engine, n)
+    bounds = [0, 5, 20, 35, 50, 70, 90, 110, n // 2 + 1]
+    blocks = [Propagator(state, None, 0.001, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    for block in blocks:
+        block.advance(0.001)
+
+    def record_all(block, shared, start):
+        start.wait()  # so that the threads reach each snapshot together
+        for j in range(count):
+            block.record(shared, j)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            shared = Snapshots(count, n)
+            start = threading.Barrier(len(blocks), timeout=30)
+            threads = [threading.Thread(target=record_all, args=(block, shared, start))
+                       for block in blocks]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            for j in range(count):
+                np.testing.assert_array_equal(shared.position_distribution(j),
+                                              whole.position_distribution(0))
+                np.testing.assert_array_equal(shared.momentum_distribution(j),
+                                              whole.momentum_distribution(0))
+                assert abs(shared.purity(j) - whole.purity(0)) <= 1e-15
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def reference_records(scenario):
