@@ -1,8 +1,10 @@
 """Median cost in reference milliseconds of each stepping-engine operation.
 
-Times a free leg, a pointer step, a region-PVM step, a LINEAR-kernel step
-(a step is one leg and one measurement) and a snapshot through Propagator
-at N = 256, 512 and 1024, and prints the medians as JSON:
+Times a free leg, a pointer step, a 6-region and a 16-region PVM step, a
+LINEAR-kernel step (a step is one leg and one measurement) and a snapshot
+through Propagator at N = 256, 512 and 1024, and prints the medians as
+JSON. Steps are timed after the engine's first measurement, which narrows
+a PVM engine to its band:
 
     PYTHONPATH=src python scripts/step_cost.py
 
@@ -34,7 +36,7 @@ REPEATS = 25
 
 
 def median_s(action):
-    action()  # FFT plans and lazily allocated buffers are set up untimed
+    action()  # FFT plans, lazily allocated buffers and narrowing are set up untimed
     times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
@@ -51,6 +53,7 @@ def costs(n):
     measurements = {
         "pointer_step": pointer_kernel(PointerSpec(alpha), n),
         "pvm_step": make_regions(n, 6),
+        "pvm16_step": make_regions(n, 16),
         "linear_step": pointer_kernel(PointerSpec(alpha, DistanceConvention.LINEAR), n),
     }
     free = Propagator(state, None, INTERVAL)

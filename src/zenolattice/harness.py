@@ -242,6 +242,12 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _clamped(dist: np.ndarray) -> list[float]:
+    """Entries below 0 as 0.0, as max(p, 0.0) gives them: -0.0 and NaN
+    pass through."""
+    return np.where(0.0 > dist, 0.0, dist).tolist()
+
+
 def emit_csv(records: list[ObservableRecord], out_dir: str | Path) -> tuple[Path, Path, Path]:
     """Write positions.csv, momenta.csv and summary.csv under out_dir.
 
@@ -266,16 +272,18 @@ def emit_csv(records: list[ObservableRecord], out_dir: str | Path) -> tuple[Path
             handle.write("time_display,n,p_x\n")
             for rec in records:
                 t = _fmt(rec.time_display)
-                for n, p in enumerate(rec.position_dist):
-                    handle.write(f"{t},{n},{_fmt(max(p, 0.0))}\n")
+                clamped = _clamped(rec.position_dist)
+                handle.write("".join(f"{t},{n},{p:.17g}\n" for n, p in enumerate(clamped)))
 
         with open(momenta_path, "w") as handle:
             handle.write("time_display,k,signed_k,p_k\n")
             for rec in records:
                 t = _fmt(rec.time_display)
-                signed = signed_momentum_values(rec.momentum_dist.size)
-                for k, p in enumerate(rec.momentum_dist):
-                    handle.write(f"{t},{k},{signed[k]},{_fmt(max(p, 0.0))}\n")
+                signed = signed_momentum_values(rec.momentum_dist.size).tolist()
+                clamped = _clamped(rec.momentum_dist)
+                handle.write(
+                    "".join(f"{t},{k},{signed[k]},{p:.17g}\n" for k, p in enumerate(clamped))
+                )
 
         with open(summary_path, "w") as handle:
             head = "time_display,purity,expected_momentum,momentum_variance,negative_momentum_fraction"

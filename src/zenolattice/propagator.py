@@ -21,7 +21,8 @@ that this puts on the distributions. In these coordinates:
   along delta gives rho((n + d) mod N, n) up to a factor N, and every
   channel is a fixed mask on that. Column d of the mask is either one
   value at every n (constant) or not (cut). A constant column is a multiply
-  of column d of H by that value, with no transform along delta. A
+  of column d of H by that value, with no transform along delta; a PVM's
+  are 1 or 0, so its step only fills the 0 ones with zeros. A
   minimal-image damping kernel has no cut columns: its step is an inverse
   FFT along k, a multiply by values[d] and an FFT back, one pass in all;
 - a region PVM of two regions or more, the largest with L sites, cuts the
@@ -44,14 +45,42 @@ that this puts on the distributions. In these coordinates:
   filling in the rest, and the purity is
   |row 0|^2 + 2 sum_{delta=1}^{N/2-1} |row delta|^2 + |row N/2|^2.
 
+Band-limited stepping. Every column with min(d, N - d) >= L is 0 at
+every n, for L = 1 + the largest min(d, N - d) that the channel leaves
+nonzero: the largest region for a region PVM, 1 for a per-site PVM, the
+support of a compact kernel. After one measurement H holds only the
+2L - 1 band columns |d| < L. An engine with an interval whose width W, the
+smallest integer >= 4L - 3 with no prime factor above 7, is below N
+narrows at its first measurement (without an interval every leg would
+build its kernel anew, which costs more than the N columns save). It
+keeps the band columns of H in a (rows, W) array, column -d at W - d,
+and frees G and the phase table. Multiplying row delta of G by its
+phases is a cyclic convolution of row delta of H with ifft_N(phases)
+along d. On the band only the lags |l| <= 2L - 2 of that kernel reach
+the band, and with W >= 4L - 3 a cyclic product of length W wraps none
+of its terms onto the band. So a narrowed leg is exact: fft_W, a
+multiply by K = fft_W of the kernel cut to those lags, ifft_W, on every
+row but row 0, whose phase is exactly 1. Then:
+
+- advance(t) only adds t to a pending time;
+- measure applies the pending leg with the interval's K, or with K built
+  the same way for another pending time, then the channel: it zeroes
+  columns L..W - L and runs the window step above with the mirror column
+  N - d held at W - d. Two transforms of length W replace two of length
+  N: for pvm_packet (N = 256, L = 42) W = 168;
+- record rebuilds G in a temporary array of N columns for that call, as
+  fft_N of the band in N columns times the pending leg's phases, and
+  reads it as above.
+
 Free legs, channels without cut columns and snapshots all act on each row
 delta alone, so a Propagator may hold any range of rows, built from the
 state's momentum amplitudes phi with G[delta, k] = conj phi[k - delta] phi[k] / N
-and the energy differences and phase tables of those rows only.
-run_blocks splits the rows of such a run into blocks of about
-BLOCK_ENTRIES entries, small enough that a block's G, phases and energy
-differences stay in a core's L2 cache, and takes each block through the
-whole schedule on its own: the calling thread and at most one more take
+and the phase tables of those rows only, each read off strided views of
+phi and E doubled, with no index table. A block of a per-site PVM or a
+compact kernel narrows on its own. run_blocks splits the rows of such a
+run into blocks of about BLOCK_ENTRIES entries, small enough that a
+block's G and phases stay in a core's L2 cache, and takes each block
+through the whole schedule on its own: the calling thread and at most one more take
 blocks in turn, with no synchronisation between steps. numpy's FFTs and
 ufuncs release the GIL, so the two threads step at once. A snapshot writes
 its rows' partials, the row sums s[delta], the squared norms of the rows
@@ -75,6 +104,7 @@ import os
 import threading
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channels import DampingKernel, DistanceConvention, RegionPartition
 from .lattice import Basis, StateVector, _require_basis, dispersion_table
@@ -82,8 +112,8 @@ from .lattice import Basis, StateVector, _require_basis, dispersion_table
 __all__ = ["Propagator", "Snapshots", "run_blocks"]
 
 # Entries of G per row block: 2**15 complex128 values are 512 KiB, and with
-# the block's phase table and energy differences about 1.3 MiB, well inside
-# the reference machine's 4 MiB L2 per core.
+# the block's phase table 1 MiB, well inside the reference machine's 4 MiB
+# L2 per core.
 BLOCK_ENTRIES = 2**15
 
 
@@ -92,11 +122,11 @@ class Propagator:
 
     measurement is a damping kernel, a region partition, or None for a run
     that is never measured. interval (natural time) is the leg length whose
-    phase table is kept for the life of the engine; legs of any other
-    length compute their phases into the work buffer. rows is the range of
-    rows delta the engine holds, all of 0..N/2 by default; a measurement
-    that cuts a column needs all of them. The state must be a
-    position-basis vector on a power-of-two ring.
+    phase table, or once narrowed whose band kernel, is kept for the life
+    of the engine; legs of any other length compute theirs when they are
+    applied. rows is the range of rows delta the engine holds, all of
+    0..N/2 by default; a measurement that cuts a column needs all of them.
+    The state must be a position-basis vector on a power-of-two ring.
     """
 
     def __init__(
@@ -113,36 +143,43 @@ class Propagator:
         half = n // 2 + 1
         rows = range(half) if rows is None else rows
         self._rows = rows
+        self._n = n
+        # Row 0's phase is exactly 1 on every leg, so a narrowed leg skips it.
+        self._moving = 1 if rows.start == 0 else 0
         phi = np.fft.fft(state.amplitudes)
         if rows.start == 0:
             # The trace is sum |phi|^2 / N, checked once, by the block of row 0.
             trace = float(np.vdot(phi, phi).real) / n
             if abs(trace - 1.0) > 1e-12:
                 raise ValueError(f"trace is {trace}, expected 1")
-        sites = np.arange(n)
-        behind = (sites[None, :] - sites[rows.start : rows.stop, None]) % n  # (k - delta) mod N
         # N is a power of two, so phi / n is exact and row 0 is |phi|^2 / N.
-        self._g = phi.conj()[behind]
-        np.multiply(self._g, phi / n, out=self._g)
-        energies = dispersion_table(n)
-        self._energy_diff = energies[behind]
-        self._energy_diff -= energies
-        del behind  # set-up temporaries go before the buffers below
+        self._g = np.multiply(_lagged(phi.conj(), rows), phi / n)
 
-        self._scale = None
+        self._band = None  # no measurement
+        self._kernel = None  # the interval's band kernel, once narrowed
+        self._narrow_to = None
+        self._pending = 0.0
         self._work = None  # phases of other leg lengths, allocated on first use
         if measurement is not None:
-            self._scale, window, cut = _sort_columns(measurement, n)
+            self._scale, band, window, cut = _sort_columns(measurement, n)
+            self._band = band
             self._window = window
             # No cut column and a scale of 1 everywhere: the channel is the identity.
-            self._identity = not window and bool(np.all(self._scale == 1.0))
+            ones = self._scale is None or bool(np.all(self._scale == 1.0))
+            self._identity = not window and 2 * band > n and ones
+            width = _smooth_width(4 * band - 3)
+            if width < n and interval is not None:
+                self._narrow_to = width
             if window:
                 if rows != range(half):
                     raise ValueError("this measurement couples rows; hold all rows 0..N/2")
-                self._cut = cut
+                # A PVM keeps or drops each entry: keep the ones it drops, to
+                # zero them without a cast. A LINEAR kernel's mask multiplies.
+                self._cut = ~cut if cut.dtype == bool else cut
                 self._buffer = np.empty(cut.shape, dtype=complex)
                 # conj exp(-2 pi i delta d / N) at [N/2 - delta, d - 1], for
                 # buffer row N - delta: delta = N/2..1 down the rows, d = 1..c.
+                sites = np.arange(n)
                 turns = np.outer(sites[half - 1 : 0 : -1], sites[1 : window + 1]) % n
                 self._twiddle = np.exp(-2j * np.pi * turns / n).conj()
 
@@ -152,12 +189,33 @@ class Propagator:
             self._phases = self._phase_table(interval, np.empty_like(self._g))
 
     def _phase_table(self, t: float, out: np.ndarray) -> np.ndarray:
-        # E(k - delta) - E(k) is exactly 0.0 on row 0, whose phase is 1+0j.
-        np.multiply(self._energy_diff, 1j * t, out=out)
+        """exp(i t (E(k - delta) - E(k))) into out, written straight into
+        its imaginary part; exactly 1+0j on row 0."""
+        energies = dispersion_table(self._n)
+        out.real = 0.0
+        np.subtract(_lagged(energies, self._rows), energies, out=out.imag)
+        out.imag *= t
         return np.exp(out, out=out)
 
+    def _band_kernel(self, phases: np.ndarray) -> np.ndarray:
+        """fft_W of each moving row's circulant kernel ifft_N(phases), cut to
+        the lags |l| <= 2L - 2 that carry the band onto itself; overwrites
+        phases."""
+        moving = phases[self._moving :]
+        np.fft.ifft(moving, axis=1, out=moving)
+        width, n = self._g.shape[1], self._n
+        reach = 2 * self._band - 1
+        kernel = np.zeros((moving.shape[0], width), dtype=complex)
+        kernel[:, :reach] = moving[:, :reach]
+        kernel[:, width - reach + 1 :] = moving[:, n - reach + 1 :]
+        return np.fft.fft(kernel, axis=1, out=kernel)
+
     def advance(self, t: float) -> None:
-        """Free evolution for natural time t; no transform."""
+        """Free evolution for natural time t; no transform. A narrowed
+        engine only adds t to the leg it applies at the next measurement."""
+        if self._kernel is not None:
+            self._pending += t
+            return
         if t == self._interval:
             phases = self._phases
         else:
@@ -168,29 +226,83 @@ class Propagator:
 
     def measure(self) -> None:
         """Apply the measurement channel once."""
-        if self._scale is None:
+        if self._band is None:
             raise ValueError("this run has no measurement")
         if self._identity:
             return
-        g = self._g
-        np.fft.ifft(g, axis=1, out=g)
-        np.multiply(g, self._scale, out=g)  # 1 inside the window
+        if self._kernel is not None:
+            self._leg()
+        else:
+            np.fft.ifft(self._g, axis=1, out=self._g)
+            if self._narrow_to is not None:
+                self._narrow()
+        self._mask(self._g)
+        if self._kernel is None:
+            np.fft.fft(self._g, axis=1, out=self._g)
+
+    def _narrow(self) -> None:
+        """Keep only the band columns of H from now on, in a (rows, W)
+        array, and free G and the interval's phase table for the band
+        kernel."""
+        self._work = None  # before the band is allocated, so the peak does not rise
+        h, band, width = self._g, self._band, self._narrow_to
+        self._g = np.zeros((h.shape[0], width), dtype=complex)
+        self._g[:, :band] = h[:, :band]
+        self._g[:, width - band + 1 :] = h[:, self._n - band + 1 :]
+        del h
+        phases, self._phases = self._phases, None
+        self._kernel = self._band_kernel(phases)
+        if self._scale is not None:
+            scale = np.zeros(width, dtype=complex)
+            scale[:band] = self._scale[:band]
+            scale[width - band + 1 :] = self._scale[self._n - band + 1 :]
+            self._scale = scale
+
+    def _full_width(self) -> np.ndarray:
+        """A temporary (rows, N) array for one call of a narrowed engine."""
+        return np.empty((self._g.shape[0], self._n), dtype=complex)
+
+    def _leg(self) -> None:
+        """The pending free leg of a narrowed engine: an exact cyclic product
+        of length W >= 4L - 3 with the leg's band kernel, which wraps
+        nothing onto the band."""
+        t, self._pending = self._pending, 0.0
+        if t == 0.0:
+            return
+        if t == self._interval:
+            kernel = self._kernel
+        else:
+            kernel = self._band_kernel(self._phase_table(t, self._full_width()))
+        h = self._g[self._moving :]
+        np.fft.fft(h, axis=1, out=h)
+        np.multiply(h, kernel, out=h)
+        np.fft.ifft(h, axis=1, out=h)
+
+    def _mask(self, g: np.ndarray) -> None:
+        """The channel on H[delta, d], N columns or a narrowed band's W."""
+        half, width = g.shape
+        band = self._band
+        g[:, band : width - band + 1] = 0.0  # the columns it zeroes at every n
+        if self._scale is not None:
+            np.multiply(g, self._scale, out=g)  # 1 inside the window
         c = self._window
         if c:
-            half, n = g.shape
             buffer, twiddle = self._buffer, self._twiddle
-            # Column j of buffer is d = j + 1 and column j of mirror is N - d.
-            # Buffer rows N/2..N - 1 are rows N - delta for delta = N/2..1,
-            # the rows of twiddle; w conj(x) = conj(x conj(w)) builds them in
-            # place, in contiguous passes.
-            mirror = g[:, n - 1 : n - c - 1 : -1]
+            # Column j of buffer is d = j + 1 and column j of mirror is N - d,
+            # held at width - d. Buffer rows N/2..N - 1 are rows N - delta for
+            # delta = N/2..1, the rows of twiddle; w conj(x) = conj(x conj(w))
+            # builds them in place, in contiguous passes.
+            mirror = g[:, width - 1 : width - c - 1 : -1]
             buffer[:half] = g[:, 1 : c + 1]
             upper = buffer[half:]  # rows N - delta, delta = N/2 - 1 .. 1
             upper[:] = mirror[half - 2 : 0 : -1]
             np.multiply(upper, twiddle[1:], out=upper)
             np.conjugate(upper, out=upper)
             np.fft.ifft(buffer, axis=0, out=buffer)
-            np.multiply(buffer, self._cut, out=buffer)
+            if self._cut.dtype == bool:
+                np.copyto(buffer, 0.0, where=self._cut)
+            else:
+                np.multiply(buffer, self._cut, out=buffer)
             np.fft.fft(buffer, axis=0, out=buffer)
             g[:, 1 : c + 1] = buffer[:half]
             # Rows delta = 0..N/2 of column N - d from rows (N - delta) mod N
@@ -201,13 +313,29 @@ class Propagator:
             np.conjugate(lower, out=lower)
             np.conjugate(buffer[0, :pairs], out=mirror[0, :pairs])
             mirror[1:, :pairs] = lower[::-1, :pairs]
+
+    def _widen(self) -> np.ndarray:
+        """G now, rebuilt from a narrowed engine's band: fft_N of the band
+        in N columns, times the pending leg's phases."""
+        h, band, n = self._g, self._band, self._n
+        g = self._full_width()
+        g[:, :band] = h[:, :band]
+        g[:, band : n - band + 1] = 0.0
+        g[:, n - band + 1 :] = h[:, h.shape[1] - band + 1 :]
         np.fft.fft(g, axis=1, out=g)
+        if self._pending:
+            # exp(i t E(k - delta)) exp(-i t E(k)), so no second table is needed
+            turns = np.exp(1j * self._pending * dispersion_table(n))
+            moving = g[self._moving :]
+            np.multiply(moving, _lagged(turns, self._rows)[self._moving :], out=moving)
+            np.multiply(moving, turns.conj(), out=moving)
+        return g
 
     def record(self, snapshots: Snapshots, j: int) -> None:
         """Write this engine's rows of snapshot j: row sums, squared row
         norms and, if it holds row 0, the real part of row 0 and the
         largest imaginary part on it."""
-        g = self._g
+        g = self._g if self._kernel is None else self._widen()
         rows = slice(self._rows.start, self._rows.stop)
         sums, norms, momentum, imag = snapshots.partials(j)
         g.sum(axis=1, out=sums[rows])
@@ -293,7 +421,7 @@ def run_blocks(
     """
     n = state.n_sites
     half = n // 2 + 1
-    couples = measurement is not None and _sort_columns(measurement, n)[1] > 0
+    couples = measurement is not None and _sort_columns(measurement, n)[2] > 0
     count = 1 if couples else -(-half * n // BLOCK_ENTRIES)
     bounds = [half * i // count for i in range(count + 1)]
     blocks = iter([range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
@@ -336,16 +464,39 @@ def run_blocks(
         raise failures[0]
 
 
+def _lagged(x: np.ndarray, rows: range) -> np.ndarray:
+    """x[(k - delta) mod N] at [delta - rows.start, k]: a strided view of x
+    doubled, with no index table."""
+    n = x.size
+    doubled = np.concatenate((x, x))
+    return sliding_window_view(doubled, n)[n - rows.stop + 1 : n - rows.start + 1][::-1]
+
+
+def _smooth_width(m: int) -> int:
+    """The smallest integer >= m with no prime factor above 7, a length
+    numpy's FFT transforms fast."""
+    while True:
+        rest = m
+        for p in (2, 3, 5, 7):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
 def _sort_columns(
     measurement: DampingKernel | RegionPartition, n: int
-) -> tuple[np.ndarray, int, np.ndarray]:
+) -> tuple[np.ndarray | None, int, int, np.ndarray]:
     """Sort the columns d of the measurement's mask on rho((n + d) mod N, n).
 
-    Returns (scale, c, cut). Every cut column lies in the window of the
-    columns d = 1..c and their mirrors N - d, with c <= N/2. scale[d] is
-    the value of column d outside the window, which is constant there, and
-    1 inside it. cut[n, d - 1] is the mask down column d = 1..c, an
-    (N, c) array. A minimal-image kernel's scale is its values, shared by
+    Returns (scale, L, c, cut). Every column with min(d, N - d) >= L is 0
+    at every n, and L <= N/2 + 1. Every cut column lies in the window of
+    the columns d = 1..c and their mirrors N - d, with c < L. cut[n, d - 1]
+    is the mask down column d = 1..c, an (N, c) array, bool for a PVM.
+    scale[d] is the value of column d outside the window, which is constant
+    there, and 1 inside it; it is None for a PVM, whose other columns below
+    L are all 1. A minimal-image kernel's scale is its values, shared by
     every block; one built here is complex, which numpy would otherwise
     cast on every step.
     """
@@ -354,18 +505,20 @@ def _sort_columns(
     if isinstance(measurement, DampingKernel):
         values = measurement.values
         if measurement.distance_convention is DistanceConvention.MINIMAL_IMAGE:
-            return values, 0, np.empty((n, 0))
-        # LINEAR: column d is values[d] where n + d < N and values[N - d]
-        # past the wrap; a column inside the window whose two values agree
-        # is masked by that value.
-        mirrored = values[-sites]
-        c = int(separation[values != mirrored].max(initial=0))
-        window = sites[1 : c + 1]
-        cut = np.where(sites[:, None] < n - window, values[window], mirrored[window])
-        inside = (separation > 0) & (separation <= c)
-        return np.where(inside, 1.0, values).astype(complex), c, cut
+            scale, c, cut = values, 0, np.empty((n, 0))
+        else:
+            # LINEAR: column d is values[d] where n + d < N and values[N - d]
+            # past the wrap; a column inside the window whose two values
+            # agree is masked by that value.
+            mirrored = values[-sites]
+            c = int(separation[values != mirrored].max(initial=0))
+            window = sites[1 : c + 1]
+            cut = np.where(sites[:, None] < n - window, values[window], mirrored[window])
+            inside = (separation > 0) & (separation <= c)
+            scale = np.where(inside, 1.0, values).astype(complex)
+        return scale, 1 + max(c, int(separation[scale != 0].max())), c, cut
     if measurement.n_regions == 1:
-        return np.ones(n), 0, np.empty((n, 0))
+        return None, n // 2 + 1, 0, np.empty((n, 0))
     # Regions are contiguous and do not wrap, so some pair at separation d
     # shares a region iff min(d, N - d) is below the largest region's size;
     # with two regions or more, some pair at every d > 0 does not.
@@ -373,4 +526,4 @@ def _sort_columns(
     c = int(min(largest - 1, n // 2))
     region = measurement.region_of
     cut = region[(sites[:, None] + sites[1 : c + 1]) % n] == region[:, None]
-    return (separation < largest).astype(complex), c, cut
+    return None, c + 1, c, cut

@@ -35,6 +35,7 @@ from zenolattice import (
     density_from_pure,
     density_to_momentum,
     density_to_position,
+    dispersion_table,
     emit_csv,
     evolve_density,
     grid_doubling_check,
@@ -48,6 +49,7 @@ from zenolattice import (
     region_masses,
     run_and_emit,
     run_schedule,
+    signed_momentum_values,
     with_interval,
     with_regions,
 )
@@ -137,8 +139,8 @@ class TestRunSchedule:
 
     def test_memory_is_bounded_by_the_run(self):
         """Forty distinct leg lengths leave no phase table per length behind.
-        The run's two row blocks step at once; it peaks at 1.59-1.86 N x N
-        matrices, and the bound leaves 10% above that."""
+        The run's two row blocks step at once; it peaks at 1.36-1.49 N x N
+        matrices, well inside the bound."""
         n = 256
         times = tuple(float(t) for t in np.cumsum(0.37 * np.arange(1, 41)))
         scenario = packet_scenario(measurement=NoMeasurement(), interval=None,
@@ -161,10 +163,10 @@ class TestRunSchedule:
     @pytest.mark.parametrize(
         "measurement, bound",
         [
-            (PointerSpec(0.2), 2.3),  # peaks at 2.09 with two row blocks at once: 10% margin
-            (RegionPvmSpec(6), 2.45),  # peaks at 2.20, a window of c = 41 columns
-            (PointerSpec(1.0, DistanceConvention.LINEAR), 2.65),  # 2.37, c = 54
-            (PointerSpec(0.2, DistanceConvention.LINEAR), 3.25),  # 2.94, c = 127
+            (PointerSpec(0.2), 2.3),  # peaks at 1.84 with two row blocks at once
+            (RegionPvmSpec(6), 2.45),  # 1.91, a window of c = 41 columns, narrowed to W = 168
+            (PointerSpec(1.0, DistanceConvention.LINEAR), 2.65),  # 2.08, c = 54, W = 224
+            (PointerSpec(0.2, DistanceConvention.LINEAR), 3.25),  # 2.70, c = 127
         ],
     )
     def test_measured_run_memory_is_bounded(self, measurement, bound):
@@ -234,28 +236,30 @@ def region_mask(partition):
 
 class TestPropagator:
     def test_stores_rows_zero_to_half(self):
-        """No run holds an array larger than the half chord matrix."""
+        """No run holds an array larger than the half chord matrix; a
+        narrowed engine holds its rows at width W (18 for 6 regions of 5)."""
         n = 32
         state = build_initial_state(GaussianPacketSpec(8, 3.0, 5), n)
-        for operator in (
-            pointer_kernel(PointerSpec(1.5), n),
-            make_regions(n, 6),
-            pointer_kernel(PointerSpec(0.2, DistanceConvention.LINEAR), n),
-            pointer_kernel(PointerSpec(1.0, DistanceConvention.LINEAR), n),
+        for operator, width in (
+            (pointer_kernel(PointerSpec(1.5), n), n),
+            (make_regions(n, 6), 18),
+            (pointer_kernel(PointerSpec(0.2, DistanceConvention.LINEAR), n), n),
+            (pointer_kernel(PointerSpec(1.0, DistanceConvention.LINEAR), n), n),
         ):
             engine = Propagator(state, operator, 0.001)
             engine.advance(0.002)
             engine.measure()
-            assert engine._g.shape == (n // 2 + 1, n)
+            assert engine._g.shape == (n // 2 + 1, width)
             arrays = [v for v in vars(engine).values() if isinstance(v, np.ndarray)]
-            assert max(a.size for a in arrays) == (n // 2 + 1) * n
+            assert max(a.size for a in arrays) == (n // 2 + 1) * width
 
     @pytest.mark.parametrize("m_regions, cut", [(1, 0), (6, 82), (7, 70), (100, 110), (256, 0)])
     def test_pvm_cuts_only_columns_below_the_largest_region(self, m_regions, cut):
         """A PVM cuts the 2(L - 1) site separations that some pair inside the
         largest region (L sites) spans: its window is the columns d = 1..c,
         c = L - 1, and their mirrors, every column outside the window is
-        constant, and the engine scales it by that constant."""
+        constant, and the engine zeroes the ones whose constant is 0, from
+        its band L on."""
         n = 256
         partition = make_regions(n, m_regions)
         state = build_initial_state(GaussianPacketSpec(8, 8.0, 31), n)
@@ -267,7 +271,8 @@ class TestPropagator:
         window = (separation > 0) & (separation <= c)
         assert 2 * c == cut
         np.testing.assert_array_equal(window, varies)
-        np.testing.assert_array_equal(engine._scale[~window], mask[0, ~window])
+        assert engine._scale is None  # every constant column is 1 below the band, 0 from it on
+        np.testing.assert_array_equal(separation[~window] < engine._band, mask[0, ~window])
 
     @pytest.mark.parametrize(
         "operator",
@@ -324,6 +329,24 @@ class TestPropagator:
         before = engine._g.copy()
         engine.measure()
         np.testing.assert_array_equal(engine._g, before)
+
+    @pytest.mark.parametrize("n, lo, hi", [(8, 0, 5), (64, 3, 33), (256, 0, 129), (256, 64, 129)])
+    def test_tables_match_an_index_gather(self, n, lo, hi):
+        """G and the interval's phase table, read off strided views, equal
+        the same products built through an index table, bit for bit, zero
+        signs included."""
+        t = 0.0037
+        state = build_initial_state(GaussianPacketSpec(n // 3, n / 8, 1), n)
+        engine = Propagator(state, None, t, range(lo, hi))
+        phi = np.fft.fft(state.amplitudes)
+        sites = np.arange(n)
+        behind = (sites[None, :] - sites[lo:hi, None]) % n  # (k - delta) mod N
+        energies = dispersion_table(n)
+        for got, want in (
+            (engine._g, phi.conj()[behind] * (phi / n)),
+            (engine._phases, np.exp((energies[behind] - energies) * (1j * t))),
+        ):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_initial_trace_is_checked(self):
         state = build_initial_state(GaussianPacketSpec(8, 3.0, 5), 32)
@@ -412,6 +435,180 @@ def test_window_edges_match_dense_oracle(measurement, window):
         assert values[16] == values[64 - 16]
         assert all(values[d] != values[64 - d] for d in range(1, 32) if d != 16)
     assert_window_steps_match_oracle(state, measurement, [0.004, 0.0013])
+
+
+def smooth_width(m):
+    """The smallest integer >= m whose prime factors are all 2, 3, 5 or 7."""
+    while True:
+        rest = m
+        for p in (2, 3, 5, 7):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
+def expected_width(measurement):
+    """W for the band of the measurement's dense mask on rho((n + d) mod N, n),
+    or N if the engine keeps every column."""
+    n = measurement.n_sites
+    if isinstance(measurement, RegionPartition):
+        mask = region_mask(measurement)
+    else:
+        sites = np.arange(n)
+        mask = measurement.schur_matrix()[(sites[:, None] + sites[None, :]) % n, sites[:, None]]
+    separation = np.minimum(np.arange(n), n - np.arange(n))
+    band = 1 + separation[mask.any(axis=0)].max()
+    width = smooth_width(4 * band - 3)
+    return width if width < n else n
+
+
+@st.composite
+def narrowing_runs(draw):
+    """Channels whose band is narrow enough to narrow the engine: region
+    partitions with no region above N/4, per-site PVMs, autocorrelations of
+    a short profile and LINEAR pointers with alpha >= 2. A run of steps
+    whose legs are the interval or not, and records on and off the grid."""
+    n = draw(st.sampled_from([64, 256]))
+    state = build_initial_state(
+        GaussianPacketSpec(
+            draw(st.integers(0, n - 1)),
+            draw(st.floats(1.0, n / 4)),
+            draw(st.integers(-n // 2 + 1, n // 2)),
+        ),
+        n,
+    )
+    kind = draw(st.sampled_from(["regions", "per_site", "compact", "linear"]))
+    if kind == "regions":
+        sizes = draw(st.lists(st.integers(1, n // 4), min_size=1, max_size=12))
+        starts = np.cumsum([0] + sizes * n)  # the sizes over and over
+        measurement = RegionPartition(tuple(int(s) for s in starts[starts < n]), n)
+    elif kind == "per_site":
+        measurement = make_regions(n, n)
+    elif kind == "compact":
+        profile = draw(st.lists(st.integers(0, 9), min_size=1, max_size=n // 8).filter(any))
+        measurement = DampingKernel(np.array(autocorrelation_kernel(profile + [0] * (n - len(profile)))))
+    else:
+        measurement = pointer_kernel(PointerSpec(draw(st.floats(2.0, 8.0)), DistanceConvention.LINEAR), n)
+    interval = draw(st.floats(1e-4, 0.02))
+    steps = draw(
+        st.lists(
+            st.tuples(
+                st.one_of(st.just(interval), st.floats(1e-4, 0.02)),  # the leg
+                st.sampled_from([None, 0.0, 0.3, 0.7]),  # a record: none, on the grid, or off it
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return state, measurement, interval, steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(narrowing_runs())
+def test_narrowed_steps_match_dense_oracle(case):
+    """A narrowed engine against the dense position-basis functions at
+    1e-12, with legs of the interval and of other lengths and records on
+    and off the measurement grid; its width is the W of the channel's
+    band."""
+    state, measurement, interval, steps = case
+    n = state.n_sites
+    engine = Propagator(state, measurement, interval)
+    channel = pvm_channel if isinstance(measurement, RegionPartition) else kernel_channel
+    rho = density_from_pure(state)
+
+    def evolve(rho, t):
+        return density_to_position(evolve_density(density_to_momentum(rho), t))
+
+    for leg, record_at in steps:
+        if record_at:  # a record part of the way through the leg
+            engine.advance(record_at * leg)
+            check_snapshot(engine, evolve(rho, record_at * leg))
+            engine.advance((1 - record_at) * leg)
+        else:
+            engine.advance(leg)
+        rho = channel(evolve(rho, leg), measurement)
+        engine.measure()
+        assert engine._g.shape == (n // 2 + 1, expected_width(measurement))
+        if record_at == 0.0:
+            check_snapshot(engine, rho)
+    check_snapshot(engine, rho)
+
+
+def check_snapshot(engine, rho):
+    snapshots = snapshot(engine, rho.n_sites)
+    np.testing.assert_allclose(snapshots.position_distribution(0), position_distribution(rho),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(snapshots.momentum_distribution(0), momentum_distribution(rho),
+                               rtol=0, atol=1e-12)
+    assert abs(snapshots.purity(0) - purity(rho)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "measurement, width",
+    [
+        (make_regions(256, 6), 168),  # L = 42: 4L - 3 = 165, and 168 = 2^3 3 7
+        (make_regions(256, 16), 63),  # L = 16: 61, and 63 = 3^2 7
+        (make_regions(256, 256), 1),  # per-site: only d = 0 survives
+        (make_regions(256, 1), 256),  # the identity
+        (pointer_kernel(PointerSpec(0.2), 256), 256),  # pointer_stationary
+        (pointer_kernel(PointerSpec(0.5), 256), 256),  # L = 110
+        (pointer_kernel(PointerSpec(0.05), 1024), 1024),  # pointer_n1024
+    ],
+    ids=["pvm6", "pvm16", "pvm256", "pvm1", "pointer0.2", "pointer0.5", "pointer_n1024"],
+)
+def test_width_after_the_first_measurement(measurement, width):
+    """The first measurement narrows an engine to W columns, the smallest
+    7-smooth width >= 4L - 3, when W < N; pointers at the shipped alphas
+    and 1-region PVMs keep all N."""
+    n = measurement.n_sites
+    engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), measurement, 0.001)
+    engine.advance(0.001)
+    engine.measure()
+    assert engine._g.shape[1] == width == expected_width(measurement)
+
+
+def test_narrowed_engine_holds_nothing_wider_than_w():
+    """Narrowing frees G, the interval's phase table and the work buffer of
+    an earlier off-interval leg: the engine then holds no array with more
+    than W columns, through legs of other lengths and records on and off
+    the grid, which take their N columns for the one call."""
+    n, t, width = 256, 0.001, 168
+    engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), make_regions(n, 6), t)
+    engine.advance(0.4 * t)  # an off-interval leg allocates the work buffer
+    engine.advance(0.6 * t)
+    assert engine._work is not None
+    engine.measure()
+    for leg, record_at in ((t, 0.0), (t, 0.5), (0.7 * t, 0.0), (t, 0.25)):
+        engine.advance(record_at * leg)
+        engine.record(Snapshots(1, n), 0)
+        engine.advance((1 - record_at) * leg)
+        engine.measure()
+        widths = {name: v.shape[-1] for name, v in vars(engine).items() if isinstance(v, np.ndarray)}
+        assert max(widths.values()) == widths["_g"] == width
+    assert engine._phases is None and engine._work is None
+
+
+def test_measurement_allocates_nothing_before_or_after_narrowing():
+    """A 6-region PVM step writes in place: no broadcast scale, no mask
+    cast. An engine without an interval keeps all N columns; one with an
+    interval has narrowed after its first measurement."""
+    n, t = 256, 0.001
+    state = build_initial_state(GaussianPacketSpec(8, 8.0, 31), n)
+    for interval, width in ((None, n), (t, 168)):
+        engine = Propagator(state, make_regions(n, 6), interval)
+        engine.advance(t)
+        engine.measure()  # warm-up: FFT plans, and narrowing
+        engine.advance(t)
+        tracemalloc.start()
+        try:
+            engine.measure()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert engine._g.shape[1] == width
+        assert peak < 8 * 1024
 
 
 def test_snapshots_are_allocated_when_first_recorded():
@@ -696,6 +893,39 @@ def test_pointer_momentum_matches_closed_form(scenario):
         np.testing.assert_allclose(rec.momentum_dist, p, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "n, alpha, applications",
+    [(256, 0.2, 12), (256, 0.5, 3), (1024, 0.05, 40)],
+    ids=["pointer_stationary", "a7_alpha0.5", "pointer_n1024"],
+)
+def test_pointer_raises_momentum_variance_by_var_w(n, alpha, applications):
+    """A7's premise: a pointer application is a mixture of momentum boosts
+    q with weights w = DFT(values) / N, drawn independently of p(k), so it
+    raises the momentum variance by exactly Var(w) on the line. On the ring
+    a pair (k, q) whose signed sum leaves (-N/2, N/2] wraps by N, which
+    moves the variance by at most N^2 times the wrapped mass; with none, as
+    at N = 1024, the increment is Var(w) to round-off."""
+    scenario = Scenario(
+        lattice=LatticeConfig(n),
+        state=GaussianPacketSpec(n // 2, n / 32, 0),
+        measurement=PointerSpec(alpha),
+        schedule=Schedule(10.0, 10.0 * applications, tuple(10.0 * j for j in range(applications + 1))),
+    )
+    w = np.fft.fft(pointer_kernel(PointerSpec(alpha), n).values).real / n
+    signed = signed_momentum_values(n).astype(float)
+    var_w = w @ signed**2 - (w @ signed) ** 2
+    total = signed[:, None] + signed[None, :]
+    wraps = (total <= -n / 2) | (total > n / 2)
+    records = run_schedule(scenario)
+    for before, after in zip(records, records[1:]):
+        wrapped = (np.abs(before.momentum_dist)[:, None] * w)[wraps].sum()
+        increment = after.momentum_variance - before.momentum_variance
+        assert abs(increment - var_w) <= 1e-10 * var_w + n**2 * wrapped
+    if n == 1024:
+        assert wrapped < 1e-15  # round-off in p(k) only
+        assert records[-1].momentum_variance > 40 * var_w
+
+
 class TestZenoOrdering:
     def test_more_frequent_measurement_retains_more_mass(self):
         """Slowing grows monotonically as the measurement interval shrinks."""
@@ -840,6 +1070,20 @@ class TestEmitCsv:
         row = positions.read_text().splitlines()[1 + 3]
         assert row.split(",")[2] == "0"
         assert records[0].position_dist[3] == -1e-17
+
+    def test_clamp_writes_what_max_with_zero_writes(self, tmp_path):
+        """-1e-13 becomes 0 and -0.0 stays -0, as max(p, 0.0) leaves them,
+        in both distributions."""
+        records = self.tiny_records()
+        for dist in (records[1].position_dist, records[1].momentum_dist):
+            dist[2], dist[5] = -0.0, -1e-13
+        positions, momenta, _ = emit_csv(records, tmp_path / "run")
+        for path, column in ((positions, 2), (momenta, 3)):
+            rows = path.read_text().splitlines()[1 + 8 :]
+            assert [rows[k].split(",")[column] for k in (2, 5)] == [
+                format(max(-0.0, 0.0), ".17g"),
+                format(max(-1e-13, 0.0), ".17g"),
+            ] == ["-0", "0"]
 
     def test_byte_identical_across_runs(self, tmp_path):
         scenario = Scenario(
