@@ -56,7 +56,7 @@ def costs(n):
         "pvm16_step": make_regions(n, 16),
         "linear_step": pointer_kernel(PointerSpec(alpha, DistanceConvention.LINEAR), n),
     }
-    free = Propagator(state, None, INTERVAL)
+    free = Propagator(state)
     snapshots = Snapshots(1, n)
 
     def snapshot():
@@ -65,7 +65,7 @@ def costs(n):
 
     row = {"free_leg": median_s(lambda: free.advance(INTERVAL)), "snapshot": median_s(snapshot)}
     for name, measurement in measurements.items():
-        engine = Propagator(state, measurement, INTERVAL)
+        engine = Propagator(state, measurement)
         row[name] = median_s(lambda: (engine.advance(INTERVAL), engine.measure()))
     return row
 

@@ -33,7 +33,6 @@ from .lattice import (
     dense_oracle_evolve,
     density_to_momentum,
     density_to_position,
-    dispersion,
     dispersion_table,
     evolve_density,
     to_momentum_basis,
@@ -50,9 +49,7 @@ from .observables import (
     negative_momentum_fraction,
     position_distribution,
     purity,
-    region_mass,
     region_masses,
-    signed_momentum_index,
     signed_momentum_values,
 )
 from .scenario import (

@@ -92,8 +92,10 @@ def make_regions(n_sites: int, m_regions: int) -> RegionPartition:
     When M does not divide N the remainder becomes one extra leftover region
     at the right end, so the partition then has M + 1 regions.
     """
-    if not 1 <= m_regions <= n_sites:
-        raise ValueError(f"m_regions must be in [1, {n_sites}], got {m_regions}")
+    if m_regions < 1:
+        raise ValueError(f"m_regions must be at least 1, got {m_regions}")
+    if m_regions > n_sites:
+        raise ValueError(f"{m_regions} regions exceed {n_sites} sites")
     size = n_sites // m_regions
     bounds = [i * size for i in range(m_regions)]
     if n_sites % m_regions:

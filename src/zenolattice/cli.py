@@ -6,16 +6,9 @@ import argparse
 import sys
 
 from .harness import grid_doubling_check, run_and_emit
-from .scenario import ScenarioError, load_scenario, with_interval, with_regions
+from .scenario import ScenarioError, _interval, load_scenario, with_interval, with_regions
 
 __all__ = ["main"]
-
-
-def _parse_interval_token(token: str) -> float | None:
-    token = token.strip()
-    if token.lower() == "none":
-        return None
-    return float(token)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,22 +88,17 @@ def _cmd_convergence(args) -> int:
 def _cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
     base = args.out if args.out is not None else scenario.output_dir
-    if args.interval is not None:
-        values = [tok.strip() for tok in args.interval.split(",") if tok.strip()]
-        if not values:
-            raise ScenarioError("--interval needs at least one value")
-        for token in values:
-            derived = with_interval(scenario, _parse_interval_token(token))
-            records, _ = run_and_emit(derived, f"{base}/interval_{token.lower()}")
-            print(f"interval={token.lower()}: {_summary_line(records)}")
-    else:
-        values = [tok.strip() for tok in args.regions.split(",") if tok.strip()]
-        if not values:
-            raise ScenarioError("--regions needs at least one value")
-        for token in values:
+    name = "interval" if args.interval is not None else "regions"
+    values = [tok.strip().lower() for tok in getattr(args, name).split(",") if tok.strip()]
+    if not values:
+        raise ScenarioError(f"--{name} needs at least one value")
+    for token in values:
+        if name == "interval":
+            derived = with_interval(scenario, _interval(token))
+        else:
             derived = with_regions(scenario, int(token))
-            records, _ = run_and_emit(derived, f"{base}/regions_{token}")
-            print(f"regions={token}: {_summary_line(records)}")
+        records, _ = run_and_emit(derived, f"{base}/{name}_{token}")
+        print(f"{name}={token}: {_summary_line(records)}")
     return 0
 
 

@@ -18,7 +18,14 @@ from .channels import (
     pvm_channel,
 )
 from .lattice import DensityMatrix, LatticeConfig
-from .observables import ObservableRecord, region_masses, signed_momentum_values
+from .observables import (
+    ObservableRecord,
+    expected_momentum,
+    momentum_variance,
+    negative_momentum_fraction,
+    region_masses,
+    signed_momentum_values,
+)
 from .propagator import Propagator, Snapshots, run_blocks
 from .scenario import (
     CustomKernelSpec,
@@ -95,10 +102,6 @@ def _snapshot(
             raise ValueError(f"{name} distribution sums to {total!r} at t={display_time}")
         if float(dist.min()) < -1e-12:
             raise ValueError(f"{name} distribution has entry {dist.min():.3e} at t={display_time}")
-    signed = signed_momentum_values(mom.size)
-    mean = float(signed @ mom)
-    variance = float(((signed - mean) ** 2) @ mom)
-    negative = float(mom[signed < 0].sum())
     masses = region_masses(pos, partition) if partition is not None else np.empty(0)
     return ObservableRecord(
         time_natural=lattice.to_natural_time(display_time),
@@ -106,10 +109,10 @@ def _snapshot(
         position_dist=pos,
         momentum_dist=mom,
         purity=snapshots.purity(j),
-        expected_momentum_signed=mean,
-        momentum_variance=variance,
+        expected_momentum_signed=expected_momentum(mom),
+        momentum_variance=momentum_variance(mom),
         region_masses=masses,
-        negative_momentum_fraction=negative,
+        negative_momentum_fraction=negative_momentum_fraction(mom),
     )
 
 
@@ -145,7 +148,7 @@ def run_schedule(scenario: Scenario) -> list[ObservableRecord]:
                 if due > schedule.total_time + snap or due > target + snap:
                     break
                 # A leg that starts at a measurement is one whole interval,
-                # whose phases the engine keeps.
+                # the same float every time, so the engine keeps its phases.
                 on_grid = now == applied * interval
                 leg = step if on_grid else lattice.to_natural_time(due - now)
                 ops += [(Propagator.advance, leg), (Propagator.measure,)]
@@ -155,7 +158,7 @@ def run_schedule(scenario: Scenario) -> list[ObservableRecord]:
             ops.append((Propagator.advance, lattice.to_natural_time(target - now)))
             now = target
         ops.append((Propagator.record, snapshots, j))
-    run_blocks(state, operator, step, ops)
+    run_blocks(state, operator, ops)
 
     partition = operator if isinstance(operator, RegionPartition) else None
     return [

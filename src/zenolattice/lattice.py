@@ -23,7 +23,6 @@ __all__ = [
     "dense_oracle_evolve",
     "density_to_momentum",
     "density_to_position",
-    "dispersion",
     "dispersion_table",
     "evolve_density",
     "to_momentum_basis",
@@ -131,22 +130,11 @@ def _require_basis(obj: StateVector | DensityMatrix, basis: Basis, op: str) -> N
         raise BasisError(f"{op} expects a {basis.value}-basis input, got {obj.basis.value}")
 
 
-def dispersion(k: int, n_sites: int) -> float:
-    """Kinetic energy of momentum index k.
-
-    k**2/2 up to the fold at N/2, (N-k)**2/2 beyond it; indices above N/2
-    carry negative physical momentum of magnitude N-k.
-    """
-    if not 0 <= k < n_sites:
-        raise ValueError(f"momentum index {k} outside [0, {n_sites})")
-    if k <= n_sites // 2:
-        return k * k / 2.0
-    return (n_sites - k) ** 2 / 2.0
-
-
 @functools.lru_cache(maxsize=None)
 def dispersion_table(n_sites: int) -> np.ndarray:
-    """E(k) for every momentum index; cached and read-only."""
+    """Kinetic energy E(k) of every momentum index k: k**2/2 up to the fold
+    at N/2, (N-k)**2/2 beyond it, where indices carry negative physical
+    momentum of magnitude N-k; cached and read-only."""
     k = np.arange(n_sites)
     table = np.minimum(k, n_sites - k).astype(float) ** 2 / 2.0
     table.flags.writeable = False

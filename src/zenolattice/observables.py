@@ -8,7 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import RegionPartition
-from .lattice import Basis, DensityMatrix, _require_basis, density_to_momentum, density_to_position
+from .lattice import Basis, DensityMatrix, _require_basis, density_to_momentum
+
+# bench/execution.py wraps the transforms where this module sees them.
+from .lattice import density_to_position  # noqa: F401
 
 __all__ = [
     "ObservableRecord",
@@ -21,9 +24,7 @@ __all__ = [
     "negative_momentum_fraction",
     "position_distribution",
     "purity",
-    "region_mass",
     "region_masses",
-    "signed_momentum_index",
     "signed_momentum_values",
 ]
 
@@ -60,32 +61,26 @@ def momentum_distribution(rho: DensityMatrix) -> np.ndarray:
     return np.diagonal(rho.entries).real.copy()
 
 
-def signed_momentum_index(k: int, n_sites: int) -> int:
-    """Signed momentum of DFT index k: +k up to N/2, k - N beyond."""
-    if not 0 <= k < n_sites:
-        raise ValueError(f"momentum index {k} outside [0, {n_sites})")
-    return k if k <= n_sites // 2 else k - n_sites
-
-
 @functools.lru_cache(maxsize=None)
 def signed_momentum_values(n_sites: int) -> np.ndarray:
-    """Signed momentum for every DFT index; cached and read-only."""
+    """Signed momentum of every DFT index k: +k up to N/2, k - N beyond;
+    cached and read-only."""
     k = np.arange(n_sites)
     signed = np.where(k <= n_sites // 2, k, k - n_sites)
     signed.flags.writeable = False
     return signed
 
 
-def expected_momentum(rho: DensityMatrix) -> float:
-    dist = momentum_distribution(rho)
-    return float(signed_momentum_values(dist.size) @ dist)
+def expected_momentum(momentum_dist: np.ndarray) -> float:
+    """Mean signed momentum index of a momentum distribution p(k)."""
+    return float(signed_momentum_values(momentum_dist.size) @ momentum_dist)
 
 
-def momentum_variance(rho: DensityMatrix) -> float:
-    dist = momentum_distribution(rho)
-    signed = signed_momentum_values(dist.size)
-    mean = float(signed @ dist)
-    return float(((signed - mean) ** 2) @ dist)
+def momentum_variance(momentum_dist: np.ndarray) -> float:
+    """Variance of the signed momentum index under p(k)."""
+    signed = signed_momentum_values(momentum_dist.size)
+    mean = float(signed @ momentum_dist)
+    return float(((signed - mean) ** 2) @ momentum_dist)
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -93,9 +88,9 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.vdot(rho.entries, rho.entries).real)
 
 
-def negative_momentum_fraction(rho: DensityMatrix) -> float:
-    dist = momentum_distribution(rho)
-    return float(dist[signed_momentum_values(dist.size) < 0].sum())
+def negative_momentum_fraction(momentum_dist: np.ndarray) -> float:
+    """Probability of a negative signed momentum index under p(k)."""
+    return float(momentum_dist[signed_momentum_values(momentum_dist.size) < 0].sum())
 
 
 def region_masses(position_dist: np.ndarray, partition: RegionPartition) -> np.ndarray:
@@ -103,15 +98,6 @@ def region_masses(position_dist: np.ndarray, partition: RegionPartition) -> np.n
     if position_dist.size != partition.n_sites:
         raise ValueError("distribution length does not match the partition")
     return np.add.reduceat(position_dist, partition.boundaries)
-
-
-def region_mass(rho: DensityMatrix, partition: RegionPartition, region_id: int) -> float:
-    if not 0 <= region_id < partition.n_regions:
-        raise ValueError(f"region id {region_id} outside [0, {partition.n_regions})")
-    if rho.basis is Basis.MOMENTUM:
-        rho = density_to_position(rho)
-    start, end = partition.region_range(region_id)
-    return float(np.sum(position_distribution(rho)[start:end]))
 
 
 def circular_mean(position_dist: np.ndarray) -> float:

@@ -49,25 +49,25 @@ Band-limited stepping. Every column with min(d, N - d) >= L is 0 at
 every n, for L = 1 + the largest min(d, N - d) that the channel leaves
 nonzero: the largest region for a region PVM, 1 for a per-site PVM, the
 support of a compact kernel. After one measurement H holds only the
-2L - 1 band columns |d| < L. An engine with an interval whose width W, the
-smallest integer >= 4L - 3 with no prime factor above 7, is below N
-narrows at its first measurement (without an interval every leg would
-build its kernel anew, which costs more than the N columns save). It
-keeps the band columns of H in a (rows, W) array, column -d at W - d,
-and frees G and the phase table. Multiplying row delta of G by its
-phases is a cyclic convolution of row delta of H with ifft_N(phases)
-along d. On the band only the lags |l| <= 2L - 2 of that kernel reach
-the band, and with W >= 4L - 3 a cyclic product of length W wraps none
-of its terms onto the band. So a narrowed leg is exact: fft_W, a
-multiply by K = fft_W of the kernel cut to those lags, ifft_W, on every
-row but row 0, whose phase is exactly 1. Then:
+2L - 1 band columns |d| < L. An engine whose width W, the smallest
+integer >= 4L - 3 with no prime factor above 7, is below N narrows at its
+first measurement. It keeps the band columns of H in a (rows, W) array,
+column -d at W - d, and frees G; the phases of the last leg become that
+leg's band kernel K. Multiplying row delta of G by its phases is a cyclic
+convolution of row delta of H with ifft_N(phases) along d. On the band
+only the lags |l| <= 2L - 2 of that kernel reach the band, and with
+W >= 4L - 3 a cyclic product of length W wraps none of its terms onto
+the band. So a narrowed leg is exact: fft_W, a multiply by K = fft_W of
+the kernel cut to those lags, ifft_W, on every row but row 0, whose phase
+is exactly 1. Then:
 
 - advance(t) only adds t to a pending time;
-- measure applies the pending leg with the interval's K, or with K built
-  the same way for another pending time, then the channel: it zeroes
-  columns L..W - L and runs the window step above with the mirror column
-  N - d held at W - d. Two transforms of length W replace two of length
-  N: for pvm_packet (N = 256, L = 42) W = 168;
+- measure applies the pending leg with the K of the last leg length, or
+  with a K built the same way for another pending time, which replaces
+  it; then the channel: it zeroes columns L..W - L and runs the window
+  step above with the mirror column N - d held at W - d. Two transforms
+  of length W replace two of length N: for pvm_packet (N = 256, L = 42)
+  W = 168;
 - record rebuilds G in a temporary array of N columns for that call, as
   fft_N of the band in N columns times the pending leg's phases, and
   reads it as above.
@@ -121,10 +121,10 @@ class Propagator:
     """Exact free evolution and repeated measurement of one state, in place.
 
     measurement is a damping kernel, a region partition, or None for a run
-    that is never measured. interval (natural time) is the leg length whose
-    phase table, or once narrowed whose band kernel, is kept for the life
-    of the engine; legs of any other length compute theirs when they are
-    applied. rows is the range of rows delta the engine holds, all of
+    that is never measured. The engine keeps the phase table of the last
+    leg length it applied, or once narrowed that length's band kernel, so
+    a run of equal legs builds it once; a leg of another length builds its
+    own in its place. rows is the range of rows delta the engine holds, all of
     0..N/2 by default; a measurement that cuts a column needs all of them.
     The state must be a position-basis vector on a power-of-two ring.
     """
@@ -133,7 +133,6 @@ class Propagator:
         self,
         state: StateVector,
         measurement: DampingKernel | RegionPartition | None = None,
-        interval: float | None = None,
         rows: range | None = None,
     ) -> None:
         _require_basis(state, Basis.POSITION, "Propagator")
@@ -156,10 +155,9 @@ class Propagator:
         self._g = np.multiply(_lagged(phi.conj(), rows), phi / n)
 
         self._band = None  # no measurement
-        self._kernel = None  # the interval's band kernel, once narrowed
-        self._narrow_to = None
         self._pending = 0.0
-        self._work = None  # phases of other leg lengths, allocated on first use
+        self._table = None  # the phases of a leg of length _table_t, or once narrowed its K
+        self._table_t = None
         if measurement is not None:
             self._scale, band, window, cut = _sort_columns(measurement, n)
             self._band = band
@@ -167,9 +165,7 @@ class Propagator:
             # No cut column and a scale of 1 everywhere: the channel is the identity.
             ones = self._scale is None or bool(np.all(self._scale == 1.0))
             self._identity = not window and 2 * band > n and ones
-            width = _smooth_width(4 * band - 3)
-            if width < n and interval is not None:
-                self._narrow_to = width
+            self._width = _smooth_width(4 * band - 3)  # the first measurement narrows to W < N
             if window:
                 if rows != range(half):
                     raise ValueError("this measurement couples rows; hold all rows 0..N/2")
@@ -183,10 +179,10 @@ class Propagator:
                 turns = np.outer(sites[half - 1 : 0 : -1], sites[1 : window + 1]) % n
                 self._twiddle = np.exp(-2j * np.pi * turns / n).conj()
 
-        self._interval = interval
-        self._phases = None
-        if interval is not None:
-            self._phases = self._phase_table(interval, np.empty_like(self._g))
+    @property
+    def _narrowed(self) -> bool:
+        """Whether the engine holds the band of H in W < N columns, not G."""
+        return self._g.shape[1] < self._n
 
     def _phase_table(self, t: float, out: np.ndarray) -> np.ndarray:
         """exp(i t (E(k - delta) - E(k))) into out, written straight into
@@ -210,19 +206,28 @@ class Propagator:
         kernel[:, width - reach + 1 :] = moving[:, n - reach + 1 :]
         return np.fft.fft(kernel, axis=1, out=kernel)
 
+    def _leg_table(self, t: float) -> np.ndarray:
+        """The phases of a leg of length t, or once narrowed its band
+        kernel: the kept one if the last leg had length t, else a new one
+        that takes its place."""
+        if t != self._table_t:
+            if self._narrowed:
+                self._table = None  # before the N columns, so the peak does not rise
+                self._table = self._band_kernel(self._phase_table(t, self._full_width()))
+            else:
+                if self._table is None:
+                    self._table = np.empty_like(self._g)
+                self._phase_table(t, self._table)
+            self._table_t = t
+        return self._table
+
     def advance(self, t: float) -> None:
         """Free evolution for natural time t; no transform. A narrowed
         engine only adds t to the leg it applies at the next measurement."""
-        if self._kernel is not None:
+        if self._narrowed:
             self._pending += t
             return
-        if t == self._interval:
-            phases = self._phases
-        else:
-            if self._work is None:
-                self._work = np.empty_like(self._g)
-            phases = self._phase_table(t, self._work)
-        np.multiply(self._g, phases, out=self._g)
+        np.multiply(self._g, self._leg_table(t), out=self._g)
 
     def measure(self) -> None:
         """Apply the measurement channel once."""
@@ -230,28 +235,27 @@ class Propagator:
             raise ValueError("this run has no measurement")
         if self._identity:
             return
-        if self._kernel is not None:
+        if self._narrowed:
             self._leg()
         else:
             np.fft.ifft(self._g, axis=1, out=self._g)
-            if self._narrow_to is not None:
+            if self._width < self._n:
                 self._narrow()
         self._mask(self._g)
-        if self._kernel is None:
+        if not self._narrowed:
             np.fft.fft(self._g, axis=1, out=self._g)
 
     def _narrow(self) -> None:
         """Keep only the band columns of H from now on, in a (rows, W)
-        array, and free G and the interval's phase table for the band
+        array, free G, and turn the last leg's phases into its band
         kernel."""
-        self._work = None  # before the band is allocated, so the peak does not rise
-        h, band, width = self._g, self._band, self._narrow_to
+        h, band, width = self._g, self._band, self._width
         self._g = np.zeros((h.shape[0], width), dtype=complex)
         self._g[:, :band] = h[:, :band]
         self._g[:, width - band + 1 :] = h[:, self._n - band + 1 :]
         del h
-        phases, self._phases = self._phases, None
-        self._kernel = self._band_kernel(phases)
+        if self._table is not None:
+            self._table = self._band_kernel(self._table)
         if self._scale is not None:
             scale = np.zeros(width, dtype=complex)
             scale[:band] = self._scale[:band]
@@ -269,10 +273,7 @@ class Propagator:
         t, self._pending = self._pending, 0.0
         if t == 0.0:
             return
-        if t == self._interval:
-            kernel = self._kernel
-        else:
-            kernel = self._band_kernel(self._phase_table(t, self._full_width()))
+        kernel = self._leg_table(t)
         h = self._g[self._moving :]
         np.fft.fft(h, axis=1, out=h)
         np.multiply(h, kernel, out=h)
@@ -335,7 +336,7 @@ class Propagator:
         """Write this engine's rows of snapshot j: row sums, squared row
         norms and, if it holds row 0, the real part of row 0 and the
         largest imaginary part on it."""
-        g = self._g if self._kernel is None else self._widen()
+        g = self._widen() if self._narrowed else self._g
         rows = slice(self._rows.start, self._rows.stop)
         sums, norms, momentum, imag = snapshots.partials(j)
         g.sum(axis=1, out=sums[rows])
@@ -407,7 +408,6 @@ class Snapshots:
 def run_blocks(
     state: StateVector,
     measurement: DampingKernel | RegionPartition | None,
-    interval: float | None,
     ops: list[tuple],
 ) -> None:
     """Take every block of rows through ops, each block on a Propagator of
@@ -429,7 +429,7 @@ def run_blocks(
 
     def run_block(rows: range) -> None:
         # The engine goes on return, before the next block's is built.
-        engine = Propagator(state, measurement, interval, rows)
+        engine = Propagator(state, measurement, rows)
         for method, *args in ops:
             method(engine, *args)
 

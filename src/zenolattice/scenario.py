@@ -40,9 +40,9 @@ import configparser
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .channels import DistanceConvention, PointerSpec
+from .channels import DistanceConvention, PointerSpec, make_regions
 from .lattice import LatticeConfig
-from .states import GaussianPacketSpec, PositionEigenstateSpec
+from .states import GaussianPacketSpec, PositionEigenstateSpec, build_initial_state
 
 __all__ = [
     "CustomKernelSpec",
@@ -73,10 +73,6 @@ class RegionPvmSpec:
     """Project onto M contiguous position regions at each measurement."""
 
     m_regions: int
-
-    def __post_init__(self) -> None:
-        if self.m_regions < 1:
-            raise ValueError("m_regions must be at least 1")
 
 
 @dataclass
@@ -127,21 +123,14 @@ class Scenario:
 
     def __post_init__(self) -> None:
         n = self.lattice.n_sites
-        state = self.state
-        if isinstance(state, GaussianPacketSpec):
-            if not 0 <= state.center < n:
-                raise ScenarioError(f"state center {state.center} outside [0, {n})")
-            half = n // 2
-            if not -half < state.momentum_index <= half:
-                raise ScenarioError(
-                    f"momentum_index {state.momentum_index} outside ({-half}, {half}]"
-                )
-        elif isinstance(state, PositionEigenstateSpec):
-            if state.site is not None and not 0 <= state.site < n:
-                raise ScenarioError(f"state site {state.site} outside [0, {n})")
         measurement = self.measurement
-        if isinstance(measurement, RegionPvmSpec) and measurement.m_regions > n:
-            raise ScenarioError(f"{measurement.m_regions} regions exceed {n} sites")
+        # The builders check the state and the region count against the lattice.
+        try:
+            build_initial_state(self.state, n)
+            if isinstance(measurement, RegionPvmSpec):
+                make_regions(n, measurement.m_regions)
+        except ValueError as err:
+            raise ScenarioError(str(err)) from None
         if isinstance(measurement, CustomKernelSpec) and len(measurement.values) != n:
             raise ScenarioError(
                 f"custom kernel needs {n} values, got {len(measurement.values)}"

@@ -34,6 +34,7 @@ from zenolattice import (
     kernel_channel,
     load_scenario,
     make_regions,
+    momentum_distribution,
     momentum_variance,
     pointer_kernel,
     purity,
@@ -281,11 +282,11 @@ def test_a7_pointer_acceleration_ordering():
     for alpha in (0.2, 0.5):
         kernel = pointer_kernel(PointerSpec(alpha), 256)
         rho = density_from_pure(build_gaussian_packet(GaussianPacketSpec(128, 8.0, 0), 256))
-        previous = momentum_variance(rho)
+        previous = momentum_variance(momentum_distribution(rho))
         for _ in range(20):
             rho = density_to_position(evolve_density(density_to_momentum(rho), 0.01))
             rho = kernel_channel(rho, kernel)
-            current = momentum_variance(rho)
+            current = momentum_variance(momentum_distribution(rho))
             monotone &= current > previous
             previous = current
 

@@ -263,8 +263,10 @@ def test_pointer_conserves_expected_momentum_away_from_wrap():
     signed = signed_momentum_values(n)
     wrap_weight = float(dist[np.abs(signed) >= n // 2 - n // 8].sum())
     assert wrap_weight < 1e-8
-    before = expected_momentum(rho)
-    after = expected_momentum(kernel_channel(rho, pointer_kernel(PointerSpec(0.2), n)))
+    before = expected_momentum(dist)
+    after = expected_momentum(
+        momentum_distribution(kernel_channel(rho, pointer_kernel(PointerSpec(0.2), n)))
+    )
     assert abs(after - before) < 1e-6 * abs(before)
 
 

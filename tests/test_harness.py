@@ -40,6 +40,7 @@ from zenolattice import (
     evolve_density,
     grid_doubling_check,
     kernel_channel,
+    load_scenario,
     make_regions,
     momentum_distribution,
     pointer_kernel,
@@ -55,6 +56,8 @@ from zenolattice import (
 )
 from zenolattice import harness
 from zenolattice.propagator import Propagator, Snapshots, run_blocks
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def packet_scenario(
@@ -246,7 +249,7 @@ class TestPropagator:
             (pointer_kernel(PointerSpec(0.2, DistanceConvention.LINEAR), n), n),
             (pointer_kernel(PointerSpec(1.0, DistanceConvention.LINEAR), n), n),
         ):
-            engine = Propagator(state, operator, 0.001)
+            engine = Propagator(state, operator)
             engine.advance(0.002)
             engine.measure()
             assert engine._g.shape == (n // 2 + 1, width)
@@ -263,7 +266,7 @@ class TestPropagator:
         n = 256
         partition = make_regions(n, m_regions)
         state = build_initial_state(GaussianPacketSpec(8, 8.0, 31), n)
-        engine = Propagator(state, partition, 0.001)
+        engine = Propagator(state, partition)
         mask = region_mask(partition)
         varies = mask.any(axis=0) & ~mask.all(axis=0)
         c = engine._window
@@ -290,7 +293,7 @@ class TestPropagator:
         leaves the chord matrix where it is."""
         n, t = 256, 0.004
         state = build_initial_state(GaussianPacketSpec(8, 8.0, 31), n)
-        engine = Propagator(state, operator, t)
+        engine = Propagator(state, operator)
         engine.advance(t)
         engine.measure()
         rho = density_to_position(evolve_density(density_to_momentum(density_from_pure(state)), t))
@@ -313,7 +316,7 @@ class TestPropagator:
     def test_minimal_image_step_is_one_multiply_between_transforms(self):
         n, t = 256, 0.004
         kernel = pointer_kernel(PointerSpec(0.2), n)
-        engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), kernel, t)
+        engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), kernel)
         engine.advance(t)
         expected = np.fft.fft(np.fft.ifft(engine._g, axis=1) * kernel.values, axis=1)
         engine.measure()
@@ -324,7 +327,7 @@ class TestPropagator:
     )
     def test_identity_channel_leaves_the_state_alone(self, operator):
         """A channel that cuts no column and scales every one by 1 is skipped."""
-        engine = Propagator(build_initial_state(GaussianPacketSpec(8, 3.0, 5), 64), operator, 0.001)
+        engine = Propagator(build_initial_state(GaussianPacketSpec(8, 3.0, 5), 64), operator)
         engine.advance(0.001)
         before = engine._g.copy()
         engine.measure()
@@ -332,19 +335,21 @@ class TestPropagator:
 
     @pytest.mark.parametrize("n, lo, hi", [(8, 0, 5), (64, 3, 33), (256, 0, 129), (256, 64, 129)])
     def test_tables_match_an_index_gather(self, n, lo, hi):
-        """G and the interval's phase table, read off strided views, equal
-        the same products built through an index table, bit for bit, zero
-        signs included."""
+        """G and a leg's phase table, read off strided views, equal the same
+        products built through an index table, bit for bit, zero signs
+        included."""
         t = 0.0037
         state = build_initial_state(GaussianPacketSpec(n // 3, n / 8, 1), n)
-        engine = Propagator(state, None, t, range(lo, hi))
+        engine = Propagator(state, None, range(lo, hi))
+        g = engine._g.copy()
+        engine.advance(t)
         phi = np.fft.fft(state.amplitudes)
         sites = np.arange(n)
         behind = (sites[None, :] - sites[lo:hi, None]) % n  # (k - delta) mod N
         energies = dispersion_table(n)
         for got, want in (
-            (engine._g, phi.conj()[behind] * (phi / n)),
-            (engine._phases, np.exp((energies[behind] - energies) * (1j * t))),
+            (g, phi.conj()[behind] * (phi / n)),
+            (engine._table, np.exp((energies[behind] - energies) * (1j * t))),
         ):
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -502,7 +507,7 @@ def narrowing_runs(draw):
             max_size=4,
         )
     )
-    return state, measurement, interval, steps
+    return state, measurement, steps
 
 
 @settings(max_examples=40, deadline=None)
@@ -512,9 +517,9 @@ def test_narrowed_steps_match_dense_oracle(case):
     1e-12, with legs of the interval and of other lengths and records on
     and off the measurement grid; its width is the W of the channel's
     band."""
-    state, measurement, interval, steps = case
+    state, measurement, steps = case
     n = state.n_sites
-    engine = Propagator(state, measurement, interval)
+    engine = Propagator(state, measurement)
     channel = pvm_channel if isinstance(measurement, RegionPartition) else kernel_channel
     rho = density_from_pure(state)
 
@@ -563,22 +568,22 @@ def test_width_after_the_first_measurement(measurement, width):
     7-smooth width >= 4L - 3, when W < N; pointers at the shipped alphas
     and 1-region PVMs keep all N."""
     n = measurement.n_sites
-    engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), measurement, 0.001)
+    engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), measurement)
     engine.advance(0.001)
     engine.measure()
     assert engine._g.shape[1] == width == expected_width(measurement)
 
 
 def test_narrowed_engine_holds_nothing_wider_than_w():
-    """Narrowing frees G, the interval's phase table and the work buffer of
-    an earlier off-interval leg: the engine then holds no array with more
-    than W columns, through legs of other lengths and records on and off
-    the grid, which take their N columns for the one call."""
+    """Narrowing frees G and turns the phase table of the last leg into its
+    band kernel: the engine then holds no array with more than W columns,
+    through legs of other lengths and records on and off the grid, which
+    take their N columns for the one call."""
     n, t, width = 256, 0.001, 168
-    engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), make_regions(n, 6), t)
-    engine.advance(0.4 * t)  # an off-interval leg allocates the work buffer
+    engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), make_regions(n, 6))
+    engine.advance(0.4 * t)
     engine.advance(0.6 * t)
-    assert engine._work is not None
+    assert engine._table.shape == (n // 2 + 1, n)
     engine.measure()
     for leg, record_at in ((t, 0.0), (t, 0.5), (0.7 * t, 0.0), (t, 0.25)):
         engine.advance(record_at * leg)
@@ -586,18 +591,82 @@ def test_narrowed_engine_holds_nothing_wider_than_w():
         engine.advance((1 - record_at) * leg)
         engine.measure()
         widths = {name: v.shape[-1] for name, v in vars(engine).items() if isinstance(v, np.ndarray)}
-        assert max(widths.values()) == widths["_g"] == width
-    assert engine._phases is None and engine._work is None
+        assert max(widths.values()) == widths["_g"] == widths["_table"] == width
+
+
+def spy_leg_tables():
+    """Patches Propagator._phase_table and _band_kernel to log the rows of
+    the engine behind each call; list.append is atomic, so both worker
+    threads may log at once."""
+    calls = {"_phase_table": [], "_band_kernel": []}
+
+    def spy(name):
+        inner = getattr(Propagator, name)
+
+        def logged(self, *args):
+            calls[name].append(self._rows)
+            return inner(self, *args)
+
+        return mock.patch.object(Propagator, name, logged)
+
+    return calls, spy("_phase_table"), spy("_band_kernel")
+
+
+@pytest.mark.parametrize("workload", ["pvm_packet", "pointer_n1024"])
+def test_each_block_engine_builds_one_leg_table(workload):
+    """Every leg of the shipped PVM run and of the pointer_n1024 benchmark
+    workload starts on the measurement grid, so each block engine builds
+    one phase table over the whole run, and the PVM, which narrows, one
+    band kernel K from it."""
+    if workload == "pvm_packet":
+        scenario = load_scenario(SCENARIOS / "pvm_packet.ini")
+    else:
+        scenario = Scenario(
+            lattice=LatticeConfig(1024),
+            state=GaussianPacketSpec(512, 32.0, 0),
+            measurement=PointerSpec(0.05),
+            schedule=Schedule(10.0, 400.0, (0.0, 200.0, 400.0)),
+        )
+    half = scenario.lattice.n_sites // 2 + 1
+    calls, tables, kernels = spy_leg_tables()
+    with tables, kernels:
+        run_schedule(scenario)
+    blocks = calls["_phase_table"]
+    assert sorted(row for rows in blocks for row in rows) == list(range(half))
+    if workload == "pvm_packet":
+        assert blocks == calls["_band_kernel"] == [range(half)]
+    else:
+        assert len(blocks) == 17 and calls["_band_kernel"] == []
+
+
+@pytest.mark.parametrize(
+    "measurement, kernels",
+    [(None, 0), (pointer_kernel(PointerSpec(0.2), 256), 0), (make_regions(256, 6), 3)],
+    ids=["unmeasured", "pointer", "pvm6_narrowed"],
+)
+def test_leg_table_is_rebuilt_only_when_the_leg_length_changes(measurement, kernels):
+    """Legs a, a, b, b, a build three phase tables; a narrowed engine turns
+    the first into its K at its first measurement and builds a K with each
+    later one."""
+    engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), 256), measurement)
+    calls, tables, kernel_spy = spy_leg_tables()
+    with tables, kernel_spy:
+        for t in (0.001, 0.001, 0.0015, 0.0015, 0.001):
+            engine.advance(t)
+            if measurement is not None:
+                engine.measure()
+    assert len(calls["_phase_table"]) == 3
+    assert len(calls["_band_kernel"]) == kernels
 
 
 def test_measurement_allocates_nothing_before_or_after_narrowing():
-    """A 6-region PVM step writes in place: no broadcast scale, no mask
-    cast. An engine without an interval keeps all N columns; one with an
-    interval has narrowed after its first measurement."""
+    """A PVM step writes in place: no broadcast scale, no mask cast. A
+    2-region engine (W = 512) keeps all N columns; a 6-region one has
+    narrowed after its first measurement."""
     n, t = 256, 0.001
     state = build_initial_state(GaussianPacketSpec(8, 8.0, 31), n)
-    for interval, width in ((None, n), (t, 168)):
-        engine = Propagator(state, make_regions(n, 6), interval)
+    for m_regions, width in ((2, n), (6, 168)):
+        engine = Propagator(state, make_regions(n, m_regions))
         engine.advance(t)
         engine.measure()  # warm-up: FFT plans, and narrowing
         engine.advance(t)
@@ -635,11 +704,11 @@ def test_snapshots_survive_concurrent_first_records():
     lost allocation shows only when a switch falls inside it."""
     n, count = 256, 200
     state = build_initial_state(GaussianPacketSpec(40, 6.0, 9), n)
-    engine = Propagator(state, None, 0.001)
+    engine = Propagator(state)
     engine.advance(0.001)
     whole = snapshot(engine, n)
     bounds = [0, 5, 20, 35, 50, 70, 90, 110, n // 2 + 1]
-    blocks = [Propagator(state, None, 0.001, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    blocks = [Propagator(state, None, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
     for block in blocks:
         block.advance(0.001)
 
@@ -812,8 +881,8 @@ def test_row_blocks_match_one_block_of_all_rows(scenario):
         records = run_schedule(scenario)
     assert threading.active_count() == threads  # the worker is joined
 
-    state, operator, step, ops = calls[0]
-    engine = Propagator(state, operator, step)
+    state, operator, ops = calls[0]
+    engine = Propagator(state, operator)
     whole = Snapshots(len(records), scenario.lattice.n_sites)
     for method, *args in ops:
         if method is Propagator.record:
@@ -839,7 +908,7 @@ def test_every_block_runs_once_under_frequent_switches():
     sys.setswitchinterval(1e-6)
     try:
         with mock.patch.object(os, "cpu_count", return_value=2):
-            run_blocks(state, None, None, [(lambda engine: taken.append(engine._rows),)])
+            run_blocks(state, None, [(lambda engine: taken.append(engine._rows),)])
     finally:
         sys.setswitchinterval(switch)
     assert len(taken) > 2
@@ -863,7 +932,7 @@ def test_worker_error_is_raised_by_the_caller():
     threads = threading.active_count()
     with mock.patch.object(os, "cpu_count", return_value=2):
         with pytest.raises(ArithmeticError, match="worker failed"):
-            run_blocks(state, None, None, [(fail_off_the_calling_thread,)])
+            run_blocks(state, None, [(fail_off_the_calling_thread,)])
     assert threading.active_count() == threads
 
 

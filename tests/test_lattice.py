@@ -15,7 +15,6 @@ from zenolattice import (
     dense_oracle_evolve,
     density_to_momentum,
     density_to_position,
-    dispersion,
     dispersion_table,
     evolve_density,
     purity,
@@ -49,29 +48,25 @@ class TestLatticeConfig:
 
 class TestDispersion:
     def test_zero_momentum(self):
-        assert dispersion(0, 256) == 0.0
+        assert dispersion_table(256)[0] == 0.0
 
     def test_low_index_branch(self):
-        assert dispersion(3, 256) == 4.5
+        assert dispersion_table(256)[3] == 4.5
 
     def test_high_index_branch(self):
-        assert dispersion(255, 256) == 0.5
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            dispersion(-1, 256)
-        with pytest.raises(ValueError):
-            dispersion(256, 256)
+        assert dispersion_table(256)[255] == 0.5
 
     @given(sizes, st.data())
     def test_symmetric_under_index_reflection(self, n, data):
         k = data.draw(st.integers(min_value=1, max_value=n - 1))
-        assert dispersion(k, n) == dispersion(n - k, n)
+        assert dispersion_table(n)[k] == dispersion_table(n)[n - k]
 
     @given(sizes)
     def test_table_matches_scalar(self, n):
+        """Each entry is the scalar formula k**2/2 up to N/2, (N-k)**2/2
+        beyond, in plain Python."""
         table = dispersion_table(n)
-        assert all(table[k] == dispersion(k, n) for k in range(n))
+        assert all(table[k] == (k * k if k <= n // 2 else (n - k) ** 2) / 2 for k in range(n))
         assert table.min() >= 0.0
 
 

@@ -1,5 +1,7 @@
 """Scalar reductions and distributions."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,17 +22,19 @@ from zenolattice import (
     density_to_momentum,
     evolve_density,
     expected_momentum,
+    load_scenario,
     make_regions,
     momentum_distribution,
     momentum_variance,
     negative_momentum_fraction,
     position_distribution,
     purity,
-    region_mass,
     region_masses,
-    signed_momentum_index,
+    run_schedule,
     signed_momentum_values,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestDistributions:
@@ -67,22 +71,19 @@ class TestDistributions:
 
 class TestSignedIndex:
     def test_positive_branch(self):
-        assert signed_momentum_index(31, 256) == 31
+        assert signed_momentum_values(256)[31] == 31
 
     def test_negative_branch(self):
-        assert signed_momentum_index(225, 256) == -31
+        assert signed_momentum_values(256)[225] == -31
 
     def test_boundary_is_positive(self):
-        assert signed_momentum_index(128, 256) == 128
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            signed_momentum_index(256, 256)
+        assert signed_momentum_values(256)[128] == 128
 
     @given(st.sampled_from([8, 32, 256]), st.data())
     def test_vector_matches_scalar(self, n, data):
+        """Each entry is the scalar rule, +k up to N/2 and k - N beyond."""
         k = data.draw(st.integers(min_value=0, max_value=n - 1))
-        assert signed_momentum_values(n)[k] == signed_momentum_index(k, n)
+        assert signed_momentum_values(n)[k] == (k if k <= n // 2 else k - n)
 
     @given(st.sampled_from([8, 32, 256]))
     def test_signed_values_are_a_permutation_of_the_physical_range(self, n):
@@ -94,21 +95,47 @@ class TestReductions:
     def test_momentum_projector_moments(self):
         entries = np.zeros((256, 256), dtype=complex)
         entries[31, 31] = 1.0
-        rho = DensityMatrix(entries, Basis.MOMENTUM)
-        assert expected_momentum(rho) == 31.0
-        assert momentum_variance(rho) == 0.0
+        dist = momentum_distribution(DensityMatrix(entries, Basis.MOMENTUM))
+        assert expected_momentum(dist) == 31.0
+        assert momentum_variance(dist) == 0.0
 
     def test_maximally_mixed_negative_fraction(self):
-        rho = DensityMatrix(np.eye(256) / 256, Basis.POSITION)
-        assert negative_momentum_fraction(rho) == pytest.approx(127 / 256, abs=1e-12)
+        dist = momentum_distribution(DensityMatrix(np.eye(256) / 256, Basis.POSITION))
+        assert negative_momentum_fraction(dist) == pytest.approx(127 / 256, abs=1e-12)
 
     def test_expected_momentum_constant_under_free_evolution(self):
         rho = density_to_momentum(
             density_from_pure(build_gaussian_packet(GaussianPacketSpec(8, 8.0, 31), 256))
         )
-        before = expected_momentum(rho)
-        after = expected_momentum(evolve_density(rho, 0.4))
+        before = expected_momentum(momentum_distribution(rho))
+        after = expected_momentum(momentum_distribution(evolve_density(rho, 0.4)))
         assert abs(after - before) < 1e-12
+
+    @given(st.sampled_from([8, 32, 256]), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_moments_match_plain_summation(self, n, seed):
+        """The three moments of a random p(k) against sums over its entries
+        in plain Python, with the signed index +k up to N/2 and k - N beyond,
+        at 1e-12 of each one's scale: N for the mean, N^2 for the variance."""
+        dist = np.random.default_rng(seed).random(n)
+        dist /= dist.sum()
+        pairs = [(k if k <= n // 2 else k - n, p) for k, p in enumerate(dist.tolist())]
+        mean = sum(q * p for q, p in pairs)
+        variance = sum((q - mean) ** 2 * p for q, p in pairs)
+        negative = sum(p for q, p in pairs if q < 0)
+        assert abs(expected_momentum(dist) - mean) <= 1e-12 * n
+        assert abs(momentum_variance(dist) - variance) <= 1e-12 * n**2
+        assert abs(negative_momentum_fraction(dist) - negative) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["free_packet", "pointer_stationary", "pvm_eigenstate",
+                                      "pvm_packet"])
+    def test_run_records_the_moments_of_its_momentum_distribution(self, name):
+        """Every record of a shipped scenario holds these functions of its
+        own p(k), bit for bit."""
+        for rec in run_schedule(load_scenario(SCENARIOS / f"{name}.ini")):
+            assert rec.expected_momentum_signed == expected_momentum(rec.momentum_dist)
+            assert rec.momentum_variance == momentum_variance(rec.momentum_dist)
+            assert rec.negative_momentum_fraction == negative_momentum_fraction(rec.momentum_dist)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -131,21 +158,13 @@ class TestRegionMass:
 
     def test_single_region_mass(self):
         rho = density_from_pure(build_gaussian_packet(GaussianPacketSpec(20, 2.0, 0), 256))
-        part = make_regions(256, 6)
-        assert region_mass(rho, part, 0) == pytest.approx(1.0, abs=1e-10)
-        assert region_mass(rho, part, 3) == pytest.approx(0.0, abs=1e-10)
-
-    def test_momentum_basis_input_is_transformed(self):
-        rho = density_from_pure(build_gaussian_packet(GaussianPacketSpec(20, 2.0, 0), 256))
-        part = make_regions(256, 6)
-        assert region_mass(density_to_momentum(rho), part, 0) == pytest.approx(
-            region_mass(rho, part, 0), abs=1e-12
-        )
+        masses = region_masses(position_distribution(rho), make_regions(256, 6))
+        assert masses[0] == pytest.approx(1.0, abs=1e-10)
+        assert masses[3] == pytest.approx(0.0, abs=1e-10)
 
     def test_bad_region_id(self):
-        rho = make_random_density(64, np.random.default_rng(2))
-        with pytest.raises(ValueError):
-            region_mass(rho, make_regions(64, 4), 4)
+        with pytest.raises(ValueError, match="region id 4"):
+            make_regions(64, 4).region_range(4)
 
 
 class TestCircularStatistics:

@@ -48,9 +48,10 @@ class TestGaussianPacket:
         signed = signed_momentum_values(256)
         mean = float(signed @ dist)
         assert abs(mean - 31.0) < 0.5
-        from zenolattice import expected_momentum
+        from zenolattice import expected_momentum, momentum_distribution
 
-        assert expected_momentum(density_from_pure(state)) == pytest.approx(mean, abs=1e-9)
+        rho = density_from_pure(state)
+        assert expected_momentum(momentum_distribution(rho)) == pytest.approx(mean, abs=1e-9)
 
     def test_momentum_peak_lands_on_signed_index(self):
         state = build_gaussian_packet(GaussianPacketSpec(50, 6.0, -13), 256)
