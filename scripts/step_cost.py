@@ -1,21 +1,25 @@
 """Median cost in reference milliseconds of each stepping-engine operation.
 
-Times a free leg, a pointer step, a 6-region and a 16-region PVM step, a
-LINEAR-kernel step (a step is one leg and one measurement) and a snapshot
-through Propagator at N = 256, 512 and 1024, and prints the medians as
-JSON. Steps are timed after the engine's first measurement, which narrows
-a PVM engine to its band:
+Times a free leg of the length the engine applied last (free_leg) and of a
+length it has not applied yet (new_leg, which builds the leg's phases), a
+pointer step, a 6-region and a 16-region PVM step, a LINEAR-kernel step (a
+step is one leg and one measurement) and a snapshot through Propagator at
+N = 256, 512 and 1024, and prints the medians as JSON. Steps are timed
+after the engine's first measurement, which narrows a PVM engine to its
+band:
 
     PYTHONPATH=src python scripts/step_cost.py
 
-Run from the root of a checkout; it imports bench/execution.py and
-bench/run.py for the calibration. The host's speed drifts, so each median
-is scaled as bench/run.py scales run_s: by REFERENCE_CALIBRATION_S[N] over
-the wall time of execution.calibrate(N), the mean of one timing before and
-one after the operations at that N. N = 512 has no reference figure; it
-uses the kernel and figure of N = 256.
+Run from the root of a checkout; reference_costs imports bench/execution.py
+and bench/run.py for the calibration, and costs imports nothing from
+bench/. The host's speed drifts, so each median is scaled as bench/run.py
+scales run_s: by REFERENCE_CALIBRATION_S[N] over the wall time of
+execution.calibrate(N), the mean of one timing before and one after the
+operations at that N. N = 512 has no reference figure; it uses the kernel
+and figure of N = 256.
 """
 
+import itertools
 import json
 import sys
 import time
@@ -26,10 +30,6 @@ import numpy as np
 from zenolattice import DistanceConvention, GaussianPacketSpec, PointerSpec
 from zenolattice import build_gaussian_packet, make_regions, pointer_kernel
 from zenolattice.propagator import Propagator, Snapshots
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-from execution import calibrate  # noqa: E402
-from run import REFERENCE_CALIBRATION_S  # noqa: E402
 
 INTERVAL = 0.001  # one display unit of natural time
 REPEATS = 25
@@ -63,7 +63,12 @@ def costs(n):
         free.record(snapshots, 0)
         snapshots.position_distribution(0), snapshots.momentum_distribution(0), snapshots.purity(0)
 
-    row = {"free_leg": median_s(lambda: free.advance(INTERVAL)), "snapshot": median_s(snapshot)}
+    lengths = (INTERVAL * (1 + j / 1000) for j in itertools.count(1))
+    row = {
+        "free_leg": median_s(lambda: free.advance(INTERVAL)),
+        "new_leg": median_s(lambda: free.advance(next(lengths))),
+        "snapshot": median_s(snapshot),
+    }
     for name, measurement in measurements.items():
         engine = Propagator(state, measurement)
         row[name] = median_s(lambda: (engine.advance(INTERVAL), engine.measure()))
@@ -72,6 +77,10 @@ def costs(n):
 
 def reference_costs(n):
     """costs(n) in reference milliseconds."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    from execution import calibrate
+    from run import REFERENCE_CALIBRATION_S
+
     size = max(k for k in REFERENCE_CALIBRATION_S if k <= n)
     before = calibrate(size)
     row = costs(n)

@@ -20,6 +20,7 @@ from zenolattice import (
     with_interval,
     with_regions,
 )
+from zenolattice.scenario import _interval
 
 DEFAULT_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "pvm_packet.ini"
 
@@ -43,12 +44,7 @@ def main() -> None:
     print(f"{'interval':>10} {'region0 mass':>14} {'neg momentum':>14} {'purity':>10}")
     for token in args.intervals.split(","):
         token = token.strip().lower()
-        interval = None if token == "none" else float(token)
-        variant = with_interval(
-            replace(base, schedule=replace(schedule, measurement_interval=interval or 1.0)),
-            interval,
-        )
-        rec = run_schedule(variant)[0]
+        rec = run_schedule(with_interval(base, _interval(token)))[0]
         partition = make_regions(n, 6)
         mass = region_masses(rec.position_dist, partition)[0]
         print(

@@ -9,7 +9,6 @@ k is k**2/2, folded symmetrically at k = N/2.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,15 +129,12 @@ def _require_basis(obj: StateVector | DensityMatrix, basis: Basis, op: str) -> N
         raise BasisError(f"{op} expects a {basis.value}-basis input, got {obj.basis.value}")
 
 
-@functools.lru_cache(maxsize=None)
 def dispersion_table(n_sites: int) -> np.ndarray:
     """Kinetic energy E(k) of every momentum index k: k**2/2 up to the fold
     at N/2, (N-k)**2/2 beyond it, where indices carry negative physical
-    momentum of magnitude N-k; cached and read-only."""
+    momentum of magnitude N-k; a new array on every call."""
     k = np.arange(n_sites)
-    table = np.minimum(k, n_sites - k).astype(float) ** 2 / 2.0
-    table.flags.writeable = False
-    return table
+    return np.minimum(k, n_sites - k).astype(float) ** 2 / 2.0
 
 
 def to_momentum_basis(state: StateVector) -> StateVector:

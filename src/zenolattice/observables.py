@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,14 +60,11 @@ def momentum_distribution(rho: DensityMatrix) -> np.ndarray:
     return np.diagonal(rho.entries).real.copy()
 
 
-@functools.lru_cache(maxsize=None)
 def signed_momentum_values(n_sites: int) -> np.ndarray:
-    """Signed momentum of every DFT index k: +k up to N/2, k - N beyond;
-    cached and read-only."""
+    """Signed momentum of every DFT index k: +k up to N/2, k - N beyond; a
+    new array on every call."""
     k = np.arange(n_sites)
-    signed = np.where(k <= n_sites // 2, k, k - n_sites)
-    signed.flags.writeable = False
-    return signed
+    return np.where(k <= n_sites // 2, k, k - n_sites)
 
 
 def expected_momentum(momentum_dist: np.ndarray) -> float:

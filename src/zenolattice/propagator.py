@@ -13,9 +13,10 @@ and cannot drift. Round-off can still leave row 0 not quite real and
 row N/2 not quite its own mirror; the snapshots check the imaginary parts
 that this puts on the distributions. In these coordinates:
 
-- free evolution is an elementwise phase exp(i t (E(k - delta) - E(k))),
-  which is exactly 1 on row delta = 0, the momentum distribution:
-  0 FFT passes;
+- free evolution is an elementwise phase exp(i t (E(k - delta) - E(k)))
+  = u[k - delta] conj u[k], with u = exp(i t E) one N-site vector: two
+  multiplies by views of u, on every row but row delta = 0, the momentum
+  distribution, whose phase is exactly 1: 0 FFT passes;
 - an inverse FFT along k gives H[delta, d], where d = m - n is the site
   separation of the position-basis entry rho(m, n). A further inverse FFT
   along delta gives rho((n + d) mod N, n) up to a factor N, and every
@@ -52,14 +53,15 @@ support of a compact kernel. After one measurement H holds only the
 2L - 1 band columns |d| < L. An engine whose width W, the smallest
 integer >= 4L - 3 with no prime factor above 7, is below N narrows at its
 first measurement. It keeps the band columns of H in a (rows, W) array,
-column -d at W - d, and frees G; the phases of the last leg become that
-leg's band kernel K. Multiplying row delta of G by its phases is a cyclic
+column -d at W - d, frees G, and then builds the band kernel K of the last
+leg's length. Multiplying row delta of G by its phases is a cyclic
 convolution of row delta of H with ifft_N(phases) along d. On the band
 only the lags |l| <= 2L - 2 of that kernel reach the band, and with
 W >= 4L - 3 a cyclic product of length W wraps none of its terms onto
 the band. So a narrowed leg is exact: fft_W, a multiply by K = fft_W of
 the kernel cut to those lags, ifft_W, on every row but row 0, whose phase
-is exactly 1. Then:
+is exactly 1. K is built by applying the leg to a temporary (rows, N)
+array of ones. Then:
 
 - advance(t) only adds t to a pending time;
 - measure applies the pending leg with the K of the last leg length, or
@@ -74,12 +76,12 @@ is exactly 1. Then:
 
 Free legs, channels without cut columns and snapshots all act on each row
 delta alone, so a Propagator may hold any range of rows, built from the
-state's momentum amplitudes phi with G[delta, k] = conj phi[k - delta] phi[k] / N
-and the phase tables of those rows only, each read off strided views of
-phi and E doubled, with no index table. A block of a per-site PVM or a
-compact kernel narrows on its own. run_blocks splits the rows of such a
-run into blocks of about BLOCK_ENTRIES entries, small enough that a
-block's G and phases stay in a core's L2 cache, and takes each block
+state's momentum amplitudes phi with G[delta, k] = conj phi[k - delta] phi[k] / N,
+and a leg's phases on those rows are u[k - delta] conj u[k]: both are read
+off strided views of phi and u doubled, with no index table. A block of a
+per-site PVM or a compact kernel narrows on its own. run_blocks splits the
+rows of such a run into blocks of about BLOCK_ENTRIES entries, small
+enough that a block's G stays in a core's L2 cache, and takes each block
 through the whole schedule on its own: the calling thread and at most one more take
 blocks in turn, with no synchronisation between steps. numpy's FFTs and
 ufuncs release the GIL, so the two threads step at once. A snapshot writes
@@ -104,16 +106,14 @@ import os
 import threading
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .channels import DampingKernel, DistanceConvention, RegionPartition
 from .lattice import Basis, StateVector, _require_basis, dispersion_table
 
 __all__ = ["Propagator", "Snapshots", "run_blocks"]
 
-# Entries of G per row block: 2**15 complex128 values are 512 KiB, and with
-# the block's phase table 1 MiB, well inside the reference machine's 4 MiB
-# L2 per core.
+# Entries of G per row block: 2**15 complex128 values are 512 KiB, well
+# inside the reference machine's 4 MiB L2 per core.
 BLOCK_ENTRIES = 2**15
 
 
@@ -121,11 +121,13 @@ class Propagator:
     """Exact free evolution and repeated measurement of one state, in place.
 
     measurement is a damping kernel, a region partition, or None for a run
-    that is never measured. The engine keeps the phase table of the last
-    leg length it applied, or once narrowed that length's band kernel, so
-    a run of equal legs builds it once; a leg of another length builds its
-    own in its place. rows is the range of rows delta the engine holds, all of
-    0..N/2 by default; a measurement that cuts a column needs all of them.
+    that is never measured. The engine keeps the phase vector exp(i t E),
+    doubled, of the last leg length t it applied, or once narrowed that
+    length's band kernel, so a run of equal legs builds it once; a leg of
+    another length builds its own in its place. Besides G, an engine that
+    has not narrowed holds no array of N columns per row. rows is the
+    range of rows delta the engine holds, all of 0..N/2 by default; a
+    measurement that cuts a column needs all of them.
     The state must be a position-basis vector on a power-of-two ring.
     """
 
@@ -152,11 +154,12 @@ class Propagator:
             if abs(trace - 1.0) > 1e-12:
                 raise ValueError(f"trace is {trace}, expected 1")
         # N is a power of two, so phi / n is exact and row 0 is |phi|^2 / N.
-        self._g = np.multiply(_lagged(phi.conj(), rows), phi / n)
+        self._g = np.multiply(_lagged(np.tile(phi.conj(), 2), rows), phi / n)
 
         self._band = None  # no measurement
         self._pending = 0.0
-        self._table = None  # the phases of a leg of length _table_t, or once narrowed its K
+        # exp(i t E) doubled for a leg of length _table_t, or once narrowed its K
+        self._table = None
         self._table_t = None
         if measurement is not None:
             self._scale, band, window, cut = _sort_columns(measurement, n)
@@ -184,19 +187,25 @@ class Propagator:
         """Whether the engine holds the band of H in W < N columns, not G."""
         return self._g.shape[1] < self._n
 
-    def _phase_table(self, t: float, out: np.ndarray) -> np.ndarray:
-        """exp(i t (E(k - delta) - E(k))) into out, written straight into
-        its imaginary part; exactly 1+0j on row 0."""
-        energies = dispersion_table(self._n)
-        out.real = 0.0
-        np.subtract(_lagged(energies, self._rows), energies, out=out.imag)
-        out.imag *= t
-        return np.exp(out, out=out)
+    def _phase_vector(self, t: float) -> np.ndarray:
+        """u = exp(i t E(k)), doubled for _lagged."""
+        return np.tile(np.exp(1j * t * dispersion_table(self._n)), 2)
 
-    def _band_kernel(self, phases: np.ndarray) -> np.ndarray:
+    def _free_leg(self, g: np.ndarray, turns: np.ndarray) -> np.ndarray:
+        """Multiply the rows of g, N columns, by the phases
+        exp(i t (E(k - delta) - E(k))) = u[k - delta] conj u[k], for turns
+        the doubled u of _phase_vector; row 0, whose phase is exactly 1, is
+        left alone."""
+        moving = g[self._moving :]
+        np.multiply(moving, _lagged(turns, self._rows)[self._moving :], out=moving)
+        np.multiply(moving, turns[: self._n].conj(), out=moving)
+        return g
+
+    def _band_kernel(self, turns: np.ndarray) -> np.ndarray:
         """fft_W of each moving row's circulant kernel ifft_N(phases), cut to
-        the lags |l| <= 2L - 2 that carry the band onto itself; overwrites
-        phases."""
+        the lags |l| <= 2L - 2 that carry the band onto itself, for the
+        phases of the leg whose doubled u is turns."""
+        phases = self._free_leg(np.ones((len(self._rows), self._n), dtype=complex), turns)
         moving = phases[self._moving :]
         np.fft.ifft(moving, axis=1, out=moving)
         width, n = self._g.shape[1], self._n
@@ -207,17 +216,13 @@ class Propagator:
         return np.fft.fft(kernel, axis=1, out=kernel)
 
     def _leg_table(self, t: float) -> np.ndarray:
-        """The phases of a leg of length t, or once narrowed its band
+        """The doubled u of a leg of length t, or once narrowed its band
         kernel: the kept one if the last leg had length t, else a new one
         that takes its place."""
         if t != self._table_t:
-            if self._narrowed:
-                self._table = None  # before the N columns, so the peak does not rise
-                self._table = self._band_kernel(self._phase_table(t, self._full_width()))
-            else:
-                if self._table is None:
-                    self._table = np.empty_like(self._g)
-                self._phase_table(t, self._table)
+            self._table = None  # before the new one, so the peak does not rise
+            turns = self._phase_vector(t)
+            self._table = self._band_kernel(turns) if self._narrowed else turns
             self._table_t = t
         return self._table
 
@@ -227,7 +232,7 @@ class Propagator:
         if self._narrowed:
             self._pending += t
             return
-        np.multiply(self._g, self._leg_table(t), out=self._g)
+        self._free_leg(self._g, self._leg_table(t))
 
     def measure(self) -> None:
         """Apply the measurement channel once."""
@@ -247,24 +252,20 @@ class Propagator:
 
     def _narrow(self) -> None:
         """Keep only the band columns of H from now on, in a (rows, W)
-        array, free G, and turn the last leg's phases into its band
-        kernel."""
+        array, free G, and then build the band kernel of the last leg's
+        length in place of its phase vector."""
         h, band, width = self._g, self._band, self._width
         self._g = np.zeros((h.shape[0], width), dtype=complex)
         self._g[:, :band] = h[:, :band]
         self._g[:, width - band + 1 :] = h[:, self._n - band + 1 :]
         del h
         if self._table is not None:
-            self._table = self._band_kernel(self._table)
+            self._table = self._band_kernel(self._table)  # from the kept u
         if self._scale is not None:
             scale = np.zeros(width, dtype=complex)
             scale[:band] = self._scale[:band]
             scale[width - band + 1 :] = self._scale[self._n - band + 1 :]
             self._scale = scale
-
-    def _full_width(self) -> np.ndarray:
-        """A temporary (rows, N) array for one call of a narrowed engine."""
-        return np.empty((self._g.shape[0], self._n), dtype=complex)
 
     def _leg(self) -> None:
         """The pending free leg of a narrowed engine: an exact cyclic product
@@ -319,17 +320,13 @@ class Propagator:
         """G now, rebuilt from a narrowed engine's band: fft_N of the band
         in N columns, times the pending leg's phases."""
         h, band, n = self._g, self._band, self._n
-        g = self._full_width()
+        g = np.empty((h.shape[0], n), dtype=complex)
         g[:, :band] = h[:, :band]
         g[:, band : n - band + 1] = 0.0
         g[:, n - band + 1 :] = h[:, h.shape[1] - band + 1 :]
         np.fft.fft(g, axis=1, out=g)
         if self._pending:
-            # exp(i t E(k - delta)) exp(-i t E(k)), so no second table is needed
-            turns = np.exp(1j * self._pending * dispersion_table(n))
-            moving = g[self._moving :]
-            np.multiply(moving, _lagged(turns, self._rows)[self._moving :], out=moving)
-            np.multiply(moving, turns.conj(), out=moving)
+            self._free_leg(g, self._phase_vector(self._pending))
         return g
 
     def record(self, snapshots: Snapshots, j: int) -> None:
@@ -464,12 +461,13 @@ def run_blocks(
         raise failures[0]
 
 
-def _lagged(x: np.ndarray, rows: range) -> np.ndarray:
-    """x[(k - delta) mod N] at [delta - rows.start, k]: a strided view of x
-    doubled, with no index table."""
-    n = x.size
-    doubled = np.concatenate((x, x))
-    return sliding_window_view(doubled, n)[n - rows.stop + 1 : n - rows.start + 1][::-1]
+def _lagged(doubled: np.ndarray, rows: range) -> np.ndarray:
+    """x[(k - delta) mod N] at [delta - rows.start, k], for doubled the
+    contiguous N-vector x followed by itself: a view whose row delta starts
+    at element N - delta, with no index table."""
+    n, step = doubled.size // 2, doubled.itemsize
+    offset = (n - rows.start) * step
+    return np.ndarray((len(rows), n), doubled.dtype, doubled, offset, (-step, step))
 
 
 def _smooth_width(m: int) -> int:

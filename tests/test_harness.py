@@ -141,9 +141,10 @@ class TestRunSchedule:
         assert records[-1].purity < records[0].purity
 
     def test_memory_is_bounded_by_the_run(self):
-        """Forty distinct leg lengths leave no phase table per length behind.
-        The run's two row blocks step at once; it peaks at 1.36-1.49 N x N
-        matrices, well inside the bound."""
+        """Forty distinct leg lengths leave no phases per length behind. The
+        run's two row blocks step at once, each holding its chord rows and
+        one N-site phase vector; it peaks at 0.90-1.06 N x N matrices, inside
+        the bound."""
         n = 256
         times = tuple(float(t) for t in np.cumsum(0.37 * np.arange(1, 41)))
         scenario = packet_scenario(measurement=NoMeasurement(), interval=None,
@@ -160,16 +161,16 @@ class TestRunSchedule:
             evolve_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert run_peak < 2.05 * matrix
+        assert run_peak < 1.35 * matrix
         assert evolve_peak < 8 * matrix
 
     @pytest.mark.parametrize(
         "measurement, bound",
         [
-            (PointerSpec(0.2), 2.3),  # peaks at 1.84 with two row blocks at once
-            (RegionPvmSpec(6), 2.45),  # 1.91, a window of c = 41 columns, narrowed to W = 168
-            (PointerSpec(1.0, DistanceConvention.LINEAR), 2.65),  # 2.08, c = 54, W = 224
-            (PointerSpec(0.2, DistanceConvention.LINEAR), 3.25),  # 2.70, c = 127
+            (PointerSpec(0.2), 1.35),  # peaks at 0.80-1.06 with two row blocks at once
+            (RegionPvmSpec(6), 2.45),  # 1.61, a window of c = 41 columns, narrowed to W = 168
+            (PointerSpec(1.0, DistanceConvention.LINEAR), 2.65),  # 2.00, c = 54, W = 224
+            (PointerSpec(0.2, DistanceConvention.LINEAR), 3.25),  # 1.89, c = 127
         ],
     )
     def test_measured_run_memory_is_bounded(self, measurement, bound):
@@ -188,8 +189,9 @@ class TestRunSchedule:
 
     def test_pointer_run_memory_is_bounded_at_large_n(self):
         """Row blocks hold a pointer run at N = 4096, with an off-grid record
-        that needs phases of its own, below 1/16 of one N x N matrix; it
-        peaks at about 4 MiB, 1/64 of one."""
+        that needs phases of its own, below 1/48 of one N x N matrix; it
+        peaks at 1.83-1.91 MiB, 1/140 of one, and rarely up to 3.7 MiB when
+        the two row blocks' transients coincide."""
         n = 4096
         scenario = Scenario(
             lattice=LatticeConfig(n),
@@ -203,7 +205,7 @@ class TestRunSchedule:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < n * n * 16 / 16
+        assert peak < n * n * 16 / 48
 
     @pytest.mark.parametrize("measurement", [RegionPvmSpec(6), PointerSpec(0.5)])
     def test_long_horizon_drift_per_step(self, measurement):
@@ -335,9 +337,9 @@ class TestPropagator:
 
     @pytest.mark.parametrize("n, lo, hi", [(8, 0, 5), (64, 3, 33), (256, 0, 129), (256, 64, 129)])
     def test_tables_match_an_index_gather(self, n, lo, hi):
-        """G and a leg's phase table, read off strided views, equal the same
-        products built through an index table, bit for bit, zero signs
-        included."""
+        """G and G after a leg, read off strided views of phi and of the
+        leg's phase vector, equal the same products built through an index
+        table, bit for bit, zero signs included; row 0 does not move."""
         t = 0.0037
         state = build_initial_state(GaussianPacketSpec(n // 3, n / 8, 1), n)
         engine = Propagator(state, None, range(lo, hi))
@@ -347,10 +349,15 @@ class TestPropagator:
         sites = np.arange(n)
         behind = (sites[None, :] - sites[lo:hi, None]) % n  # (k - delta) mod N
         energies = dispersion_table(n)
-        for got, want in (
-            (g, phi.conj()[behind] * (phi / n)),
-            (engine._table, np.exp((energies[behind] - energies) * (1j * t))),
-        ):
+        turns = np.exp(1j * t * energies)  # u; exp(-i t E) is conj u
+        # In place, as the engine multiplies: numpy's loop for a fresh
+        # output may round a complex product differently in the last bit.
+        after = g.copy()
+        np.multiply(after, turns[behind], out=after)
+        np.multiply(after, turns.conj(), out=after)
+        if lo == 0:
+            after[0] = g[0]
+        for got, want in ((g, phi.conj()[behind] * (phi / n)), (engine._g, after)):
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_initial_trace_is_checked(self):
@@ -575,15 +582,15 @@ def test_width_after_the_first_measurement(measurement, width):
 
 
 def test_narrowed_engine_holds_nothing_wider_than_w():
-    """Narrowing frees G and turns the phase table of the last leg into its
-    band kernel: the engine then holds no array with more than W columns,
-    through legs of other lengths and records on and off the grid, which
-    take their N columns for the one call."""
+    """Narrowing frees G and builds the band kernel of the last leg's length
+    in place of its phase vector: the engine then holds no array with more
+    than W columns, through legs of other lengths and records on and off
+    the grid, which take their N columns for the one call."""
     n, t, width = 256, 0.001, 168
     engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), make_regions(n, 6))
     engine.advance(0.4 * t)
     engine.advance(0.6 * t)
-    assert engine._table.shape == (n // 2 + 1, n)
+    assert engine._table.shape == (2 * n,)
     engine.measure()
     for leg, record_at in ((t, 0.0), (t, 0.5), (0.7 * t, 0.0), (t, 0.25)):
         engine.advance(record_at * leg)
@@ -594,11 +601,38 @@ def test_narrowed_engine_holds_nothing_wider_than_w():
         assert max(widths.values()) == widths["_g"] == widths["_table"] == width
 
 
+@pytest.mark.parametrize(
+    "measurement",
+    [
+        None,
+        pointer_kernel(PointerSpec(0.2), 256),
+        pointer_kernel(PointerSpec(0.2, DistanceConvention.LINEAR), 256),
+    ],
+    ids=["unmeasured", "pointer", "linear"],
+)
+def test_engine_keeps_one_phase_vector_beside_g(measurement):
+    """An engine that keeps all N columns holds a leg's phases as one N-site
+    vector, doubled: after legs of two lengths and a measurement it holds no
+    array of more than 2N entries besides G and, for a LINEAR kernel, the
+    c-column arrays of its window step."""
+    n = 256
+    engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), measurement)
+    for t in (0.001, 0.0015):
+        engine.advance(t)
+        if measurement is not None:
+            engine.measure()
+    assert engine._g.shape == (n // 2 + 1, n)
+    window = {"_buffer", "_cut", "_twiddle"}
+    arrays = {name: v for name, v in vars(engine).items() if isinstance(v, np.ndarray)}
+    assert all(arrays[name].shape[-1] == engine._window for name in window & set(arrays))
+    assert max(v.size for name, v in arrays.items() if name not in {"_g", *window}) <= 2 * n
+
+
 def spy_leg_tables():
-    """Patches Propagator._phase_table and _band_kernel to log the rows of
+    """Patches Propagator._phase_vector and _band_kernel to log the rows of
     the engine behind each call; list.append is atomic, so both worker
     threads may log at once."""
-    calls = {"_phase_table": [], "_band_kernel": []}
+    calls = {"_phase_vector": [], "_band_kernel": []}
 
     def spy(name):
         inner = getattr(Propagator, name)
@@ -609,14 +643,14 @@ def spy_leg_tables():
 
         return mock.patch.object(Propagator, name, logged)
 
-    return calls, spy("_phase_table"), spy("_band_kernel")
+    return calls, spy("_phase_vector"), spy("_band_kernel")
 
 
 @pytest.mark.parametrize("workload", ["pvm_packet", "pointer_n1024"])
 def test_each_block_engine_builds_one_leg_table(workload):
     """Every leg of the shipped PVM run and of the pointer_n1024 benchmark
     workload starts on the measurement grid, so each block engine builds
-    one phase table over the whole run, and the PVM, which narrows, one
+    one phase vector over the whole run, and the PVM, which narrows, one
     band kernel K from it."""
     if workload == "pvm_packet":
         scenario = load_scenario(SCENARIOS / "pvm_packet.ini")
@@ -631,7 +665,7 @@ def test_each_block_engine_builds_one_leg_table(workload):
     calls, tables, kernels = spy_leg_tables()
     with tables, kernels:
         run_schedule(scenario)
-    blocks = calls["_phase_table"]
+    blocks = calls["_phase_vector"]
     assert sorted(row for rows in blocks for row in rows) == list(range(half))
     if workload == "pvm_packet":
         assert blocks == calls["_band_kernel"] == [range(half)]
@@ -645,9 +679,9 @@ def test_each_block_engine_builds_one_leg_table(workload):
     ids=["unmeasured", "pointer", "pvm6_narrowed"],
 )
 def test_leg_table_is_rebuilt_only_when_the_leg_length_changes(measurement, kernels):
-    """Legs a, a, b, b, a build three phase tables; a narrowed engine turns
-    the first into its K at its first measurement and builds a K with each
-    later one."""
+    """Legs a, a, b, b, a build three phase vectors; a narrowed engine
+    builds its first K from the first at its first measurement and a K with
+    each later one."""
     engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), 256), measurement)
     calls, tables, kernel_spy = spy_leg_tables()
     with tables, kernel_spy:
@@ -655,7 +689,7 @@ def test_leg_table_is_rebuilt_only_when_the_leg_length_changes(measurement, kern
             engine.advance(t)
             if measurement is not None:
                 engine.measure()
-    assert len(calls["_phase_table"]) == 3
+    assert len(calls["_phase_vector"]) == 3
     assert len(calls["_band_kernel"]) == kernels
 
 
