@@ -4,9 +4,10 @@ Times a free leg of the length the engine applied last (free_leg) and of a
 length it has not applied yet (new_leg, which builds the leg's phases), a
 pointer step, a 6-region and a 16-region PVM step, a LINEAR-kernel step (a
 step is one leg and one measurement) and a snapshot through Propagator at
-N = 256, 512 and 1024, and prints the medians as JSON. Steps are timed
-after the engine's first measurement, which narrows a PVM engine to its
-band:
+N = 256, 512 and 1024, and prints the medians as JSON. Each measured engine
+reads a ChannelPlan of its measurement, built once, as a run builds it, and
+not timed. Steps are timed after the engine's first measurement, which
+narrows a PVM engine to its band:
 
     PYTHONPATH=src python scripts/step_cost.py
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from zenolattice import DistanceConvention, GaussianPacketSpec, PointerSpec
 from zenolattice import build_gaussian_packet, make_regions, pointer_kernel
-from zenolattice.propagator import Propagator, Snapshots
+from zenolattice.propagator import ChannelPlan, Propagator, Snapshots
 
 INTERVAL = 0.001  # one display unit of natural time
 REPEATS = 25
@@ -70,7 +71,7 @@ def costs(n):
         "snapshot": median_s(snapshot),
     }
     for name, measurement in measurements.items():
-        engine = Propagator(state, measurement)
+        engine = Propagator(state, ChannelPlan(measurement))
         row[name] = median_s(lambda: (engine.advance(INTERVAL), engine.measure()))
     return row
 

@@ -144,7 +144,8 @@ class DampingKernel:
     _matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
+        # A copy: the caller's array stays writable, and this one is read-only.
+        values = np.array(self.values, dtype=float)
         if values.ndim != 1 or values.size < 2:
             raise ValueError("kernel values must be a vector with one entry per site")
         if values[0] != 1.0:
@@ -163,6 +164,7 @@ class DampingKernel:
             eigenvalues = np.linalg.eigvalsh(_linear_matrix(values))
             if eigenvalues[0] < -PSD_ATOL * max(1.0, eigenvalues[-1]):
                 raise KernelNotPositiveError("kernel Toeplitz matrix has negative eigenvalues")
+        values.flags.writeable = False
         self.values = values
 
     @property

@@ -78,18 +78,19 @@ Free legs, channels without cut columns and snapshots all act on each row
 delta alone, so a Propagator may hold any range of rows, built from the
 state's momentum amplitudes phi with G[delta, k] = conj phi[k - delta] phi[k] / N,
 and a leg's phases on those rows are u[k - delta] conj u[k]: both are read
-off strided views of phi and u doubled, with no index table. A block of a
-per-site PVM or a compact kernel narrows on its own. run_blocks splits the
-rows of such a run into blocks of about BLOCK_ENTRIES entries, small
-enough that a block's G stays in a core's L2 cache, and takes each block
-through the whole schedule on its own: the calling thread and at most one more take
-blocks in turn, with no synchronisation between steps. numpy's FFTs and
-ufuncs release the GIL, so the two threads step at once. A snapshot writes
-its rows' partials, the row sums s[delta], the squared norms of the rows
-and the real part of row 0 with its largest imaginary part, into a
-Snapshots object indexed by row, which allocates a snapshot's partials
-when the first block records it; the observables are read off the
-combined partials in a fixed order, so no result depends on
+off strided views of phi and u doubled, with no index table. run_blocks
+compiles the run's measurement once, into a ChannelPlan that every block's
+engine reads; a block of a per-site PVM or a compact kernel narrows on its
+own. It splits the rows of such a run into blocks of about BLOCK_ENTRIES
+entries, small enough that a block's G stays in a core's L2 cache, and
+takes each block through the whole schedule on its own: the calling thread
+and at most one more take blocks in turn, with no synchronisation between
+steps. numpy's FFTs and ufuncs release the GIL, so the two threads step at
+once. A snapshot writes its rows' partials, the row sums s[delta], the
+squared norms of the rows and the real part of row 0 with its largest
+imaginary part, into a Snapshots object indexed by row, which allocates a
+snapshot's partials when the first block records it; the observables are
+read off the combined partials in a fixed order, so no result depends on
 which thread stepped which block. A channel that cuts a column (a PVM of
 two regions or more, most LINEAR kernels) couples rows through its
 transform along delta, so such a run takes one block of all rows on the
@@ -110,39 +111,108 @@ import numpy as np
 from .channels import DampingKernel, DistanceConvention, RegionPartition
 from .lattice import Basis, StateVector, _require_basis, dispersion_table
 
-__all__ = ["Propagator", "Snapshots", "run_blocks"]
+__all__ = ["ChannelPlan", "Propagator", "Snapshots", "run_blocks"]
 
 # Entries of G per row block: 2**15 complex128 values are 512 KiB, well
 # inside the reference machine's 4 MiB L2 per core.
 BLOCK_ENTRIES = 2**15
 
 
+class ChannelPlan:
+    """One run's measurement compiled into the mask on H[delta, d] that
+    every block's engine applies; nothing writes to it afterwards.
+
+    band is L of the module docstring, at most N/2 + 1, window is its
+    c < L, and couples is c > 0. width is W when W < N, so that the first
+    measurement narrows to it, and N otherwise. cut[n, d - 1] is the (N, c) mask down columns
+    d = 1..c: the entries a PVM drops, to zero them without a cast, or a
+    LINEAR kernel's multiplier. scale[d] is the value of column d outside
+    the window, constant there, and 1 inside it, at width columns with -d
+    at width - d; None for a PVM, whose other columns below L are all 1. A
+    minimal-image kernel that keeps N columns has its values as scale; one
+    built here is complex, which numpy would otherwise cast on every step.
+    twiddle is conj exp(-2 pi i delta d / N) at [N/2 - delta, d - 1], for
+    buffer row N - delta: delta = N/2..1 down the rows, d = 1..c.
+    """
+
+    def __init__(self, measurement: DampingKernel | RegionPartition) -> None:
+        n = self.n = measurement.n_sites
+        sites = np.arange(n)
+        separation = np.minimum(sites, n - sites)
+        scale = None
+        if isinstance(measurement, DampingKernel):
+            values = measurement.values
+            if measurement.distance_convention is DistanceConvention.MINIMAL_IMAGE:
+                scale, c, cut = values, 0, np.empty((n, 0))
+            else:
+                # LINEAR: column d is values[d] where n + d < N and values[N - d]
+                # past the wrap; a column inside the window whose two values
+                # agree is masked by that value.
+                mirrored = values[-sites]
+                c = int(separation[values != mirrored].max(initial=0))
+                window = sites[1 : c + 1]
+                cut = np.where(sites[:, None] < n - window, values[window], mirrored[window])
+                inside = (separation > 0) & (separation <= c)
+                scale = np.where(inside, 1.0, values).astype(complex)
+            band = 1 + max(c, int(separation[scale != 0].max()))
+        elif measurement.n_regions == 1:
+            band, c, cut = n // 2 + 1, 0, np.empty((n, 0))
+        else:
+            # Regions are contiguous and do not wrap, so some pair at separation d
+            # shares a region iff min(d, N - d) is below the largest region's size;
+            # with two regions or more, some pair at every d > 0 does not.
+            largest = max(np.diff(measurement.boundaries + (n,)))
+            c = int(min(largest - 1, n // 2))
+            region = measurement.region_of
+            cut = region[(sites[:, None] + sites[1 : c + 1]) % n] != region[:, None]
+            band = c + 1
+        self.band, self.window, self.couples = band, c, c > 0
+        self.width = min(_smooth_width(4 * band - 3), n)
+        # No cut column and a scale of 1 everywhere: the channel is the identity.
+        ones = scale is None or bool(np.all(scale == 1.0))
+        self.identity = not c and 2 * band > n and ones
+        if scale is not None and self.width < n:
+            # A narrowing engine applies the scale only after it narrows.
+            scale = _band_columns(scale, band, self.width)
+        turns = np.outer(sites[n // 2 : 0 : -1], sites[1 : c + 1]) % n
+        self.twiddle = np.exp(-2j * np.pi * turns / n).conj()
+        self.scale, self.cut = scale, cut
+        for table in (self.scale, self.cut, self.twiddle):
+            if table is not None:
+                table.flags.writeable = False
+
+
 class Propagator:
     """Exact free evolution and repeated measurement of one state, in place.
 
-    measurement is a damping kernel, a region partition, or None for a run
-    that is never measured. The engine keeps the phase vector exp(i t E),
-    doubled, of the last leg length t it applied, or once narrowed that
-    length's band kernel, so a run of equal legs builds it once; a leg of
-    another length builds its own in its place. Besides G, an engine that
-    has not narrowed holds no array of N columns per row. rows is the
-    range of rows delta the engine holds, all of 0..N/2 by default; a
-    measurement that cuts a column needs all of them.
-    The state must be a position-basis vector on a power-of-two ring.
+    plan is the run's compiled measurement, shared with every other block
+    of the run, or None for a run that is never measured. The engine keeps
+    the phase vector exp(i t E), doubled, of the last leg length t it
+    applied, or once narrowed that length's band kernel, so a run of equal
+    legs builds it once; a leg of another length builds its own in its
+    place. Besides G and the plan, an engine that has not narrowed holds no
+    array of N columns per row. rows is the range of rows delta the engine
+    holds, all of 0..N/2 by default; a plan that couples rows needs all of
+    them. The state must be a position-basis vector on a power-of-two ring.
     """
 
     def __init__(
         self,
         state: StateVector,
-        measurement: DampingKernel | RegionPartition | None = None,
+        plan: ChannelPlan | None = None,
         rows: range | None = None,
     ) -> None:
         _require_basis(state, Basis.POSITION, "Propagator")
         n = state.n_sites
-        if measurement is not None and measurement.n_sites != n:
+        if plan is not None and plan.n != n:
             raise ValueError("measurement size does not match the state")
         half = n // 2 + 1
         rows = range(half) if rows is None else rows
+        if plan is not None and plan.couples:
+            if rows != range(half):
+                raise ValueError("this measurement couples rows; hold all rows 0..N/2")
+            self._buffer = np.empty((n, plan.window), dtype=complex)
+        self._plan = plan
         self._rows = rows
         self._n = n
         # Row 0's phase is exactly 1 on every leg, so a narrowed leg skips it.
@@ -156,31 +226,10 @@ class Propagator:
         # N is a power of two, so phi / n is exact and row 0 is |phi|^2 / N.
         self._g = np.multiply(_lagged(np.tile(phi.conj(), 2), rows), phi / n)
 
-        self._band = None  # no measurement
         self._pending = 0.0
         # exp(i t E) doubled for a leg of length _table_t, or once narrowed its K
         self._table = None
         self._table_t = None
-        if measurement is not None:
-            self._scale, band, window, cut = _sort_columns(measurement, n)
-            self._band = band
-            self._window = window
-            # No cut column and a scale of 1 everywhere: the channel is the identity.
-            ones = self._scale is None or bool(np.all(self._scale == 1.0))
-            self._identity = not window and 2 * band > n and ones
-            self._width = _smooth_width(4 * band - 3)  # the first measurement narrows to W < N
-            if window:
-                if rows != range(half):
-                    raise ValueError("this measurement couples rows; hold all rows 0..N/2")
-                # A PVM keeps or drops each entry: keep the ones it drops, to
-                # zero them without a cast. A LINEAR kernel's mask multiplies.
-                self._cut = ~cut if cut.dtype == bool else cut
-                self._buffer = np.empty(cut.shape, dtype=complex)
-                # conj exp(-2 pi i delta d / N) at [N/2 - delta, d - 1], for
-                # buffer row N - delta: delta = N/2..1 down the rows, d = 1..c.
-                sites = np.arange(n)
-                turns = np.outer(sites[half - 1 : 0 : -1], sites[1 : window + 1]) % n
-                self._twiddle = np.exp(-2j * np.pi * turns / n).conj()
 
     @property
     def _narrowed(self) -> bool:
@@ -208,11 +257,7 @@ class Propagator:
         phases = self._free_leg(np.ones((len(self._rows), self._n), dtype=complex), turns)
         moving = phases[self._moving :]
         np.fft.ifft(moving, axis=1, out=moving)
-        width, n = self._g.shape[1], self._n
-        reach = 2 * self._band - 1
-        kernel = np.zeros((moving.shape[0], width), dtype=complex)
-        kernel[:, :reach] = moving[:, :reach]
-        kernel[:, width - reach + 1 :] = moving[:, n - reach + 1 :]
+        kernel = _band_columns(moving, 2 * self._plan.band - 1, self._plan.width)
         return np.fft.fft(kernel, axis=1, out=kernel)
 
     def _leg_table(self, t: float) -> np.ndarray:
@@ -236,15 +281,15 @@ class Propagator:
 
     def measure(self) -> None:
         """Apply the measurement channel once."""
-        if self._band is None:
+        if self._plan is None:
             raise ValueError("this run has no measurement")
-        if self._identity:
+        if self._plan.identity:
             return
         if self._narrowed:
             self._leg()
         else:
             np.fft.ifft(self._g, axis=1, out=self._g)
-            if self._width < self._n:
+            if self._plan.width < self._n:
                 self._narrow()
         self._mask(self._g)
         if not self._narrowed:
@@ -254,18 +299,9 @@ class Propagator:
         """Keep only the band columns of H from now on, in a (rows, W)
         array, free G, and then build the band kernel of the last leg's
         length in place of its phase vector."""
-        h, band, width = self._g, self._band, self._width
-        self._g = np.zeros((h.shape[0], width), dtype=complex)
-        self._g[:, :band] = h[:, :band]
-        self._g[:, width - band + 1 :] = h[:, self._n - band + 1 :]
-        del h
+        self._g = _band_columns(self._g, self._plan.band, self._plan.width)
         if self._table is not None:
             self._table = self._band_kernel(self._table)  # from the kept u
-        if self._scale is not None:
-            scale = np.zeros(width, dtype=complex)
-            scale[:band] = self._scale[:band]
-            scale[width - band + 1 :] = self._scale[self._n - band + 1 :]
-            self._scale = scale
 
     def _leg(self) -> None:
         """The pending free leg of a narrowed engine: an exact cyclic product
@@ -283,13 +319,13 @@ class Propagator:
     def _mask(self, g: np.ndarray) -> None:
         """The channel on H[delta, d], N columns or a narrowed band's W."""
         half, width = g.shape
-        band = self._band
-        g[:, band : width - band + 1] = 0.0  # the columns it zeroes at every n
-        if self._scale is not None:
-            np.multiply(g, self._scale, out=g)  # 1 inside the window
-        c = self._window
+        plan = self._plan
+        g[:, plan.band : width - plan.band + 1] = 0.0  # the columns it zeroes at every n
+        if plan.scale is not None:
+            np.multiply(g, plan.scale, out=g)  # 1 inside the window
+        c = plan.window
         if c:
-            buffer, twiddle = self._buffer, self._twiddle
+            buffer, twiddle = self._buffer, plan.twiddle
             # Column j of buffer is d = j + 1 and column j of mirror is N - d,
             # held at width - d. Buffer rows N/2..N - 1 are rows N - delta for
             # delta = N/2..1, the rows of twiddle; w conj(x) = conj(x conj(w))
@@ -301,10 +337,10 @@ class Propagator:
             np.multiply(upper, twiddle[1:], out=upper)
             np.conjugate(upper, out=upper)
             np.fft.ifft(buffer, axis=0, out=buffer)
-            if self._cut.dtype == bool:
-                np.copyto(buffer, 0.0, where=self._cut)
+            if plan.cut.dtype == bool:
+                np.copyto(buffer, 0.0, where=plan.cut)
             else:
-                np.multiply(buffer, self._cut, out=buffer)
+                np.multiply(buffer, plan.cut, out=buffer)
             np.fft.fft(buffer, axis=0, out=buffer)
             g[:, 1 : c + 1] = buffer[:half]
             # Rows delta = 0..N/2 of column N - d from rows (N - delta) mod N
@@ -319,11 +355,7 @@ class Propagator:
     def _widen(self) -> np.ndarray:
         """G now, rebuilt from a narrowed engine's band: fft_N of the band
         in N columns, times the pending leg's phases."""
-        h, band, n = self._g, self._band, self._n
-        g = np.empty((h.shape[0], n), dtype=complex)
-        g[:, :band] = h[:, :band]
-        g[:, band : n - band + 1] = 0.0
-        g[:, n - band + 1 :] = h[:, h.shape[1] - band + 1 :]
+        g = _band_columns(self._g, self._plan.band, self._n)
         np.fft.fft(g, axis=1, out=g)
         if self._pending:
             self._free_leg(g, self._phase_vector(self._pending))
@@ -408,7 +440,7 @@ def run_blocks(
     ops: list[tuple],
 ) -> None:
     """Take every block of rows through ops, each block on a Propagator of
-    its own.
+    its own; all of them read the one ChannelPlan built here.
 
     ops is a list of (method, *args), with method Propagator.advance,
     Propagator.measure or Propagator.record; a block runs them in order.
@@ -418,15 +450,15 @@ def run_blocks(
     """
     n = state.n_sites
     half = n // 2 + 1
-    couples = measurement is not None and _sort_columns(measurement, n)[2] > 0
-    count = 1 if couples else -(-half * n // BLOCK_ENTRIES)
+    plan = None if measurement is None else ChannelPlan(measurement)
+    count = 1 if plan is not None and plan.couples else -(-half * n // BLOCK_ENTRIES)
     bounds = [half * i // count for i in range(count + 1)]
     blocks = iter([range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
     lock = threading.Lock()
 
     def run_block(rows: range) -> None:
         # The engine goes on return, before the next block's is built.
-        engine = Propagator(state, measurement, rows)
+        engine = Propagator(state, plan, rows)
         for method, *args in ops:
             method(engine, *args)
 
@@ -470,6 +502,15 @@ def _lagged(doubled: np.ndarray, rows: range) -> np.ndarray:
     return np.ndarray((len(rows), n), doubled.dtype, doubled, offset, (-step, step))
 
 
+def _band_columns(a: np.ndarray, keep: int, width: int) -> np.ndarray:
+    """The columns d = 0..keep - 1 of a and their mirrors -d, held at the
+    end, in a new complex array of width columns that is 0 elsewhere."""
+    out = np.zeros((*a.shape[:-1], width), dtype=complex)
+    out[..., :keep] = a[..., :keep]
+    out[..., width - keep + 1 :] = a[..., a.shape[-1] - keep + 1 :]
+    return out
+
+
 def _smooth_width(m: int) -> int:
     """The smallest integer >= m with no prime factor above 7, a length
     numpy's FFT transforms fast."""
@@ -481,47 +522,3 @@ def _smooth_width(m: int) -> int:
         if rest == 1:
             return m
         m += 1
-
-
-def _sort_columns(
-    measurement: DampingKernel | RegionPartition, n: int
-) -> tuple[np.ndarray | None, int, int, np.ndarray]:
-    """Sort the columns d of the measurement's mask on rho((n + d) mod N, n).
-
-    Returns (scale, L, c, cut). Every column with min(d, N - d) >= L is 0
-    at every n, and L <= N/2 + 1. Every cut column lies in the window of
-    the columns d = 1..c and their mirrors N - d, with c < L. cut[n, d - 1]
-    is the mask down column d = 1..c, an (N, c) array, bool for a PVM.
-    scale[d] is the value of column d outside the window, which is constant
-    there, and 1 inside it; it is None for a PVM, whose other columns below
-    L are all 1. A minimal-image kernel's scale is its values, shared by
-    every block; one built here is complex, which numpy would otherwise
-    cast on every step.
-    """
-    sites = np.arange(n)
-    separation = np.minimum(sites, n - sites)
-    if isinstance(measurement, DampingKernel):
-        values = measurement.values
-        if measurement.distance_convention is DistanceConvention.MINIMAL_IMAGE:
-            scale, c, cut = values, 0, np.empty((n, 0))
-        else:
-            # LINEAR: column d is values[d] where n + d < N and values[N - d]
-            # past the wrap; a column inside the window whose two values
-            # agree is masked by that value.
-            mirrored = values[-sites]
-            c = int(separation[values != mirrored].max(initial=0))
-            window = sites[1 : c + 1]
-            cut = np.where(sites[:, None] < n - window, values[window], mirrored[window])
-            inside = (separation > 0) & (separation <= c)
-            scale = np.where(inside, 1.0, values).astype(complex)
-        return scale, 1 + max(c, int(separation[scale != 0].max())), c, cut
-    if measurement.n_regions == 1:
-        return None, n // 2 + 1, 0, np.empty((n, 0))
-    # Regions are contiguous and do not wrap, so some pair at separation d
-    # shares a region iff min(d, N - d) is below the largest region's size;
-    # with two regions or more, some pair at every d > 0 does not.
-    largest = max(np.diff(measurement.boundaries + (n,)))
-    c = int(min(largest - 1, n // 2))
-    region = measurement.region_of
-    cut = region[(sites[:, None] + sites[1 : c + 1]) % n] == region[:, None]
-    return None, c + 1, c, cut

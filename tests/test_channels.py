@@ -169,6 +169,18 @@ class TestDampingKernel:
         with pytest.raises(KernelNotPositiveError):
             DampingKernel(np.array([1.0, 0.9, 0.1, 0.9]))
 
+    def test_values_are_a_read_only_copy(self):
+        """The PSD and [0, 1] checks hold for the kernel's life: its values
+        cannot be written after them, and the caller's array stays writable."""
+        with pytest.raises(ValueError, match="read-only"):
+            pointer_kernel(PointerSpec(0.2), 256).values[1] = 5.0
+        given = np.array([1.0, 0.5, 0.25, 0.5])
+        kernel = DampingKernel(given)
+        given[1] = 0.75
+        assert kernel.values[1] == 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            kernel.values[1] = 0.75
+
     def test_linear_convention_toeplitz(self):
         kernel = DampingKernel(
             np.array([1.0, 0.5, 0.25, 0.125]), DistanceConvention.LINEAR

@@ -55,7 +55,7 @@ from zenolattice import (
     with_regions,
 )
 from zenolattice import harness
-from zenolattice.propagator import Propagator, Snapshots, run_blocks
+from zenolattice.propagator import ChannelPlan, Propagator, Snapshots, run_blocks
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -231,6 +231,22 @@ def snapshot(engine, n):
     return snapshots
 
 
+def plan_of(measurement):
+    """The run's channel plan, as run_blocks builds it; None for a run that
+    is never measured."""
+    return None if measurement is None else ChannelPlan(measurement)
+
+
+def engine_arrays(engine):
+    """Every array an engine holds: its own by attribute name and its
+    plan's as plan.<name>, so that no array hides in the shared plan."""
+    arrays = {name: v for name, v in vars(engine).items() if isinstance(v, np.ndarray)}
+    if engine._plan is not None:
+        plan = vars(engine._plan).items()
+        arrays.update({f"plan.{name}": v for name, v in plan if isinstance(v, np.ndarray)})
+    return arrays
+
+
 def region_mask(partition):
     """mask[n, d] = [sites (n + d) mod N and n share a region], built whole."""
     n = partition.n_sites
@@ -251,11 +267,11 @@ class TestPropagator:
             (pointer_kernel(PointerSpec(0.2, DistanceConvention.LINEAR), n), n),
             (pointer_kernel(PointerSpec(1.0, DistanceConvention.LINEAR), n), n),
         ):
-            engine = Propagator(state, operator)
+            engine = Propagator(state, ChannelPlan(operator))
             engine.advance(0.002)
             engine.measure()
             assert engine._g.shape == (n // 2 + 1, width)
-            arrays = [v for v in vars(engine).values() if isinstance(v, np.ndarray)]
+            arrays = engine_arrays(engine).values()
             assert max(a.size for a in arrays) == (n // 2 + 1) * width
 
     @pytest.mark.parametrize("m_regions, cut", [(1, 0), (6, 82), (7, 70), (100, 110), (256, 0)])
@@ -267,17 +283,16 @@ class TestPropagator:
         its band L on."""
         n = 256
         partition = make_regions(n, m_regions)
-        state = build_initial_state(GaussianPacketSpec(8, 8.0, 31), n)
-        engine = Propagator(state, partition)
+        plan = ChannelPlan(partition)
         mask = region_mask(partition)
         varies = mask.any(axis=0) & ~mask.all(axis=0)
-        c = engine._window
+        c = plan.window
         separation = np.minimum(np.arange(n), n - np.arange(n))
         window = (separation > 0) & (separation <= c)
         assert 2 * c == cut
         np.testing.assert_array_equal(window, varies)
-        assert engine._scale is None  # every constant column is 1 below the band, 0 from it on
-        np.testing.assert_array_equal(separation[~window] < engine._band, mask[0, ~window])
+        assert plan.scale is None  # every constant column is 1 below the band, 0 from it on
+        np.testing.assert_array_equal(separation[~window] < plan.band, mask[0, ~window])
 
     @pytest.mark.parametrize(
         "operator",
@@ -295,7 +310,7 @@ class TestPropagator:
         leaves the chord matrix where it is."""
         n, t = 256, 0.004
         state = build_initial_state(GaussianPacketSpec(8, 8.0, 31), n)
-        engine = Propagator(state, operator)
+        engine = Propagator(state, ChannelPlan(operator))
         engine.advance(t)
         engine.measure()
         rho = density_to_position(evolve_density(density_to_momentum(density_from_pure(state)), t))
@@ -318,7 +333,7 @@ class TestPropagator:
     def test_minimal_image_step_is_one_multiply_between_transforms(self):
         n, t = 256, 0.004
         kernel = pointer_kernel(PointerSpec(0.2), n)
-        engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), kernel)
+        engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), ChannelPlan(kernel))
         engine.advance(t)
         expected = np.fft.fft(np.fft.ifft(engine._g, axis=1) * kernel.values, axis=1)
         engine.measure()
@@ -329,7 +344,7 @@ class TestPropagator:
     )
     def test_identity_channel_leaves_the_state_alone(self, operator):
         """A channel that cuts no column and scales every one by 1 is skipped."""
-        engine = Propagator(build_initial_state(GaussianPacketSpec(8, 3.0, 5), 64), operator)
+        engine = Propagator(build_initial_state(GaussianPacketSpec(8, 3.0, 5), 64), ChannelPlan(operator))
         engine.advance(0.001)
         before = engine._g.copy()
         engine.measure()
@@ -385,7 +400,7 @@ def assert_window_steps_match_oracle(state, measurement, legs):
     """Legs of the given lengths, each followed by one measurement, through a
     Propagator and through the dense position-basis functions."""
     n = state.n_sites
-    engine = Propagator(state, measurement)
+    engine = Propagator(state, ChannelPlan(measurement))
     channel = pvm_channel if isinstance(measurement, RegionPartition) else kernel_channel
     rho = density_from_pure(state)
     for t in legs:
@@ -441,7 +456,7 @@ def test_window_edges_match_dense_oracle(measurement, window):
     """A region of 40 of 64 sites puts column N/2 in the window; the LINEAR
     kernel has constant column 16 inside its window of c = 31."""
     state = build_initial_state(GaussianPacketSpec(20, 5.0, 7), 64)
-    assert Propagator(state, measurement)._window == window
+    assert ChannelPlan(measurement).window == window
     if isinstance(measurement, DampingKernel):
         values = measurement.values
         assert values[16] == values[64 - 16]
@@ -526,7 +541,7 @@ def test_narrowed_steps_match_dense_oracle(case):
     band."""
     state, measurement, steps = case
     n = state.n_sites
-    engine = Propagator(state, measurement)
+    engine = Propagator(state, ChannelPlan(measurement))
     channel = pvm_channel if isinstance(measurement, RegionPartition) else kernel_channel
     rho = density_from_pure(state)
 
@@ -575,7 +590,7 @@ def test_width_after_the_first_measurement(measurement, width):
     7-smooth width >= 4L - 3, when W < N; pointers at the shipped alphas
     and 1-region PVMs keep all N."""
     n = measurement.n_sites
-    engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), measurement)
+    engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), ChannelPlan(measurement))
     engine.advance(0.001)
     engine.measure()
     assert engine._g.shape[1] == width == expected_width(measurement)
@@ -587,7 +602,8 @@ def test_narrowed_engine_holds_nothing_wider_than_w():
     than W columns, through legs of other lengths and records on and off
     the grid, which take their N columns for the one call."""
     n, t, width = 256, 0.001, 168
-    engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), make_regions(n, 6))
+    state = build_initial_state(GaussianPacketSpec(8, 8.0, 31), n)
+    engine = Propagator(state, ChannelPlan(make_regions(n, 6)))
     engine.advance(0.4 * t)
     engine.advance(0.6 * t)
     assert engine._table.shape == (2 * n,)
@@ -597,7 +613,7 @@ def test_narrowed_engine_holds_nothing_wider_than_w():
         engine.record(Snapshots(1, n), 0)
         engine.advance((1 - record_at) * leg)
         engine.measure()
-        widths = {name: v.shape[-1] for name, v in vars(engine).items() if isinstance(v, np.ndarray)}
+        widths = {name: v.shape[-1] for name, v in engine_arrays(engine).items()}
         assert max(widths.values()) == widths["_g"] == widths["_table"] == width
 
 
@@ -616,15 +632,15 @@ def test_engine_keeps_one_phase_vector_beside_g(measurement):
     array of more than 2N entries besides G and, for a LINEAR kernel, the
     c-column arrays of its window step."""
     n = 256
-    engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), measurement)
+    engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), plan_of(measurement))
     for t in (0.001, 0.0015):
         engine.advance(t)
         if measurement is not None:
             engine.measure()
     assert engine._g.shape == (n // 2 + 1, n)
-    window = {"_buffer", "_cut", "_twiddle"}
-    arrays = {name: v for name, v in vars(engine).items() if isinstance(v, np.ndarray)}
-    assert all(arrays[name].shape[-1] == engine._window for name in window & set(arrays))
+    window = {"_buffer", "plan.cut", "plan.twiddle"}
+    arrays = engine_arrays(engine)
+    assert all(arrays[name].shape[-1] == engine._plan.window for name in window & set(arrays))
     assert max(v.size for name, v in arrays.items() if name not in {"_g", *window}) <= 2 * n
 
 
@@ -673,6 +689,33 @@ def test_each_block_engine_builds_one_leg_table(workload):
         assert len(blocks) == 17 and calls["_band_kernel"] == []
 
 
+@pytest.mark.parametrize("workload", ["pvm_packet", "pointer_n1024"])
+def test_a_run_builds_its_channel_plan_once(workload):
+    """run_blocks compiles the measurement into one read-only plan, read by
+    every block engine: one build for pvm_packet's single block and one for
+    the 17 blocks of the pointer_n1024 benchmark workload."""
+    if workload == "pvm_packet":
+        scenario = load_scenario(SCENARIOS / "pvm_packet.ini")
+    else:
+        scenario = Scenario(
+            lattice=LatticeConfig(1024),
+            state=GaussianPacketSpec(512, 32.0, 0),
+            measurement=PointerSpec(0.05),
+            schedule=Schedule(10.0, 400.0, (0.0, 200.0, 400.0)),
+        )
+    builds, compile_plan = [], ChannelPlan.__init__
+
+    def logged(self, measurement):
+        compile_plan(self, measurement)
+        builds.append(self)
+
+    with mock.patch.object(ChannelPlan, "__init__", logged):
+        run_schedule(scenario)
+    assert len(builds) == 1
+    tables = [v for v in vars(builds[0]).values() if isinstance(v, np.ndarray)]
+    assert tables and not any(table.flags.writeable for table in tables)
+
+
 @pytest.mark.parametrize(
     "measurement, kernels",
     [(None, 0), (pointer_kernel(PointerSpec(0.2), 256), 0), (make_regions(256, 6), 3)],
@@ -682,7 +725,7 @@ def test_leg_table_is_rebuilt_only_when_the_leg_length_changes(measurement, kern
     """Legs a, a, b, b, a build three phase vectors; a narrowed engine
     builds its first K from the first at its first measurement and a K with
     each later one."""
-    engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), 256), measurement)
+    engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), 256), plan_of(measurement))
     calls, tables, kernel_spy = spy_leg_tables()
     with tables, kernel_spy:
         for t in (0.001, 0.001, 0.0015, 0.0015, 0.001):
@@ -700,7 +743,7 @@ def test_measurement_allocates_nothing_before_or_after_narrowing():
     n, t = 256, 0.001
     state = build_initial_state(GaussianPacketSpec(8, 8.0, 31), n)
     for m_regions, width in ((2, n), (6, 168)):
-        engine = Propagator(state, make_regions(n, m_regions))
+        engine = Propagator(state, ChannelPlan(make_regions(n, m_regions)))
         engine.advance(t)
         engine.measure()  # warm-up: FFT plans, and narrowing
         engine.advance(t)
@@ -712,6 +755,34 @@ def test_measurement_allocates_nothing_before_or_after_narrowing():
             tracemalloc.stop()
         assert engine._g.shape[1] == width
         assert peak < 8 * 1024
+
+
+@pytest.mark.parametrize(
+    "measurement",
+    [make_regions(256, 6), pointer_kernel(PointerSpec(0.2), 256)],
+    ids=["pvm6", "pointer0.2"],
+)
+def test_engine_conserves_trace_and_never_gains_purity_over_thousand_steps(measurement):
+    """The engine's twin of A2, with A3's purity criterion: pvm_packet's
+    state, 1,000 legs of its interval through one Propagator, each followed
+    by a measurement. The trace drifts by at most 1e-10, and no measurement
+    raises the purity."""
+    scenario = load_scenario(SCENARIOS / "pvm_packet.ini")
+    n = scenario.lattice.n_sites
+    engine = Propagator(build_initial_state(scenario.state, n), ChannelPlan(measurement))
+    dt = scenario.lattice.to_natural_time(1.0)
+    snapshots = Snapshots(2, n)  # just before and just after a measurement
+    worst_trace, gains = 0.0, 0
+    for _ in range(1000):
+        engine.advance(dt)
+        engine.record(snapshots, 0)
+        engine.measure()
+        engine.record(snapshots, 1)
+        gains += snapshots.purity(1) > snapshots.purity(0)
+        for dist in (snapshots.position_distribution(1), snapshots.momentum_distribution(1)):
+            worst_trace = max(worst_trace, abs(float(dist.sum()) - 1.0))
+    assert worst_trace <= 1e-10
+    assert gains == 0
 
 
 def test_snapshots_are_allocated_when_first_recorded():
@@ -916,7 +987,7 @@ def test_row_blocks_match_one_block_of_all_rows(scenario):
     assert threading.active_count() == threads  # the worker is joined
 
     state, operator, ops = calls[0]
-    engine = Propagator(state, operator)
+    engine = Propagator(state, plan_of(operator))
     whole = Snapshots(len(records), scenario.lattice.n_sites)
     for method, *args in ops:
         if method is Propagator.record:
