@@ -97,6 +97,29 @@ transform along delta, so such a run takes one block of all rows on the
 calling thread, as does a run too small for two blocks; neither starts a
 thread.
 
+Row cut. In a run whose plan does not couple rows (unmeasured, a
+minimal-image kernel, an identity or per-site PVM, narrowed or not) no
+step moves weight from one row to another. A free leg multiplies row
+delta by unit-modulus phases; a channel step convolves it along k with
+w = DFT(v) / N, for v[d] the plan's multiplier on column d. So a row's
+l1 norm grows by at most rho = sum |w| per measurement, and rho is 1 for
+a PVM and for a PSD kernel, whose w >= 0 sums to values[0] = 1. The rows
+start at ||G[delta]||_1 = (1/N) sum_k |phi(k)| |phi(k - delta)|, which
+row_cut correlates directly, in O(N) memory: an FFT's round-off floor
+would swamp these sums of 1e-15 and below. p(n) is the inverse FFT of the
+row sums, and |s[delta]| <= ||G[delta]||_1, so dropping rows moves no
+entry of p(n) by more than
+C = (1/N) sum over the dropped rows of ||G[delta]||_1 rho^m,
+with m the run's measurements and each row but N/2 counted with its
+mirror. run_blocks steps only the rows 0..K - 1, for the smallest K with
+C <= 2**-52, and splits those into its blocks; the other rows of every
+snapshot stay 0. Row 0 is always kept, so p(k) and its moments are
+exact. The purity loses at most the dropped rows' squared norms, at most
+(N C)^2, below half an ulp of a purity >= 1/N for N up to 2**16. A plan
+that couples rows keeps all N/2 + 1, and so does a state whose rows are
+all above the cut: a position eigenstate, whose rows all have l1 norm 1.
+Propagator itself holds all rows by default.
+
 The position-basis functions in lattice and channels compute the same
 steps one at a time; the tests use them as this engine's reference.
 """
@@ -111,7 +134,7 @@ import numpy as np
 from .channels import DampingKernel, DistanceConvention, RegionPartition
 from .lattice import Basis, StateVector, _require_basis, dispersion_table
 
-__all__ = ["ChannelPlan", "Propagator", "Snapshots", "run_blocks"]
+__all__ = ["ChannelPlan", "Propagator", "Snapshots", "row_cut", "run_blocks"]
 
 # Entries of G per row block: 2**15 complex128 values are 512 KiB, well
 # inside the reference machine's 4 MiB L2 per core.
@@ -133,15 +156,19 @@ class ChannelPlan:
     built here is complex, which numpy would otherwise cast on every step.
     twiddle is conj exp(-2 pi i delta d / N) at [N/2 - delta, d - 1], for
     buffer row N - delta: delta = N/2..1 down the rows, d = 1..c.
+    growth is rho = sum |w| of the module docstring, for w = DFT(values) / N
+    of a kernel, 1 for a PVM; it bounds a row's l1 growth per measurement
+    only in a plan that does not couple rows.
     """
 
     def __init__(self, measurement: DampingKernel | RegionPartition) -> None:
         n = self.n = measurement.n_sites
         sites = np.arange(n)
         separation = np.minimum(sites, n - sites)
-        scale = None
+        scale, growth = None, 1.0
         if isinstance(measurement, DampingKernel):
             values = measurement.values
+            growth = float(np.abs(np.fft.fft(values)).sum()) / n
             if measurement.distance_convention is DistanceConvention.MINIMAL_IMAGE:
                 scale, c, cut = values, 0, np.empty((n, 0))
             else:
@@ -166,7 +193,7 @@ class ChannelPlan:
             region = measurement.region_of
             cut = region[(sites[:, None] + sites[1 : c + 1]) % n] != region[:, None]
             band = c + 1
-        self.band, self.window, self.couples = band, c, c > 0
+        self.band, self.window, self.couples, self.growth = band, c, c > 0, growth
         self.width = min(_smooth_width(4 * band - 3), n)
         # No cut column and a scale of 1 everywhere: the channel is the identity.
         ones = scale is None or bool(np.all(scale == 1.0))
@@ -397,9 +424,10 @@ class Snapshots:
         with self._lock:  # both workers may reach snapshot j at once
             if self._partials[j] is None:
                 half = self._n // 2 + 1
+                # zeros: rows that no block holds, cut by row_cut, add nothing
                 self._partials[j] = (
-                    np.empty(half, dtype=complex),
-                    np.empty(half),
+                    np.zeros(half, dtype=complex),
+                    np.zeros(half),
                     np.empty(self._n),
                     np.empty(1),
                 )
@@ -439,8 +467,9 @@ def run_blocks(
     measurement: DampingKernel | RegionPartition | None,
     ops: list[tuple],
 ) -> None:
-    """Take every block of rows through ops, each block on a Propagator of
-    its own; all of them read the one ChannelPlan built here.
+    """Take every block of the rows that row_cut keeps through ops, each
+    block on a Propagator of its own; all of them read the one ChannelPlan
+    built here.
 
     ops is a list of (method, *args), with method Propagator.advance,
     Propagator.measure or Propagator.record; a block runs them in order.
@@ -449,10 +478,11 @@ def run_blocks(
     joined before this returns.
     """
     n = state.n_sites
-    half = n // 2 + 1
     plan = None if measurement is None else ChannelPlan(measurement)
-    count = 1 if plan is not None and plan.couples else -(-half * n // BLOCK_ENTRIES)
-    bounds = [half * i // count for i in range(count + 1)]
+    measurements = sum(op[0] is Propagator.measure for op in ops)
+    kept, _ = row_cut(state, plan, measurements)
+    count = 1 if plan is not None and plan.couples else -(-kept * n // BLOCK_ENTRIES)
+    bounds = [kept * i // count for i in range(count + 1)]
     blocks = iter([range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
     lock = threading.Lock()
 
@@ -491,6 +521,29 @@ def run_blocks(
         worker.join()
     if failures:
         raise failures[0]
+
+
+def row_cut(
+    state: StateVector, plan: ChannelPlan | None, measurements: int
+) -> tuple[int, float]:
+    """(K, C) of the module docstring: the rows 0..K - 1 that a run of
+    this many measurements steps, and the certificate C <= 2**-52 that
+    bounds how far dropping the others moves any entry of p(n). A plan
+    that couples rows keeps all N/2 + 1, with C = 0."""
+    n = state.n_sites
+    half = n // 2 + 1
+    if plan is not None and plan.couples:
+        return half, 0.0
+    magnitude = np.abs(np.fft.fft(state.amplitudes))
+    # ||G[delta]||_1 = (1/N) sum_k |phi(k)| |phi(k - delta)|, correlated
+    # directly: an FFT's round-off floor would swamp the smallest rows.
+    l1 = np.correlate(np.concatenate([magnitude, magnitude[: half - 1]]), magnitude) / n
+    l1[1 : n // 2] *= 2.0  # rows 1..N/2 - 1 stand for their mirrors too
+    growth = 1.0 if plan is None else plan.growth**measurements
+    # dropped[K] = C for a cut at K, summed from the smallest rows up
+    dropped = np.append(np.cumsum(l1[::-1])[::-1], 0.0) * growth / n
+    kept = 1 + int(np.argmax(dropped[1:] <= 2.0**-52))
+    return kept, float(dropped[kept])
 
 
 def _lagged(doubled: np.ndarray, rows: range) -> np.ndarray:

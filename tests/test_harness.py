@@ -29,6 +29,7 @@ from zenolattice import (
     Scenario,
     ScenarioError,
     Schedule,
+    StateVector,
     build_channel,
     build_gaussian_packet,
     build_initial_state,
@@ -55,7 +56,7 @@ from zenolattice import (
     with_regions,
 )
 from zenolattice import harness
-from zenolattice.propagator import ChannelPlan, Propagator, Snapshots, run_blocks
+from zenolattice.propagator import ChannelPlan, Propagator, Snapshots, row_cut, run_blocks
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -644,6 +645,19 @@ def test_engine_keeps_one_phase_vector_beside_g(measurement):
     assert max(v.size for name, v in arrays.items() if name not in {"_g", *window}) <= 2 * n
 
 
+def named_scenario(name):
+    """A shipped scenario, or the pointer_n1024 benchmark workload:
+    pointer_stationary doubled twice, run for 40 pointer applications."""
+    if name != "pointer_n1024":
+        return load_scenario(SCENARIOS / f"{name}.ini")
+    return Scenario(
+        lattice=LatticeConfig(1024),
+        state=GaussianPacketSpec(512, 32.0, 0),
+        measurement=PointerSpec(0.05),
+        schedule=Schedule(10.0, 400.0, (0.0, 200.0, 400.0)),
+    )
+
+
 def spy_leg_tables():
     """Patches Propagator._phase_vector and _band_kernel to log the rows of
     the engine behind each call; list.append is atomic, so both worker
@@ -667,42 +681,27 @@ def test_each_block_engine_builds_one_leg_table(workload):
     """Every leg of the shipped PVM run and of the pointer_n1024 benchmark
     workload starts on the measurement grid, so each block engine builds
     one phase vector over the whole run, and the PVM, which narrows, one
-    band kernel K from it."""
-    if workload == "pvm_packet":
-        scenario = load_scenario(SCENARIOS / "pvm_packet.ini")
-    else:
-        scenario = Scenario(
-            lattice=LatticeConfig(1024),
-            state=GaussianPacketSpec(512, 32.0, 0),
-            measurement=PointerSpec(0.05),
-            schedule=Schedule(10.0, 400.0, (0.0, 200.0, 400.0)),
-        )
-    half = scenario.lattice.n_sites // 2 + 1
+    band kernel K from it. The pointer run steps only the 80 rows its row
+    cut keeps, in 3 blocks."""
+    scenario = named_scenario(workload)
+    kept = 129 if workload == "pvm_packet" else 80
     calls, tables, kernels = spy_leg_tables()
     with tables, kernels:
         run_schedule(scenario)
     blocks = calls["_phase_vector"]
-    assert sorted(row for rows in blocks for row in rows) == list(range(half))
+    assert sorted(row for rows in blocks for row in rows) == list(range(kept))
     if workload == "pvm_packet":
-        assert blocks == calls["_band_kernel"] == [range(half)]
+        assert blocks == calls["_band_kernel"] == [range(kept)]
     else:
-        assert len(blocks) == 17 and calls["_band_kernel"] == []
+        assert len(blocks) == 3 and calls["_band_kernel"] == []
 
 
 @pytest.mark.parametrize("workload", ["pvm_packet", "pointer_n1024"])
 def test_a_run_builds_its_channel_plan_once(workload):
     """run_blocks compiles the measurement into one read-only plan, read by
     every block engine: one build for pvm_packet's single block and one for
-    the 17 blocks of the pointer_n1024 benchmark workload."""
-    if workload == "pvm_packet":
-        scenario = load_scenario(SCENARIOS / "pvm_packet.ini")
-    else:
-        scenario = Scenario(
-            lattice=LatticeConfig(1024),
-            state=GaussianPacketSpec(512, 32.0, 0),
-            measurement=PointerSpec(0.05),
-            schedule=Schedule(10.0, 400.0, (0.0, 200.0, 400.0)),
-        )
+    the 3 blocks of the pointer_n1024 benchmark workload."""
+    scenario = named_scenario(workload)
     builds, compile_plan = [], ChannelPlan.__init__
 
     def logged(self, measurement):
@@ -939,9 +938,10 @@ def test_run_schedule_matches_position_basis_reference(scenario):
 
 @st.composite
 def blocked_scenarios(draw, kinds):
-    """Runs that step in row blocks, at N = 256 and 1024: Gaussian pointers,
-    autocorrelations of a short random profile (both minimal-image) and
-    unmeasured runs."""
+    """Runs at N = 256 and 1024 of the kinds asked for: Gaussian pointers,
+    autocorrelations of a short random profile (both minimal-image),
+    per-site PVMs and unmeasured runs, which step in row blocks, and PVMs
+    of 2 to 16 regions, which couple rows."""
     n = draw(st.sampled_from([256, 1024]))
     state = GaussianPacketSpec(
         draw(st.integers(0, n - 1)),
@@ -954,6 +954,10 @@ def blocked_scenarios(draw, kinds):
     elif kind == "custom":
         profile = draw(st.lists(st.integers(0, 9), min_size=1, max_size=16).filter(any))
         measurement = CustomKernelSpec(autocorrelation_kernel(profile + [0] * (n - len(profile))))
+    elif kind == "sites":
+        measurement = RegionPvmSpec(n)
+    elif kind == "regions":
+        measurement = RegionPvmSpec(draw(st.integers(2, 16)))
     else:
         measurement = NoMeasurement()
     schedule = draw_schedule(draw, kind != "none", 6)
@@ -969,30 +973,51 @@ def assert_same_records(got, want):
         assert a.momentum_variance == b.momentum_variance
 
 
-@settings(max_examples=10, deadline=None)
-@given(blocked_scenarios(["pointer", "custom", "none"]))
-def test_row_blocks_match_one_block_of_all_rows(scenario):
-    """run_schedule steps row blocks on up to two threads; one Propagator of
-    all rows, stepped through the same operations, gives the same records,
-    and so does a run on one thread."""
+def captured_run(scenario):
+    """run_schedule's records, and the state, measurement and operations it
+    hands run_blocks."""
     calls = []
 
     def spy(*args):
         calls.append(args)
         run_blocks(*args)
 
-    threads = threading.active_count()
     with mock.patch.object(harness, "run_blocks", spy):
         records = run_schedule(scenario)
-    assert threading.active_count() == threads  # the worker is joined
+    return records, calls[0]
 
-    state, operator, ops = calls[0]
-    engine = Propagator(state, plan_of(operator))
-    whole = Snapshots(len(records), scenario.lattice.n_sites)
+
+def replay(state, plan, ops, rows, count):
+    """ops stepped on one Propagator of the given rows, into snapshots of
+    its own."""
+    engine = Propagator(state, plan, rows)
+    whole = Snapshots(count, state.n_sites)
     for method, *args in ops:
         if method is Propagator.record:
             args = (whole, args[1])
         method(engine, *args)
+    return whole
+
+
+def measurements_in(ops):
+    return sum(op[0] is Propagator.measure for op in ops)
+
+
+@settings(max_examples=10, deadline=None)
+@given(blocked_scenarios(["pointer", "custom", "none"]))
+def test_row_blocks_match_one_block_of_all_rows(scenario):
+    """run_schedule steps row blocks of the rows its row cut keeps, on up to
+    two threads; one Propagator of those rows, stepped through the same
+    operations, gives the same records, and so does a run on one thread.
+    test_row_cut_moves_only_position_entries_within_its_certificate
+    compares the cut with all rows."""
+    threads = threading.active_count()
+    records, (state, operator, ops) = captured_run(scenario)
+    assert threading.active_count() == threads  # the worker is joined
+
+    plan = plan_of(operator)
+    kept, _ = row_cut(state, plan, measurements_in(ops))
+    whole = replay(state, plan, ops, range(kept), len(records))
     for j, rec in enumerate(records):
         np.testing.assert_array_equal(rec.position_dist, whole.position_distribution(j))
         np.testing.assert_array_equal(rec.momentum_dist, whole.momentum_distribution(j))
@@ -1005,9 +1030,10 @@ def test_row_blocks_match_one_block_of_all_rows(scenario):
 
 def test_every_block_runs_once_under_frequent_switches():
     """Two threads take each block of rows exactly once, even when the
-    interpreter switches between them every microsecond."""
+    interpreter switches between them every microsecond. A position
+    eigenstate fills every row evenly, so its row cut keeps all of them."""
     n = 1024
-    state = build_initial_state(GaussianPacketSpec(512, 32.0, 0), n)
+    state = build_initial_state(PositionEigenstateSpec(512), n)
     taken = []
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1033,12 +1059,140 @@ def test_worker_error_is_raised_by_the_caller():
             worker_ran.set()
             raise ArithmeticError("worker failed")
 
-    state = build_initial_state(GaussianPacketSpec(128, 8.0, 0), 256)
+    state = build_initial_state(PositionEigenstateSpec(128), 256)  # all rows: two blocks
     threads = threading.active_count()
     with mock.patch.object(os, "cpu_count", return_value=2):
         with pytest.raises(ArithmeticError, match="worker failed"):
             run_blocks(state, None, [(fail_off_the_calling_thread,)])
     assert threading.active_count() == threads
+
+
+def row_l1(engine):
+    """The l1 norm of each of an engine's chord rows of G."""
+    g = engine._widen() if engine._narrowed else engine._g
+    return np.abs(g).sum(axis=1)
+
+
+@st.composite
+def row_local_runs(draw):
+    """A state, a measurement whose plan does not couple rows, and legs:
+    Gaussian packets of random width and momentum or random vectors; a
+    minimal-image pointer, a compact autocorrelation kernel, a per-site PVM
+    or none; legs of one interval or a random part of one."""
+    n = draw(st.sampled_from([16, 64, 256]))
+    if draw(st.booleans()):
+        spec = GaussianPacketSpec(
+            draw(st.integers(0, n - 1)),
+            draw(st.floats(0.5, n / 2)),
+            draw(st.integers(-n // 2 + 1, n // 2)),
+        )
+        state = build_gaussian_packet(spec, n)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        amplitudes = rng.normal(size=n) + 1j * rng.normal(size=n)
+        state = StateVector(amplitudes / np.linalg.norm(amplitudes), Basis.POSITION)
+    kind = draw(st.sampled_from(["pointer", "custom", "sites", "none"]))
+    if kind == "pointer":
+        # narrower than about 1/32 of the ring, so the kernel is PSD
+        measurement = pointer_kernel(PointerSpec(draw(st.floats(32.0 / n, 3.0))), n)
+    elif kind == "custom":
+        profile = draw(st.lists(st.integers(0, 9), min_size=1, max_size=8).filter(any))
+        measurement = DampingKernel(np.array(autocorrelation_kernel(profile + [0] * (n - len(profile)))))
+    elif kind == "sites":
+        measurement = make_regions(n, n)
+    else:
+        measurement = None
+    interval = draw(st.floats(0.0005, 0.005))
+    parts = draw(st.lists(st.sampled_from([1.0, 0.3, 0.55]), min_size=1, max_size=8))
+    return state, measurement, [interval * part for part in parts]
+
+
+@settings(max_examples=40, deadline=None)
+@given(row_local_runs())
+def test_row_l1_norms_never_grow_in_a_row_local_run(case):
+    """The invariant the row cut rests on: a free leg multiplies each chord
+    row by unit-modulus phases, and a minimal-image kernel or per-site PVM
+    step convolves it along k with w = DFT(values) / N, so no step moves
+    weight between rows, and each row's l1 norm stays within its initial
+    one times rho^m, rho = sum |w|, after m measurements."""
+    state, measurement, legs = case
+    plan = plan_of(measurement)
+    assert plan is None or not plan.couples
+    n = state.n_sites
+    rho = 1.0
+    if isinstance(measurement, DampingKernel):
+        rho = float(np.abs(np.fft.fft(measurement.values)).sum()) / n
+    engine = Propagator(state, plan)
+    first = row_l1(engine)
+    applied = 0
+    for leg in legs:
+        engine.advance(leg)
+        assert np.all(row_l1(engine) <= first * rho**applied * (1 + 1e-12))
+        if plan is not None:
+            engine.measure()
+            applied += 1
+            assert np.all(row_l1(engine) <= first * rho**applied * (1 + 1e-12))
+
+
+def assert_cut_matches_all_rows(scenario):
+    """run_schedule's records against the same operations stepped on one
+    Propagator of all rows: p(k), purity and the momentum scalars are equal
+    bit for bit, and no p(n) entry moves by more than the row cut's
+    certificate C (plus 1e-17 of round-off), nor by more than 1e-15.
+    Returns the number of rows the cut keeps."""
+    records, (state, operator, ops) = captured_run(scenario)
+    plan = plan_of(operator)
+    kept, certificate = row_cut(state, plan, measurements_in(ops))
+    half = state.n_sites // 2 + 1
+    assert certificate <= 2.0**-52
+    if plan is not None and plan.couples:
+        assert (kept, certificate) == (half, 0.0)
+    whole = replay(state, plan, ops, range(half), len(records))
+    partition = operator if isinstance(operator, RegionPartition) else None
+    for j, rec in enumerate(records):
+        want = harness._snapshot(whole, j, scenario.lattice, rec.time_display, partition)
+        np.testing.assert_array_equal(rec.momentum_dist, want.momentum_dist)
+        assert rec.purity == want.purity
+        assert rec.expected_momentum_signed == want.expected_momentum_signed
+        assert rec.momentum_variance == want.momentum_variance
+        assert rec.negative_momentum_fraction == want.negative_momentum_fraction
+        moved = float(np.max(np.abs(rec.position_dist - want.position_dist)))
+        assert moved <= certificate + 1e-17
+        assert moved <= 1e-15
+    return kept
+
+
+@pytest.mark.parametrize(
+    "name, kept",
+    [
+        ("pointer_n1024", 80),
+        ("pointer_stationary", 82),
+        ("free_packet", 107),
+        ("pvm_eigenstate", 129),  # couples rows
+        ("pvm_packet", 129),  # couples rows
+    ],
+)
+def test_row_cut_moves_only_position_entries_within_its_certificate(name, kept):
+    assert assert_cut_matches_all_rows(named_scenario(name)) == kept
+
+
+@settings(max_examples=15, deadline=None)
+@given(blocked_scenarios(["pointer", "custom", "sites", "regions", "none"]))
+def test_row_cut_matches_all_rows_on_random_runs(scenario):
+    assert_cut_matches_all_rows(scenario)
+
+
+@pytest.mark.parametrize(
+    "measurement",
+    [make_regions(256, 2), make_regions(256, 6), pointer_kernel(PointerSpec(0.2, DistanceConvention.LINEAR), 256)],
+    ids=["pvm2", "pvm6", "linear0.2"],
+)
+def test_a_plan_that_couples_rows_keeps_them_all(measurement):
+    """A state whose unmeasured run drops rows keeps all N/2 + 1 under a
+    channel whose transform along delta couples them."""
+    state = build_initial_state(GaussianPacketSpec(128, 8.0, 0), 256)  # pointer_stationary's
+    assert row_cut(state, None, 0)[0] == 82
+    assert row_cut(state, ChannelPlan(measurement), 40) == (129, 0.0)
 
 
 @settings(max_examples=20, deadline=None)
