@@ -111,14 +111,30 @@ row sums, and |s[delta]| <= ||G[delta]||_1, so dropping rows moves no
 entry of p(n) by more than
 C = (1/N) sum over the dropped rows of ||G[delta]||_1 rho^m,
 with m the run's measurements and each row but N/2 counted with its
-mirror. run_blocks steps only the rows 0..K - 1, for the smallest K with
-C <= 2**-52, and splits those into its blocks; the other rows of every
-snapshot stay 0. Row 0 is always kept, so p(k) and its moments are
+mirror. run_blocks starts from the rows 0..K - 1, for the smallest K with
+C0 = C <= 2**-52, and splits those into its blocks; the other rows of
+every snapshot stay 0. Row 0 is always kept, so p(k) and its moments are
 exact. The purity loses at most the dropped rows' squared norms, at most
 (N C)^2, below half an ulp of a purity >= 1/N for N up to 2**16. A plan
 that couples rows keeps all N/2 + 1, and so does a state whose rows are
 all above the cut: a position eigenstate, whose rows all have l1 norm 1.
-Propagator itself holds all rows by default.
+
+Re-cut. A pointer damps every row delta > 0 as the run goes on: over the
+40 applications of the pointer_n1024 benchmark workload row 10's l1 norm
+falls from 0.62 to 4.9e-28. So run_blocks gives each block an equal share
+of the budget 2**-52 - C0, fixed before any block starts, and after each
+measurement a block drops the longest suffix of its rows whose current
+l1 norms, counted as in C with rho raised to the measurements still to
+come, fit in what is left of its share. The bound holds from the drop on:
+no later step lets a row's l1 norm grow by more than rho per measurement.
+The run's certificate C is C0 plus every row a block dropped, still at
+most 2**-52, and no decision depends on another block or on the thread.
+A block drops rows through a view of G, and copies the rows it keeps
+once they fill at most half of the array the view reads; a block whose
+rows are all gone runs its remaining operations on an empty array.
+Rows the blocks of pointer_n1024 (3 blocks, 80 rows at the start) hold
+after 1, 5, 10, 20 and 40 applications: 78, 33, 14, 6 and 2, 13.2 on
+average. Propagator itself holds all rows by default and drops none.
 
 The position-basis functions in lattice and channels compute the same
 steps one at a time; the tests use them as this engine's reference.
@@ -126,6 +142,7 @@ steps one at a time; the tests use them as this engine's reference.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 
@@ -139,6 +156,8 @@ __all__ = ["ChannelPlan", "Propagator", "Snapshots", "row_cut", "run_blocks"]
 # Entries of G per row block: 2**15 complex128 values are 512 KiB, well
 # inside the reference machine's 4 MiB L2 per core.
 BLOCK_ENTRIES = 2**15
+# The certificate budget: no p(n) entry of a row-local run moves by more.
+BUDGET = 2.0**-52
 
 
 class ChannelPlan:
@@ -220,7 +239,13 @@ class Propagator:
     place. Besides G and the plan, an engine that has not narrowed holds no
     array of N columns per row. rows is the range of rows delta the engine
     holds, all of 0..N/2 by default; a plan that couples rows needs all of
-    them. The state must be a position-basis vector on a power-of-two ring.
+    them. share, if given, is the part of the run's certificate budget that
+    the engine may spend on rows it drops after each measurement (the
+    module docstring's re-cut), and measurements the number of measurements
+    the run makes; spent is what it has spent. A narrowed engine re-cuts
+    too, charging each row N sum_d |H[delta, d]| >= ||G[delta]||_1. Without
+    a share the engine keeps its rows. The state must be a position-basis
+    vector on a power-of-two ring.
     """
 
     def __init__(
@@ -228,6 +253,8 @@ class Propagator:
         state: StateVector,
         plan: ChannelPlan | None = None,
         rows: range | None = None,
+        share: float | None = None,
+        measurements: int = 0,
     ) -> None:
         _require_basis(state, Basis.POSITION, "Propagator")
         n = state.n_sites
@@ -236,8 +263,8 @@ class Propagator:
         half = n // 2 + 1
         rows = range(half) if rows is None else rows
         if plan is not None and plan.couples:
-            if rows != range(half):
-                raise ValueError("this measurement couples rows; hold all rows 0..N/2")
+            if rows != range(half) or share is not None:
+                raise ValueError("this measurement couples rows; hold all rows 0..N/2, drop none")
             self._buffer = np.empty((n, plan.window), dtype=complex)
         self._plan = plan
         self._rows = rows
@@ -251,8 +278,16 @@ class Propagator:
             if abs(trace - 1.0) > 1e-12:
                 raise ValueError(f"trace is {trace}, expected 1")
         # N is a power of two, so phi / n is exact and row 0 is |phi|^2 / N.
-        self._g = np.multiply(_lagged(np.tile(phi.conj(), 2), rows), phi / n)
+        # Row by row: numpy would give one broadcast multiply 256 KiB of
+        # iterator buffers beside G, and the first blocks set the run's peak.
+        scaled = phi / n
+        self._g = np.empty((len(rows), n), dtype=complex)
+        for row, lagged in zip(self._g, _lagged(np.tile(phi.conj(), 2), rows)):
+            np.multiply(lagged, scaled, out=row)
 
+        self._share = share
+        self._to_come = measurements
+        self.spent = 0.0
         self._pending = 0.0
         # exp(i t E) doubled for a leg of length _table_t, or once narrowed its K
         self._table = None
@@ -307,7 +342,8 @@ class Propagator:
         self._free_leg(self._g, self._leg_table(t))
 
     def measure(self) -> None:
-        """Apply the measurement channel once."""
+        """Apply the measurement channel once; an engine with a share then
+        drops the rows it can (_recut)."""
         if self._plan is None:
             raise ValueError("this run has no measurement")
         if self._plan.identity:
@@ -321,6 +357,34 @@ class Propagator:
         self._mask(self._g)
         if not self._narrowed:
             np.fft.fft(self._g, axis=1, out=self._g)
+        if self._share is not None:
+            self._recut()
+
+    def _recut(self) -> None:
+        """Drop the longest suffix of rows whose current l1 norms, each row
+        but N/2 counted with its mirror and times rho^(measurements still to
+        come) / N, fit in what is left of the share; row 0 stays. The norms
+        are read one row at a time from the top, with no (rows, N)
+        temporary. A narrowed engine holds H, not G, and charges each row
+        N sum_d |H[delta, d]| >= ||G[delta]||_1."""
+        self._to_come -= 1
+        n, start = self._n, self._rows.start
+        weight = self._plan.growth**self._to_come * (1.0 if self._narrowed else 1.0 / n)
+        kept, spent = len(self._rows), self.spent
+        while kept > self._moving:
+            cost = weight * float(np.abs(self._g[kept - 1]).sum())
+            if 2 * (start + kept - 1) < n:
+                cost *= 2.0  # the row stands for its mirror too
+            if spent + cost > self._share:
+                break
+            spent, kept = spent + cost, kept - 1
+        if kept == len(self._rows):
+            return
+        self.spent = spent
+        self._rows = range(start, start + kept)
+        self._g = _first_rows(self._g, kept)
+        if self._narrowed and self._table is not None:
+            self._table = _first_rows(self._table, kept - self._moving)
 
     def _narrow(self) -> None:
         """Keep only the band columns of H from now on, in a (rows, W)
@@ -466,70 +530,81 @@ def run_blocks(
     state: StateVector,
     measurement: DampingKernel | RegionPartition | None,
     ops: list[tuple],
-) -> None:
+) -> float:
     """Take every block of the rows that row_cut keeps through ops, each
     block on a Propagator of its own; all of them read the one ChannelPlan
-    built here.
+    built here. Returns the run's certificate C <= 2**-52: row_cut's plus
+    what every block spent on the rows it dropped.
 
     ops is a list of (method, *args), with method Propagator.advance,
     Propagator.measure or Propagator.record; a block runs them in order.
-    The calling thread and, when the run has two blocks or more and the
-    host two cores, one worker thread take blocks in turn. The worker is
-    joined before this returns.
+    In a run whose plan does not couple rows, every block gets an equal
+    share of the budget that row_cut leaves, fixed before any block
+    starts, so what a block drops does not depend on the thread that
+    steps it. The calling thread and, when the run has two blocks or more
+    and the host two cores, one worker thread take blocks in turn. The
+    worker is joined before this returns.
     """
     n = state.n_sites
     plan = None if measurement is None else ChannelPlan(measurement)
     measurements = sum(op[0] is Propagator.measure for op in ops)
-    kept, _ = row_cut(state, plan, measurements)
-    count = 1 if plan is not None and plan.couples else -(-kept * n // BLOCK_ENTRIES)
+    kept, certificate = row_cut(state, plan, measurements)
+    couples = plan is not None and plan.couples
+    count = 1 if couples else -(-kept * n // BLOCK_ENTRIES)
+    # A hair under an equal part, so that math.fsum of the parts spent
+    # cannot round C past the budget.
+    share = None if couples else (BUDGET - certificate) / count * (1.0 - 2.0**-50)
     bounds = [kept * i // count for i in range(count + 1)]
-    blocks = iter([range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+    blocks = enumerate([range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+    spent = [0.0] * count
     lock = threading.Lock()
 
-    def run_block(rows: range) -> None:
+    def run_block(i: int, rows: range) -> None:
         # The engine goes on return, before the next block's is built.
-        engine = Propagator(state, plan, rows)
+        engine = Propagator(state, plan, rows, share, measurements)
         for method, *args in ops:
             method(engine, *args)
+        spent[i] = engine.spent
 
     def take_blocks() -> None:
         while True:
             with lock:
-                rows = next(blocks, None)
-            if rows is None:
+                block = next(blocks, None)
+            if block is None:
                 return
-            run_block(rows)
+            run_block(*block)
 
     if min(2, os.cpu_count() or 1, count) == 1:
         take_blocks()
-        return
-    failures = []
+    else:
+        failures = []
 
-    def work() -> None:
+        def work() -> None:
+            try:
+                take_blocks()
+            except BaseException as err:  # raised again on the calling thread
+                failures.append(err)
+
+        # threading, not concurrent.futures: numpy has imported it already,
+        # and the executor's import would add about 8 ms to every process start.
+        worker = threading.Thread(target=work)
+        worker.start()
         try:
             take_blocks()
-        except BaseException as err:  # raised again on the calling thread
-            failures.append(err)
-
-    # threading, not concurrent.futures: numpy has imported it already, and
-    # the executor's import would add about 8 ms to every process start.
-    worker = threading.Thread(target=work)
-    worker.start()
-    try:
-        take_blocks()
-    finally:
-        worker.join()
-    if failures:
-        raise failures[0]
+        finally:
+            worker.join()
+        if failures:
+            raise failures[0]
+    return math.fsum([certificate, *spent])
 
 
 def row_cut(
     state: StateVector, plan: ChannelPlan | None, measurements: int
 ) -> tuple[int, float]:
-    """(K, C) of the module docstring: the rows 0..K - 1 that a run of
-    this many measurements steps, and the certificate C <= 2**-52 that
-    bounds how far dropping the others moves any entry of p(n). A plan
-    that couples rows keeps all N/2 + 1, with C = 0."""
+    """(K, C0) of the module docstring: the rows 0..K - 1 that a run of
+    this many measurements starts with, and the certificate C0 <= 2**-52
+    that bounds how far dropping the others moves any entry of p(n). A plan
+    that couples rows keeps all N/2 + 1, with C0 = 0."""
     n = state.n_sites
     half = n // 2 + 1
     if plan is not None and plan.couples:
@@ -542,7 +617,7 @@ def row_cut(
     growth = 1.0 if plan is None else plan.growth**measurements
     # dropped[K] = C for a cut at K, summed from the smallest rows up
     dropped = np.append(np.cumsum(l1[::-1])[::-1], 0.0) * growth / n
-    kept = 1 + int(np.argmax(dropped[1:] <= 2.0**-52))
+    kept = 1 + int(np.argmax(dropped[1:] <= BUDGET))
     return kept, float(dropped[kept])
 
 
@@ -553,6 +628,14 @@ def _lagged(doubled: np.ndarray, rows: range) -> np.ndarray:
     n, step = doubled.size // 2, doubled.itemsize
     offset = (n - rows.start) * step
     return np.ndarray((len(rows), n), doubled.dtype, doubled, offset, (-step, step))
+
+
+def _first_rows(a: np.ndarray, count: int) -> np.ndarray:
+    """a[:count]: a view while it holds more than half of the array that a
+    views, and then a copy, so that the rest is freed."""
+    owner = a if a.base is None else a.base
+    head = a[:count]
+    return head.copy() if 2 * head.nbytes <= owner.nbytes else head
 
 
 def _band_columns(a: np.ndarray, keep: int, width: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zenolattice import (
@@ -756,6 +756,37 @@ def test_measurement_allocates_nothing_before_or_after_narrowing():
         assert peak < 8 * 1024
 
 
+def test_a_recutting_measure_reads_row_norms_one_row_at_a_time():
+    """A re-cut reads its rows' l1 norms without a (rows, N) temporary: on a
+    27-row block of the pointer_n1024 workload at N = 1024, a measure that
+    reads all 27 norms and drops every row peaks at most 12 KiB above the
+    same measure on an engine that keeps its rows (a (27, N) array of
+    norms would be 216 KiB). A block of row 0 keeps it."""
+    scenario = named_scenario("pointer_n1024")
+    n, t = 1024, 0.01
+    state = build_initial_state(scenario.state, n)
+    plan = ChannelPlan(pointer_kernel(scenario.measurement, n))
+    plain = Propagator(state, plan, range(27, 54))
+    recut = Propagator(state, plan, range(27, 54), 1.0, 1)  # a share that fits every row
+    plain.advance(t)
+    plain.measure()  # warm-up: FFT plans
+    peaks = []
+    for engine in (plain, recut):
+        engine.advance(t)
+        tracemalloc.start()
+        try:
+            engine.measure()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(plain._rows) == 27 and len(recut._rows) == 0
+    assert peaks[1] <= peaks[0] + 12 * 1024
+    first = Propagator(state, plan, range(27), 1.0, 1)
+    first.advance(t)
+    first.measure()
+    assert first._rows == range(1)  # row 0, p(k), stays whatever the share
+
+
 @pytest.mark.parametrize(
     "measurement",
     [make_regions(256, 6), pointer_kernel(PointerSpec(0.2), 256)],
@@ -884,12 +915,13 @@ def autocorrelation_kernel(weights):
     return tuple(corr / corr[0])
 
 
-def draw_schedule(draw, measured, max_count):
-    """1..max_count intervals plus a random part of one, and record times
-    on the measurement grid or a twentieth of an interval apart from it and
-    from each other: none falls within the run's snap."""
-    interval = draw(st.floats(0.5, 5.0))
-    count = draw(st.integers(1, max_count))
+def draw_schedule(draw, measured, max_count, min_count=1, shortest=0.5):
+    """min_count..max_count intervals of shortest..5 plus a random part of
+    one, and record times on the measurement grid or a twentieth of an
+    interval apart from it and from each other: none falls within the
+    run's snap."""
+    interval = draw(st.floats(shortest, 5.0))
+    count = draw(st.integers(min_count, max_count))
     total = (count + draw(st.integers(0, 9)) / 10) * interval
     slots = draw(st.sets(st.tuples(st.integers(0, count), st.integers(0, 19)), min_size=1, max_size=6))
     times = sorted({j * interval if i == 0 else (j + i / 20) * interval for j, i in slots})
@@ -941,7 +973,9 @@ def blocked_scenarios(draw, kinds):
     """Runs at N = 256 and 1024 of the kinds asked for: Gaussian pointers,
     autocorrelations of a short random profile (both minimal-image),
     per-site PVMs and unmeasured runs, which step in row blocks, and PVMs
-    of 2 to 16 regions, which couple rows."""
+    of 2 to 16 regions, which couple rows. A damped run is a pointer of
+    alpha >= 0.5 applied 20 to 30 times, at least 2 units apart: enough that
+    its blocks drop rows mid-run."""
     n = draw(st.sampled_from([256, 1024]))
     state = GaussianPacketSpec(
         draw(st.integers(0, n - 1)),
@@ -951,6 +985,8 @@ def blocked_scenarios(draw, kinds):
     kind = draw(st.sampled_from(kinds))
     if kind == "pointer":
         measurement = PointerSpec(draw(st.floats(0.2, 3.0)))
+    elif kind == "damped":
+        measurement = PointerSpec(draw(st.floats(0.5, 3.0)))
     elif kind == "custom":
         profile = draw(st.lists(st.integers(0, 9), min_size=1, max_size=16).filter(any))
         measurement = CustomKernelSpec(autocorrelation_kernel(profile + [0] * (n - len(profile))))
@@ -960,7 +996,10 @@ def blocked_scenarios(draw, kinds):
         measurement = RegionPvmSpec(draw(st.integers(2, 16)))
     else:
         measurement = NoMeasurement()
-    schedule = draw_schedule(draw, kind != "none", 6)
+    if kind == "damped":
+        schedule = draw_schedule(draw, True, 30, min_count=20, shortest=2.0)
+    else:
+        schedule = draw_schedule(draw, kind != "none", 6)
     return Scenario(lattice=LatticeConfig(n), state=state, measurement=measurement, schedule=schedule)
 
 
@@ -974,28 +1013,35 @@ def assert_same_records(got, want):
 
 
 def captured_run(scenario):
-    """run_schedule's records, and the state, measurement and operations it
-    hands run_blocks."""
-    calls = []
+    """run_schedule's records; the state, measurement and operations it
+    hands run_blocks, and the certificate C that run_blocks returns; and
+    the block engines that run_blocks builds, each with the rows and share
+    it was built with."""
+    calls, blocks, build = [], [], Propagator.__init__
 
     def spy(*args):
-        calls.append(args)
-        run_blocks(*args)
+        calls.append((args, run_blocks(*args)))
 
-    with mock.patch.object(harness, "run_blocks", spy):
+    def built(self, state, plan=None, rows=None, share=None, measurements=0):
+        build(self, state, plan, rows, share, measurements)
+        blocks.append((self, rows, share))
+
+    with mock.patch.object(harness, "run_blocks", spy), mock.patch.object(Propagator, "__init__", built):
         records = run_schedule(scenario)
-    return records, calls[0]
+    (args, certificate), = calls
+    return records, args, certificate, blocks
 
 
-def replay(state, plan, ops, rows, count):
-    """ops stepped on one Propagator of the given rows, into snapshots of
-    its own."""
-    engine = Propagator(state, plan, rows)
+def replay(state, plan, ops, count, blocks):
+    """ops stepped on one Propagator per (rows, share) of blocks, one block
+    after the other on this thread, into snapshots of their own."""
     whole = Snapshots(count, state.n_sites)
-    for method, *args in ops:
-        if method is Propagator.record:
-            args = (whole, args[1])
-        method(engine, *args)
+    for rows, share in blocks:
+        engine = Propagator(state, plan, rows, share, measurements_in(ops))
+        for method, *args in ops:
+            if method is Propagator.record:
+                args = (whole, args[1])
+            method(engine, *args)
     return whole
 
 
@@ -1003,25 +1049,55 @@ def measurements_in(ops):
     return sum(op[0] is Propagator.measure for op in ops)
 
 
+def spy_drops():
+    """Patches Propagator._recut to log each block's (start row, rows
+    dropped, measurements still to come, whether it has narrowed) after
+    every measurement that drops rows; list.append is atomic, so both
+    worker threads may log at once."""
+    drops, inner = [], Propagator._recut
+
+    def logged(self):
+        before = len(self._rows)
+        inner(self)
+        if len(self._rows) < before:
+            dropped = before - len(self._rows)
+            drops.append((self._rows.start, dropped, self._to_come, self._narrowed))
+
+    return drops, mock.patch.object(Propagator, "_recut", logged)
+
+
 @settings(max_examples=10, deadline=None)
-@given(blocked_scenarios(["pointer", "custom", "none"]))
+@given(blocked_scenarios(["pointer", "custom", "none", "damped"]))
+@example(named_scenario("pointer_n1024"))
 def test_row_blocks_match_one_block_of_all_rows(scenario):
     """run_schedule steps row blocks of the rows its row cut keeps, on up to
-    two threads; one Propagator of those rows, stepped through the same
-    operations, gives the same records, and so does a run on one thread.
-    test_row_cut_moves_only_position_entries_within_its_certificate
+    two threads, each block with an equal share of the budget the cut
+    leaves; the same blocks with the same shares, stepped one after the
+    other through the same operations, give the same records, and so does
+    a run on one thread. A run of 20 measurements or more drops rows before
+    its last one. test_row_cut_moves_only_position_entries_within_its_certificate
     compares the cut with all rows."""
     threads = threading.active_count()
-    records, (state, operator, ops) = captured_run(scenario)
+    drops, spy = spy_drops()
+    with spy:
+        records, (state, operator, ops), certificate, blocks = captured_run(scenario)
     assert threading.active_count() == threads  # the worker is joined
 
     plan = plan_of(operator)
-    kept, _ = row_cut(state, plan, measurements_in(ops))
-    whole = replay(state, plan, ops, range(kept), len(records))
+    measurements = measurements_in(ops)
+    kept, cut = row_cut(state, plan, measurements)
+    shares = {share for _, _, share in blocks}
+    assert sorted(row for _, rows, _ in blocks for row in rows) == list(range(kept))
+    assert len(shares) == 1 and len(blocks) * shares.pop() <= 2.0**-52 - cut
+    assert cut <= certificate <= 2.0**-52
+    if measurements >= 20:
+        assert any(to_come > 0 for _, _, to_come, _ in drops)
+
+    whole = replay(state, plan, ops, len(records), [(rows, share) for _, rows, share in blocks])
     for j, rec in enumerate(records):
         np.testing.assert_array_equal(rec.position_dist, whole.position_distribution(j))
         np.testing.assert_array_equal(rec.momentum_dist, whole.momentum_distribution(j))
-        assert abs(rec.purity - whole.purity(j)) <= 1e-15
+        assert rec.purity == whole.purity(j)
 
     assert_same_records(run_schedule(scenario), records)
     with mock.patch.object(os, "cpu_count", return_value=1):
@@ -1137,17 +1213,18 @@ def test_row_l1_norms_never_grow_in_a_row_local_run(case):
 def assert_cut_matches_all_rows(scenario):
     """run_schedule's records against the same operations stepped on one
     Propagator of all rows: p(k), purity and the momentum scalars are equal
-    bit for bit, and no p(n) entry moves by more than the row cut's
-    certificate C (plus 1e-17 of round-off), nor by more than 1e-15.
-    Returns the number of rows the cut keeps."""
-    records, (state, operator, ops) = captured_run(scenario)
+    bit for bit, and no p(n) entry moves by more than the run's certificate
+    C (plus 1e-17 of round-off), nor by more than 1e-15. C is row_cut's C0
+    plus every row a block dropped, at most 2**-52. Returns the number of
+    rows the cut keeps and the number the blocks hold at the end."""
+    records, (state, operator, ops), certificate, blocks = captured_run(scenario)
     plan = plan_of(operator)
-    kept, certificate = row_cut(state, plan, measurements_in(ops))
+    kept, cut = row_cut(state, plan, measurements_in(ops))
     half = state.n_sites // 2 + 1
-    assert certificate <= 2.0**-52
+    assert cut <= certificate <= 2.0**-52
     if plan is not None and plan.couples:
         assert (kept, certificate) == (half, 0.0)
-    whole = replay(state, plan, ops, range(half), len(records))
+    whole = replay(state, plan, ops, len(records), [(range(half), None)])
     partition = operator if isinstance(operator, RegionPartition) else None
     for j, rec in enumerate(records):
         want = harness._snapshot(whole, j, scenario.lattice, rec.time_display, partition)
@@ -1159,21 +1236,101 @@ def assert_cut_matches_all_rows(scenario):
         moved = float(np.max(np.abs(rec.position_dist - want.position_dist)))
         assert moved <= certificate + 1e-17
         assert moved <= 1e-15
-    return kept
+    return kept, sum(len(engine._rows) for engine, _, _ in blocks)
 
 
 @pytest.mark.parametrize(
-    "name, kept",
+    "name, kept, final",
     [
-        ("pointer_n1024", 80),
-        ("pointer_stationary", 82),
-        ("free_packet", 107),
-        ("pvm_eigenstate", 129),  # couples rows
-        ("pvm_packet", 129),  # couples rows
+        # ids name the rows the cut keeps; final is what the blocks hold at the end
+        pytest.param(name, kept, final, id=f"{name}-{kept}")
+        for name, kept, final in [
+            ("pointer_n1024", 80, 2),
+            ("pointer_stationary", 82, 9),
+            ("free_packet", 107, 107),  # unmeasured: nothing to re-cut
+            ("pvm_eigenstate", 129, 129),  # couples rows
+            ("pvm_packet", 129, 129),  # couples rows
+        ]
     ],
 )
-def test_row_cut_moves_only_position_entries_within_its_certificate(name, kept):
-    assert assert_cut_matches_all_rows(named_scenario(name)) == kept
+def test_row_cut_moves_only_position_entries_within_its_certificate(name, kept, final):
+    assert assert_cut_matches_all_rows(named_scenario(name)) == (kept, final)
+
+
+@pytest.mark.parametrize(
+    "measurement",
+    [CustomKernelSpec(autocorrelation_kernel([3, 5, 2] + [0] * 253)), RegionPvmSpec(256)],
+    ids=["compact_kernel", "per_site_pvm"],
+)
+def test_a_narrowed_block_drops_rows_within_the_certificate(measurement):
+    """A narrowed engine holds H, not G, and charges each row it drops
+    N sum_d |H[delta, d]|, at least ||G[delta]||_1. Over 30 measurements it
+    drops rows mid-run, and its records stay within the run's C of all
+    rows."""
+    scenario = Scenario(
+        lattice=LatticeConfig(256),
+        state=GaussianPacketSpec(100, 8.0, 20),
+        measurement=measurement,
+        schedule=Schedule(2.0, 60.0, (0.0, 30.0, 60.0)),
+    )
+    drops, spy = spy_drops()
+    with spy:
+        kept, final = assert_cut_matches_all_rows(scenario)
+    assert final < kept
+    assert any(to_come > 0 and narrowed for _, _, to_come, narrowed in drops)
+
+
+def test_a_block_charges_each_dropped_row_its_l1_norm_with_its_mirror():
+    """After each measurement a block drops the longest suffix of its rows
+    that fits in what is left of its share, each row charged its l1 norm,
+    twice for a row with a mirror, times rho^(measurements still to come)
+    / N: checked against an engine of all rows stepped alongside, on the
+    rows 16..32 of a ring of 64, whose last row N/2 has no mirror."""
+    n, share, measurements, lo = 64, 2.0**-54, 12, 16
+    state = build_gaussian_packet(GaussianPacketSpec(32, 5.0, 0), n)
+    plan = ChannelPlan(pointer_kernel(PointerSpec(1.0), n))
+    block = Propagator(state, plan, range(lo, n // 2 + 1), share, measurements)
+    whole = Propagator(state, plan)
+    drops = 0
+    for to_come in range(measurements - 1, -1, -1):
+        prior, kept = block.spent, len(block._rows)
+        for engine in (block, whole):
+            engine.advance(0.05)
+            engine.measure()
+        dropped = kept - len(block._rows)
+        drops += dropped > 0
+        np.testing.assert_array_equal(block._g, whole._g[lo : lo + len(block._rows)])
+        charge = plan.growth**to_come / n * np.abs(whole._g[lo : lo + kept]).sum(axis=1)
+        charge[lo + np.arange(kept) < n // 2] *= 2.0
+        top = np.append(0.0, np.cumsum(charge[::-1]))  # top[j]: the charge of the top j rows
+        assert block.spent == pytest.approx(prior + top[dropped], rel=1e-12, abs=0.0)
+        if dropped < kept:
+            assert prior + top[dropped + 1] > share
+    assert drops > 1 and len(block._rows) < n // 2 + 1 - lo
+
+
+def test_a_block_copies_its_rows_once_half_are_dropped():
+    """Dropped rows are cut off by a view of G until the kept rows fill at
+    most half of the array it reads; then they are copied, and the rest is
+    freed. Block 0 of the pointer_n1024 workload, 26 rows, ends on a copy
+    of less than a quarter of them."""
+    scenario = named_scenario("pointer_n1024")
+    n = 1024
+    state = build_initial_state(scenario.state, n)
+    plan = ChannelPlan(pointer_kernel(scenario.measurement, n))
+    engine = Propagator(state, plan, range(26), 2.0**-54, 40)
+    held, views = [], 0
+    for _ in range(40):
+        engine.advance(0.01)
+        engine.measure()
+        g = engine._g
+        owner = g if g.base is None else g.base
+        assert g.shape == (len(engine._rows), n)
+        assert g.base is None or 2 * g.nbytes > owner.nbytes
+        held.append(owner.nbytes)
+        views += g.base is not None
+    assert held[0] == 26 * n * 16 and held[-1] < held[0] // 4
+    assert views > 0
 
 
 @settings(max_examples=15, deadline=None)
@@ -1193,6 +1350,8 @@ def test_a_plan_that_couples_rows_keeps_them_all(measurement):
     state = build_initial_state(GaussianPacketSpec(128, 8.0, 0), 256)  # pointer_stationary's
     assert row_cut(state, None, 0)[0] == 82
     assert row_cut(state, ChannelPlan(measurement), 40) == (129, 0.0)
+    with pytest.raises(ValueError, match="couples rows"):
+        Propagator(state, ChannelPlan(measurement), None, 2.0**-53, 40)  # nor re-cuts
 
 
 @settings(max_examples=20, deadline=None)
