@@ -83,19 +83,16 @@ compiles the run's measurement once, into a ChannelPlan that every block's
 engine reads; a block of a per-site PVM or a compact kernel narrows on its
 own. It splits the rows of such a run into blocks of about BLOCK_ENTRIES
 entries, small enough that a block's G stays in a core's L2 cache, and
-takes each block through the whole schedule on its own: the calling thread
-and at most one more take blocks in turn, with no synchronisation between
-steps. numpy's FFTs and ufuncs release the GIL, so the two threads step at
-once. A snapshot writes its rows' partials, the row sums s[delta], the
-squared norms of the rows and the real part of row 0 with its largest
-imaginary part, into a Snapshots object indexed by row, which allocates a
-snapshot's partials when the first block records it; the observables are
-read off the combined partials in a fixed order, so no result depends on
-which thread stepped which block. A channel that cuts a column (a PVM of
-two regions or more, most LINEAR kernels) couples rows through its
-transform along delta, so such a run takes one block of all rows on the
-calling thread, as does a run too small for two blocks; neither starts a
-thread.
+takes each block through the whole schedule on its own, one after the
+other, so the run holds one block's engine at a time. A snapshot writes
+its rows' partials, the row sums s[delta], the squared norms of the rows
+and the real part of row 0 with its largest imaginary part, into a
+Snapshots object indexed by row, which allocates a snapshot's partials
+when the first block records it; the observables are read off the
+combined partials in a fixed order, so no result depends on how the rows
+were split. A channel that cuts a column (a PVM of two regions or more,
+most LINEAR kernels) couples rows through its transform along delta, so
+such a run takes one block of all rows.
 
 Row cut. In a run whose plan does not couple rows (unmeasured, a
 minimal-image kernel, an identity or per-site PVM, narrowed or not) no
@@ -128,7 +125,7 @@ l1 norms, counted as in C with rho raised to the measurements still to
 come, fit in what is left of its share. The bound holds from the drop on:
 no later step lets a row's l1 norm grow by more than rho per measurement.
 The run's certificate C is C0 plus every row a block dropped, still at
-most 2**-52, and no decision depends on another block or on the thread.
+most 2**-52, and no decision depends on another block.
 A block drops rows through a view of G, and copies the rows it keeps
 once they fill at most half of the array the view reads; a block whose
 rows are all gone runs its remaining operations on an empty array.
@@ -143,8 +140,6 @@ steps one at a time; the tests use them as this engine's reference.
 from __future__ import annotations
 
 import math
-import os
-import threading
 
 import numpy as np
 
@@ -469,7 +464,7 @@ class Propagator:
 
 class Snapshots:
     """Per-row partials of a run's snapshots, filled by Propagator.record
-    block by block, and the observables combined from them.
+    one block after the other, and the observables combined from them.
 
     A snapshot's partials are allocated when the first block records it,
     so a run holds only the snapshots it has reached. Each observable reads
@@ -480,22 +475,20 @@ class Snapshots:
     def __init__(self, count: int, n: int) -> None:
         self._n = n
         self._partials: list[tuple | None] = [None] * count
-        self._lock = threading.Lock()
 
     def partials(self, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Snapshot j's row sums, squared row norms, p(k) and the largest
         imaginary part on row 0 (one entry), allocated on first use."""
-        with self._lock:  # both workers may reach snapshot j at once
-            if self._partials[j] is None:
-                half = self._n // 2 + 1
-                # zeros: rows that no block holds, cut by row_cut, add nothing
-                self._partials[j] = (
-                    np.zeros(half, dtype=complex),
-                    np.zeros(half),
-                    np.empty(self._n),
-                    np.empty(1),
-                )
-            return self._partials[j]
+        if self._partials[j] is None:
+            half = self._n // 2 + 1
+            # zeros: rows that no block holds, cut by row_cut, add nothing
+            self._partials[j] = (
+                np.zeros(half, dtype=complex),
+                np.zeros(half),
+                np.empty(self._n),
+                np.empty(1),
+            )
+        return self._partials[j]
 
     def momentum_distribution(self, j: int) -> np.ndarray:
         """p(k) = R[k, k], row delta = 0; the stored array, not a copy, so
@@ -540,10 +533,9 @@ def run_blocks(
     Propagator.measure or Propagator.record; a block runs them in order.
     In a run whose plan does not couple rows, every block gets an equal
     share of the budget that row_cut leaves, fixed before any block
-    starts, so what a block drops does not depend on the thread that
-    steps it. The calling thread and, when the run has two blocks or more
-    and the host two cores, one worker thread take blocks in turn. The
-    worker is joined before this returns.
+    starts, so what a block drops does not depend on the blocks before it.
+    The blocks run one after the other, each engine freed before the next
+    is built.
     """
     n = state.n_sites
     plan = None if measurement is None else ChannelPlan(measurement)
@@ -555,46 +547,15 @@ def run_blocks(
     # cannot round C past the budget.
     share = None if couples else (BUDGET - certificate) / count * (1.0 - 2.0**-50)
     bounds = [kept * i // count for i in range(count + 1)]
-    blocks = enumerate([range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
-    spent = [0.0] * count
-    lock = threading.Lock()
 
-    def run_block(i: int, rows: range) -> None:
+    def run_block(rows: range) -> float:
         # The engine goes on return, before the next block's is built.
         engine = Propagator(state, plan, rows, share, measurements)
         for method, *args in ops:
             method(engine, *args)
-        spent[i] = engine.spent
+        return engine.spent
 
-    def take_blocks() -> None:
-        while True:
-            with lock:
-                block = next(blocks, None)
-            if block is None:
-                return
-            run_block(*block)
-
-    if min(2, os.cpu_count() or 1, count) == 1:
-        take_blocks()
-    else:
-        failures = []
-
-        def work() -> None:
-            try:
-                take_blocks()
-            except BaseException as err:  # raised again on the calling thread
-                failures.append(err)
-
-        # threading, not concurrent.futures: numpy has imported it already,
-        # and the executor's import would add about 8 ms to every process start.
-        worker = threading.Thread(target=work)
-        worker.start()
-        try:
-            take_blocks()
-        finally:
-            worker.join()
-        if failures:
-            raise failures[0]
+    spent = [run_block(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
     return math.fsum([certificate, *spent])
 
 

@@ -1,7 +1,6 @@
 """Run loop, grid doubling and CSV emission."""
 
 import os
-import sys
 import textwrap
 import threading
 import tracemalloc
@@ -143,9 +142,8 @@ class TestRunSchedule:
 
     def test_memory_is_bounded_by_the_run(self):
         """Forty distinct leg lengths leave no phases per length behind. The
-        run's two row blocks step at once, each holding its chord rows and
-        one N-site phase vector; it peaks at 0.90-1.06 N x N matrices, inside
-        the bound."""
+        run's one row block holds its chord rows and one N-site phase
+        vector; it peaks at 0.77-0.78 N x N matrices, inside the bound."""
         n = 256
         times = tuple(float(t) for t in np.cumsum(0.37 * np.arange(1, 41)))
         scenario = packet_scenario(measurement=NoMeasurement(), interval=None,
@@ -168,7 +166,7 @@ class TestRunSchedule:
     @pytest.mark.parametrize(
         "measurement, bound",
         [
-            (PointerSpec(0.2), 1.35),  # peaks at 0.80-1.06 with two row blocks at once
+            (PointerSpec(0.2), 1.35),  # 0.615, one row block of the rows the cut keeps
             (RegionPvmSpec(6), 2.45),  # 1.61, a window of c = 41 columns, narrowed to W = 168
             (PointerSpec(1.0, DistanceConvention.LINEAR), 2.65),  # 2.00, c = 54, W = 224
             (PointerSpec(0.2, DistanceConvention.LINEAR), 3.25),  # 1.89, c = 127
@@ -189,10 +187,9 @@ class TestRunSchedule:
         assert peak < bound * n * n * 16
 
     def test_pointer_run_memory_is_bounded_at_large_n(self):
-        """Row blocks hold a pointer run at N = 4096, with an off-grid record
-        that needs phases of its own, below 1/48 of one N x N matrix; it
-        peaks at 1.83-1.91 MiB, 1/140 of one, and rarely up to 3.7 MiB when
-        the two row blocks' transients coincide."""
+        """Row blocks, one at a time, hold a pointer run at N = 4096, with an
+        off-grid record that needs phases of its own, below 1/192 of one
+        N x N matrix (1.33 MiB); it peaks at 0.991 MiB, 1/258 of one."""
         n = 4096
         scenario = Scenario(
             lattice=LatticeConfig(n),
@@ -206,7 +203,7 @@ class TestRunSchedule:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < n * n * 16 / 48
+        assert peak < n * n * 16 / 192
 
     @pytest.mark.parametrize("measurement", [RegionPvmSpec(6), PointerSpec(0.5)])
     def test_long_horizon_drift_per_step(self, measurement):
@@ -660,8 +657,7 @@ def named_scenario(name):
 
 def spy_leg_tables():
     """Patches Propagator._phase_vector and _band_kernel to log the rows of
-    the engine behind each call; list.append is atomic, so both worker
-    threads may log at once."""
+    the engine behind each call."""
     calls = {"_phase_vector": [], "_band_kernel": []}
 
     def spy(name):
@@ -832,49 +828,6 @@ def test_snapshots_are_allocated_when_first_recorded():
     assert snapshots.purity(500) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_snapshots_survive_concurrent_first_records():
-    """Eight threads record their own rows of the same snapshots at once,
-    with the interpreter switching every microsecond: each snapshot is
-    allocated once and holds every thread's rows. Five rounds, since one
-    lost allocation shows only when a switch falls inside it."""
-    n, count = 256, 200
-    state = build_initial_state(GaussianPacketSpec(40, 6.0, 9), n)
-    engine = Propagator(state)
-    engine.advance(0.001)
-    whole = snapshot(engine, n)
-    bounds = [0, 5, 20, 35, 50, 70, 90, 110, n // 2 + 1]
-    blocks = [Propagator(state, None, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-    for block in blocks:
-        block.advance(0.001)
-
-    def record_all(block, shared, start):
-        start.wait()  # so that the threads reach each snapshot together
-        for j in range(count):
-            block.record(shared, j)
-
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            shared = Snapshots(count, n)
-            start = threading.Barrier(len(blocks), timeout=30)
-            threads = [threading.Thread(target=record_all, args=(block, shared, start))
-                       for block in blocks]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-            assert not any(thread.is_alive() for thread in threads)
-            for j in range(count):
-                np.testing.assert_array_equal(shared.position_distribution(j),
-                                              whole.position_distribution(0))
-                np.testing.assert_array_equal(shared.momentum_distribution(j),
-                                              whole.momentum_distribution(0))
-                assert abs(shared.purity(j) - whole.purity(0)) <= 1e-15
-    finally:
-        sys.setswitchinterval(switch)
-
-
 def reference_records(scenario):
     """run_schedule's schedule stepped with the position-basis functions.
 
@@ -1034,7 +987,7 @@ def captured_run(scenario):
 
 def replay(state, plan, ops, count, blocks):
     """ops stepped on one Propagator per (rows, share) of blocks, one block
-    after the other on this thread, into snapshots of their own."""
+    after the other, into snapshots of their own."""
     whole = Snapshots(count, state.n_sites)
     for rows, share in blocks:
         engine = Propagator(state, plan, rows, share, measurements_in(ops))
@@ -1052,8 +1005,7 @@ def measurements_in(ops):
 def spy_drops():
     """Patches Propagator._recut to log each block's (start row, rows
     dropped, measurements still to come, whether it has narrowed) after
-    every measurement that drops rows; list.append is atomic, so both
-    worker threads may log at once."""
+    every measurement that drops rows."""
     drops, inner = [], Propagator._recut
 
     def logged(self):
@@ -1070,18 +1022,16 @@ def spy_drops():
 @given(blocked_scenarios(["pointer", "custom", "none", "damped"]))
 @example(named_scenario("pointer_n1024"))
 def test_row_blocks_match_one_block_of_all_rows(scenario):
-    """run_schedule steps row blocks of the rows its row cut keeps, on up to
-    two threads, each block with an equal share of the budget the cut
-    leaves; the same blocks with the same shares, stepped one after the
-    other through the same operations, give the same records, and so does
-    a run on one thread. A run of 20 measurements or more drops rows before
-    its last one. test_row_cut_moves_only_position_entries_within_its_certificate
+    """run_schedule steps row blocks of the rows its row cut keeps, each
+    block exactly once, with an equal share of the budget the cut leaves;
+    the same blocks with the same shares, stepped through the same
+    operations, give the same records, and so does a second run. A run of
+    20 measurements or more drops rows before its last one.
+    test_row_cut_moves_only_position_entries_within_its_certificate
     compares the cut with all rows."""
-    threads = threading.active_count()
     drops, spy = spy_drops()
     with spy:
         records, (state, operator, ops), certificate, blocks = captured_run(scenario)
-    assert threading.active_count() == threads  # the worker is joined
 
     plan = plan_of(operator)
     measurements = measurements_in(ops)
@@ -1100,47 +1050,40 @@ def test_row_blocks_match_one_block_of_all_rows(scenario):
         assert rec.purity == whole.purity(j)
 
     assert_same_records(run_schedule(scenario), records)
-    with mock.patch.object(os, "cpu_count", return_value=1):
-        assert_same_records(run_schedule(scenario), records)
 
 
-def test_every_block_runs_once_under_frequent_switches():
-    """Two threads take each block of rows exactly once, even when the
-    interpreter switches between them every microsecond. A position
-    eigenstate fills every row evenly, so its row cut keeps all of them."""
+def test_row_blocks_start_no_thread():
+    """run_blocks steps every block on the calling thread: with the host
+    said to have two cores and every thread start refused, the
+    pointer_n1024 workload (3 blocks) runs, and so does an unmeasured
+    position eigenstate at N = 1024, whose row cut keeps all 513 rows, in
+    17 blocks that each take their rows once."""
     n = 1024
     state = build_initial_state(PositionEigenstateSpec(512), n)
     taken = []
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with mock.patch.object(os, "cpu_count", return_value=2):
-            run_blocks(state, None, [(lambda engine: taken.append(engine._rows),)])
-    finally:
-        sys.setswitchinterval(switch)
-    assert len(taken) > 2
+    refused = mock.Mock(side_effect=RuntimeError("run_blocks started a thread"))
+    with mock.patch.object(os, "cpu_count", return_value=2), \
+            mock.patch.object(threading.Thread, "start", refused):
+        records = run_schedule(named_scenario("pointer_n1024"))
+        run_blocks(state, None, [(lambda engine: taken.append(engine._rows),)])
+    assert len(records) == 3
+    assert len(taken) == 17
     assert sorted(row for rows in taken for row in rows) == list(range(n // 2 + 1))
 
 
-def test_worker_error_is_raised_by_the_caller():
-    """An error in the worker thread reaches run_blocks' caller, after the
-    worker has been joined."""
-
-    worker_ran = threading.Event()
-
-    def fail_off_the_calling_thread(engine):
-        if threading.current_thread() is threading.main_thread():
-            worker_ran.wait(timeout=10)  # so that the worker takes a block
-        else:
-            worker_ran.set()
-            raise ArithmeticError("worker failed")
-
-    state = build_initial_state(PositionEigenstateSpec(128), 256)  # all rows: two blocks
-    threads = threading.active_count()
-    with mock.patch.object(os, "cpu_count", return_value=2):
-        with pytest.raises(ArithmeticError, match="worker failed"):
-            run_blocks(state, None, [(fail_off_the_calling_thread,)])
-    assert threading.active_count() == threads
+def test_pointer_n1024_peak_is_one_block_at_a_time():
+    """The pointer_n1024 workload holds one block's engine at a time: its
+    run peaks at 0.745-0.749 MiB, below 1 MiB in each of three runs (two
+    blocks stepped at once peaked at 1.09-1.33)."""
+    scenario = named_scenario("pointer_n1024")
+    for _ in range(3):
+        tracemalloc.start()
+        try:
+            run_schedule(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def row_l1(engine):
