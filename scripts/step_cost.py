@@ -3,8 +3,10 @@
 Times a free leg of the length the engine applied last (free_leg) and of a
 length it has not applied yet (new_leg, which builds the leg's phases), a
 pointer step, a 6-region and a 16-region PVM step, a LINEAR-kernel step (a
-step is one leg and one measurement) and a snapshot through Propagator at
-N = 256, 512 and 1024, and prints the medians as JSON. Each measured engine
+step is one leg and one measurement), a snapshot of an unmeasured engine and
+one of a 6-region engine after narrowing (narrowed_snapshot, which rebuilds
+G a chunk of rows at a time) through Propagator at N = 256, 512 and 1024,
+and prints the medians as JSON. Each measured engine
 reads a ChannelPlan of its measurement, built once, as a run builds it, and
 not timed. Steps are timed after the engine's first measurement, which
 narrows a PVM engine to its band:
@@ -58,17 +60,21 @@ def costs(n):
         "linear_step": pointer_kernel(PointerSpec(alpha, DistanceConvention.LINEAR), n),
     }
     free = Propagator(state)
+    narrowed = Propagator(state, ChannelPlan(measurements["pvm_step"]))
+    narrowed.advance(INTERVAL)
+    narrowed.measure()
     snapshots = Snapshots(1, n)
 
-    def snapshot():
-        free.record(snapshots, 0)
+    def snapshot(engine):
+        engine.record(snapshots, 0)
         snapshots.position_distribution(0), snapshots.momentum_distribution(0), snapshots.purity(0)
 
     lengths = (INTERVAL * (1 + j / 1000) for j in itertools.count(1))
     row = {
         "free_leg": median_s(lambda: free.advance(INTERVAL)),
         "new_leg": median_s(lambda: free.advance(next(lengths))),
-        "snapshot": median_s(snapshot),
+        "snapshot": median_s(lambda: snapshot(free)),
+        "narrowed_snapshot": median_s(lambda: snapshot(narrowed)),
     }
     for name, measurement in measurements.items():
         engine = Propagator(state, ChannelPlan(measurement))

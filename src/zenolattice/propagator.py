@@ -60,8 +60,9 @@ only the lags |l| <= 2L - 2 of that kernel reach the band, and with
 W >= 4L - 3 a cyclic product of length W wraps none of its terms onto
 the band. So a narrowed leg is exact: fft_W, a multiply by K = fft_W of
 the kernel cut to those lags, ifft_W, on every row but row 0, whose phase
-is exactly 1. K is built by applying the leg to a temporary (rows, N)
-array of ones. Then:
+is exactly 1. K is built one chunk of rows at a time, of CHUNK_ENTRIES
+entries N columns wide: the leg applied to a chunk of ones, ifft_N, and
+that chunk's lags written into K. Then:
 
 - advance(t) only adds t to a pending time;
 - measure applies the pending leg with the K of the last leg length, or
@@ -70,9 +71,14 @@ array of ones. Then:
   step above with the mirror column N - d held at W - d. Two transforms
   of length W replace two of length N: for pvm_packet (N = 256, L = 42)
   W = 168;
-- record rebuilds G in a temporary array of N columns for that call, as
-  fft_N of the band in N columns times the pending leg's phases, and
-  reads it as above.
+- record rebuilds G one chunk of rows at a time, as fft_N of the band in
+  N columns times the pending leg's phases, and reads each chunk as
+  above into that chunk's rows of the snapshot's partials.
+
+So a narrowed engine holds no array N columns wide but one chunk. Every
+engine builds the window step's (N, c) buffer in its first measurement, a
+narrowing one after narrowing has freed G, so G, the band and the buffer
+are never all alive.
 
 Free legs, channels without cut columns and snapshots all act on each row
 delta alone, so a Propagator may hold any range of rows, built from the
@@ -126,9 +132,11 @@ come, fit in what is left of its share. The bound holds from the drop on:
 no later step lets a row's l1 norm grow by more than rho per measurement.
 The run's certificate C is C0 plus every row a block dropped, still at
 most 2**-52, and no decision depends on another block.
-A block drops rows through a view of G, and copies the rows it keeps
-once they fill at most half of the array the view reads; a block whose
-rows are all gone runs its remaining operations on an empty array.
+A block drops rows through a view of G, and once the rows it keeps fill
+at most half of the array the view reads, it shrinks that array in place
+to them, with no copy beside the dropped ones; so does a narrowed block
+with its K. A block whose rows are all gone runs its remaining operations
+on an empty array.
 Rows the blocks of pointer_n1024 (3 blocks, 80 rows at the start) hold
 after 1, 5, 10, 20 and 40 applications: 78, 33, 14, 6 and 2, 13.2 on
 average. Propagator itself holds all rows by default and drops none.
@@ -151,6 +159,9 @@ __all__ = ["ChannelPlan", "Propagator", "Snapshots", "row_cut", "run_blocks"]
 # Entries of G per row block: 2**15 complex128 values are 512 KiB, well
 # inside the reference machine's 4 MiB L2 per core.
 BLOCK_ENTRIES = 2**15
+# Entries per chunk of rows that a narrowed engine takes N columns wide: a
+# record's rebuilt G and a band kernel's ones, 16 rows at N = 256.
+CHUNK_ENTRIES = 2**12
 # The certificate budget: no p(n) entry of a row-local run moves by more.
 BUDGET = 2.0**-52
 
@@ -214,7 +225,7 @@ class ChannelPlan:
         self.identity = not c and 2 * band > n and ones
         if scale is not None and self.width < n:
             # A narrowing engine applies the scale only after it narrows.
-            scale = _band_columns(scale, band, self.width)
+            scale = _band_columns(scale, band, np.empty(self.width, dtype=complex))
         turns = np.outer(sites[n // 2 : 0 : -1], sites[1 : c + 1]) % n
         self.twiddle = np.exp(-2j * np.pi * turns / n).conj()
         self.scale, self.cut = scale, cut
@@ -231,8 +242,11 @@ class Propagator:
     the phase vector exp(i t E), doubled, of the last leg length t it
     applied, or once narrowed that length's band kernel, so a run of equal
     legs builds it once; a leg of another length builds its own in its
-    place. Besides G and the plan, an engine that has not narrowed holds no
-    array of N columns per row. rows is the range of rows delta the engine
+    place. Besides G, the plan and, for a channel that couples rows, the
+    window step's buffer, an engine that has not narrowed holds no array of
+    N columns per row; a narrowed one holds its band, K and the buffer, and
+    takes N columns only one chunk of CHUNK_ENTRIES entries at a time, for
+    a record or a new K. rows is the range of rows delta the engine
     holds, all of 0..N/2 by default; a plan that couples rows needs all of
     them. share, if given, is the part of the run's certificate budget that
     the engine may spend on rows it drops after each measurement (the
@@ -260,7 +274,6 @@ class Propagator:
         if plan is not None and plan.couples:
             if rows != range(half) or share is not None:
                 raise ValueError("this measurement couples rows; hold all rows 0..N/2, drop none")
-            self._buffer = np.empty((n, plan.window), dtype=complex)
         self._plan = plan
         self._rows = rows
         self._n = n
@@ -284,6 +297,7 @@ class Propagator:
         self._to_come = measurements
         self.spent = 0.0
         self._pending = 0.0
+        self._buffer = None  # the window step's (N, c) buffer, built when first used
         # exp(i t E) doubled for a leg of length _table_t, or once narrowed its K
         self._table = None
         self._table_t = None
@@ -297,25 +311,41 @@ class Propagator:
         """u = exp(i t E(k)), doubled for _lagged."""
         return np.tile(np.exp(1j * t * dispersion_table(self._n)), 2)
 
-    def _free_leg(self, g: np.ndarray, turns: np.ndarray) -> np.ndarray:
-        """Multiply the rows of g, N columns, by the phases
+    def _chunks(self, rows: range):
+        """(slice, rows in it, a (rows, N) view) for each chunk of rows, of
+        CHUNK_ENTRIES // N rows, or one row when a row has more entries. The
+        views share one buffer, so a chunk is valid until the next is taken."""
+        step = max(1, CHUNK_ENTRIES // self._n)
+        buffer = np.empty((min(step, len(rows)), self._n), dtype=complex)
+        for lo in range(0, len(rows), step):
+            part = slice(lo, lo + step)
+            yield part, rows[part], buffer[: len(rows[part])]
+
+    def _free_leg(self, g: np.ndarray, turns: np.ndarray, rows: range) -> np.ndarray:
+        """Multiply g, the rows of G in rows, N columns, by the phases
         exp(i t (E(k - delta) - E(k))) = u[k - delta] conj u[k], for turns
         the doubled u of _phase_vector; row 0, whose phase is exactly 1, is
-        left alone."""
-        moving = g[self._moving :]
-        np.multiply(moving, _lagged(turns, self._rows)[self._moving :], out=moving)
+        left alone when rows holds it."""
+        skip = 1 if rows.start == 0 else 0
+        moving = g[skip:]
+        np.multiply(moving, _lagged(turns, rows[skip:]), out=moving)
         np.multiply(moving, turns[: self._n].conj(), out=moving)
         return g
 
     def _band_kernel(self, turns: np.ndarray) -> np.ndarray:
         """fft_W of each moving row's circulant kernel ifft_N(phases), cut to
         the lags |l| <= 2L - 2 that carry the band onto itself, for the
-        phases of the leg whose doubled u is turns."""
-        phases = self._free_leg(np.ones((len(self._rows), self._n), dtype=complex), turns)
-        moving = phases[self._moving :]
-        np.fft.ifft(moving, axis=1, out=moving)
-        kernel = _band_columns(moving, 2 * self._plan.band - 1, self._plan.width)
-        return np.fft.fft(kernel, axis=1, out=kernel)
+        phases of the leg whose doubled u is turns: the leg applied to a
+        chunk of ones at a time, whose lags are written into K."""
+        rows = self._rows[self._moving :]
+        kernel = np.empty((len(rows), self._plan.width), dtype=complex)
+        for part, chunk, phases in self._chunks(rows):
+            phases.fill(1.0)
+            self._free_leg(phases, turns, chunk)
+            np.fft.ifft(phases, axis=1, out=phases)
+            lags = _band_columns(phases, 2 * self._plan.band - 1, kernel[part])
+            np.fft.fft(lags, axis=1, out=lags)
+        return kernel
 
     def _leg_table(self, t: float) -> np.ndarray:
         """The doubled u of a leg of length t, or once narrowed its band
@@ -334,7 +364,7 @@ class Propagator:
         if self._narrowed:
             self._pending += t
             return
-        self._free_leg(self._g, self._leg_table(t))
+        self._free_leg(self._g, self._leg_table(t), self._rows)
 
     def measure(self) -> None:
         """Apply the measurement channel once; an engine with a share then
@@ -385,7 +415,8 @@ class Propagator:
         """Keep only the band columns of H from now on, in a (rows, W)
         array, free G, and then build the band kernel of the last leg's
         length in place of its phase vector."""
-        self._g = _band_columns(self._g, self._plan.band, self._plan.width)
+        band = np.empty((len(self._rows), self._plan.width), dtype=complex)
+        self._g = _band_columns(self._g, self._plan.band, band)
         if self._table is not None:
             self._table = self._band_kernel(self._table)  # from the kept u
 
@@ -411,6 +442,8 @@ class Propagator:
             np.multiply(g, plan.scale, out=g)  # 1 inside the window
         c = plan.window
         if c:
+            if self._buffer is None:  # built here, once a narrowing engine has freed G
+                self._buffer = np.empty((self._n, c), dtype=complex)
             buffer, twiddle = self._buffer, plan.twiddle
             # Column j of buffer is d = j + 1 and column j of mirror is N - d,
             # held at width - d. Buffer rows N/2..N - 1 are rows N - delta for
@@ -438,28 +471,34 @@ class Propagator:
             np.conjugate(buffer[0, :pairs], out=mirror[0, :pairs])
             mirror[1:, :pairs] = lower[::-1, :pairs]
 
-    def _widen(self) -> np.ndarray:
-        """G now, rebuilt from a narrowed engine's band: fft_N of the band
-        in N columns, times the pending leg's phases."""
-        g = _band_columns(self._g, self._plan.band, self._n)
-        np.fft.fft(g, axis=1, out=g)
-        if self._pending:
-            self._free_leg(g, self._phase_vector(self._pending))
-        return g
+    def _g_chunks(self):
+        """(rows, G on those rows) over the engine's rows: G itself, or once
+        narrowed G rebuilt one chunk of rows at a time, as fft_N of the band
+        in N columns times the pending leg's phases."""
+        if not self._narrowed:
+            yield self._rows, self._g
+            return
+        turns = self._phase_vector(self._pending) if self._pending else None
+        for part, rows, g in self._chunks(self._rows):
+            _band_columns(self._g[part], self._plan.band, g)
+            np.fft.fft(g, axis=1, out=g)
+            if turns is not None:
+                self._free_leg(g, turns, rows)
+            yield rows, g
 
     def record(self, snapshots: Snapshots, j: int) -> None:
         """Write this engine's rows of snapshot j: row sums, squared row
         norms and, if it holds row 0, the real part of row 0 and the
         largest imaginary part on it."""
-        g = self._widen() if self._narrowed else self._g
-        rows = slice(self._rows.start, self._rows.stop)
         sums, norms, momentum, imag = snapshots.partials(j)
-        g.sum(axis=1, out=sums[rows])
-        pairs = g.view(np.float64)  # |G|^2 is the sum of squares of re and im
-        np.einsum("ij,ij->i", pairs, pairs, out=norms[rows])
-        if self._rows.start == 0:
-            momentum[:] = g[0].real
-            imag[0] = np.max(np.abs(g[0].imag))
+        for rows, g in self._g_chunks():
+            part = slice(rows.start, rows.stop)
+            g.sum(axis=1, out=sums[part])
+            pairs = g.view(np.float64)  # |G|^2 is the sum of squares of re and im
+            np.einsum("ij,ij->i", pairs, pairs, out=norms[part])
+            if rows.start == 0:
+                momentum[:] = g[0].real
+                imag[0] = np.max(np.abs(g[0].imag))
 
 
 class Snapshots:
@@ -593,17 +632,26 @@ def _lagged(doubled: np.ndarray, rows: range) -> np.ndarray:
 
 def _first_rows(a: np.ndarray, count: int) -> np.ndarray:
     """a[:count]: a view while it holds more than half of the array that a
-    views, and then a copy, so that the rest is freed."""
+    views, and then that array shrunk in place to count rows, with no copy.
+    refcheck=False is safe: the engine allocated that array itself (resize
+    refuses one that does not own its data), and keeps no view of it past
+    one operation but a, which the caller replaces by the result."""
     owner = a if a.base is None else a.base
     head = a[:count]
-    return head.copy() if 2 * head.nbytes <= owner.nbytes else head
+    # A shrink is a realloc, a system call for an array the allocator mapped
+    # on its own; views keep the shrinks to about log2 of the rows dropped.
+    if 2 * head.nbytes > owner.nbytes:
+        return head
+    owner.resize(head.shape, refcheck=False)
+    return owner
 
 
-def _band_columns(a: np.ndarray, keep: int, width: int) -> np.ndarray:
-    """The columns d = 0..keep - 1 of a and their mirrors -d, held at the
-    end, in a new complex array of width columns that is 0 elsewhere."""
-    out = np.zeros((*a.shape[:-1], width), dtype=complex)
+def _band_columns(a: np.ndarray, keep: int, out: np.ndarray) -> np.ndarray:
+    """out, complex: the columns d = 0..keep - 1 of a and their mirrors -d,
+    held at the end, and 0 elsewhere."""
+    width = out.shape[-1]
     out[..., :keep] = a[..., :keep]
+    out[..., keep : width - keep + 1] = 0.0
     out[..., width - keep + 1 :] = a[..., a.shape[-1] - keep + 1 :]
     return out
 

@@ -55,7 +55,14 @@ from zenolattice import (
     with_regions,
 )
 from zenolattice import harness
-from zenolattice.propagator import ChannelPlan, Propagator, Snapshots, row_cut, run_blocks
+from zenolattice.propagator import (
+    CHUNK_ENTRIES,
+    ChannelPlan,
+    Propagator,
+    Snapshots,
+    row_cut,
+    run_blocks,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -166,10 +173,10 @@ class TestRunSchedule:
     @pytest.mark.parametrize(
         "measurement, bound",
         [
-            (PointerSpec(0.2), 1.35),  # 0.615, one row block of the rows the cut keeps
-            (RegionPvmSpec(6), 2.45),  # 1.61, a window of c = 41 columns, narrowed to W = 168
-            (PointerSpec(1.0, DistanceConvention.LINEAR), 2.65),  # 2.00, c = 54, W = 224
-            (PointerSpec(0.2, DistanceConvention.LINEAR), 3.25),  # 1.89, c = 127
+            (PointerSpec(0.2), 1.35),  # 0.595, one row block of the rows the cut keeps
+            (RegionPvmSpec(6), 1.4),  # 1.11, a window of c = 41 columns, narrowed to W = 168
+            (PointerSpec(1.0, DistanceConvention.LINEAR), 1.9),  # 1.51, c = 54, W = 224
+            (PointerSpec(0.2, DistanceConvention.LINEAR), 3.25),  # 1.70, c = 127
         ],
     )
     def test_measured_run_memory_is_bounded(self, measurement, bound):
@@ -204,6 +211,34 @@ class TestRunSchedule:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 16 / 192
+
+    @pytest.mark.parametrize(
+        "measurement, bound",
+        [
+            (RegionPvmSpec(6), 2.35),  # 1.87: G, then the band and K, W = 1372
+            (PointerSpec(0.5, DistanceConvention.LINEAR), 1.66),  # 1.33: c = 109, W = 441
+        ],
+        ids=["pvm6", "linear0.5"],
+    )
+    def test_narrowing_run_memory_is_bounded_at_large_n(self, measurement, bound):
+        """A narrowing run at N = 2048, 4 measurements and 3 records, one of
+        them off the grid, peaks at a small multiple of G = (N/2 + 1) N
+        complex entries: G, the band, its K and the window buffer are never
+        all alive, and records and band kernels take N columns one chunk of
+        rows at a time. The measurement is built before tracing starts: a
+        LINEAR kernel's O(N^3) PSD check alone peaks at 2.00 G."""
+        n = 2048
+        scenario = packet_scenario(n_sites=n, measurement=measurement, total=4.0,
+                                   records=(0.0, 2.5, 4.0), state=GaussianPacketSpec(64, 64.0, 248))
+        operator = harness._measurement_operator(measurement, n)
+        tracemalloc.start()
+        try:
+            with mock.patch.object(harness, "_measurement_operator", lambda *_: operator):
+                run_schedule(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * (n // 2 + 1) * n * 16
 
     @pytest.mark.parametrize("measurement", [RegionPvmSpec(6), PointerSpec(0.5)])
     def test_long_horizon_drift_per_step(self, measurement):
@@ -598,7 +633,7 @@ def test_narrowed_engine_holds_nothing_wider_than_w():
     """Narrowing frees G and builds the band kernel of the last leg's length
     in place of its phase vector: the engine then holds no array with more
     than W columns, through legs of other lengths and records on and off
-    the grid, which take their N columns for the one call."""
+    the grid, which take N columns one chunk of rows at a time."""
     n, t, width = 256, 0.001, 168
     state = build_initial_state(GaussianPacketSpec(8, 8.0, 31), n)
     engine = Propagator(state, ChannelPlan(make_regions(n, 6)))
@@ -613,6 +648,61 @@ def test_narrowed_engine_holds_nothing_wider_than_w():
         engine.measure()
         widths = {name: v.shape[-1] for name, v in engine_arrays(engine).items()}
         assert max(widths.values()) == widths["_g"] == widths["_table"] == width
+
+
+@pytest.mark.parametrize(
+    "measurement",
+    [pointer_kernel(PointerSpec(0.2), 256), make_regions(256, 6)],
+    ids=["pointer", "pvm6_narrowed"],
+)
+def test_row_zero_stays_bit_identical_across_every_advance(measurement):
+    """Row 0, p(k), has phase exactly 1 on every free leg. Across every
+    advance of a measured engine, row 0 of G, or of a narrowed engine's
+    band, keeps every bit, and a record off the grid reads the p(k) of the
+    record at the measurement before it."""
+    n = 256
+    engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), ChannelPlan(measurement))
+    on_grid = None
+    for leg, record_at in ((0.001, 0.0), (0.001, 0.5), (0.00037, 0.25), (0.001, 0.7)):
+        for part in (record_at * leg, (1 - record_at) * leg):
+            before = engine._g[0].copy()
+            engine.advance(part)
+            np.testing.assert_array_equal(engine._g[0].view(np.uint64), before.view(np.uint64))
+            if on_grid is not None and 0 < part < leg:
+                off_grid = snapshot(engine, n).momentum_distribution(0)
+                np.testing.assert_array_equal(off_grid.view(np.uint64), on_grid.view(np.uint64))
+        engine.measure()
+        on_grid = snapshot(engine, n).momentum_distribution(0)
+    assert engine._narrowed == isinstance(measurement, RegionPartition)
+
+
+def test_narrowed_record_and_new_leg_allocate_one_chunk():
+    """Beyond the arrays it keeps, a narrowed engine allocates one chunk of
+    CHUNK_ENTRIES entries and the doubled N-site phase vector of a leg, and
+    numpy at most the iterator buffer of a broadcast multiply on that chunk
+    (as large as the chunk) and 8 KiB more: in a record on the grid, in one
+    off it, and in a measure whose pending leg has a new length and builds a
+    new K. A whole (rows, N) array would be 8 chunks."""
+    n, t = 256, 0.001
+    engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), ChannelPlan(make_regions(n, 6)))
+    snapshots = Snapshots(1, n)
+    engine.advance(t)
+    engine.measure()  # narrows
+    engine.record(snapshots, 0)  # warm-up: the snapshot's partials, FFT plans
+    actions = [
+        lambda: engine.record(snapshots, 0),
+        lambda: (engine.advance(0.4 * t), engine.record(snapshots, 0)),
+        lambda: (engine.advance(0.3 * t), engine.measure()),  # a leg of 0.7 t
+    ]
+    for action in actions:
+        tracemalloc.start()
+        try:
+            action()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - current <= 2 * CHUNK_ENTRIES * 16 + 2 * n * 16 + 8 * 1024
+    assert engine._table_t == pytest.approx(0.7 * t)
 
 
 @pytest.mark.parametrize(
@@ -1086,10 +1176,90 @@ def test_pointer_n1024_peak_is_one_block_at_a_time():
         assert peak < 2**20
 
 
+def leg_by_index(g, rows, t):
+    """g, the chord rows rows of G, times the phases of a leg of length t,
+    in place, through an index table and all rows at once; row 0 is left
+    alone. The whole-array reference of the engine's free leg."""
+    n = g.shape[1]
+    sites = np.arange(n)
+    behind = (sites[None, :] - np.asarray(rows)[:, None]) % n  # (k - delta) mod N
+    turns = np.exp(1j * t * dispersion_table(n))
+    moving = 1 if rows.start == 0 else 0
+    np.multiply(g[moving:], turns[behind[moving:]], out=g[moving:])
+    np.multiply(g[moving:], turns.conj(), out=g[moving:])
+    return g
+
+
+def widened(engine):
+    """G now, rebuilt from a narrowed engine's band in one (rows, N) array:
+    fft_N of the band in N columns, times the pending leg's phases."""
+    plan, n = engine._plan, engine._n
+    keep, width = plan.band, plan.width
+    g = np.zeros((len(engine._rows), n), dtype=complex)
+    g[:, :keep] = engine._g[:, :keep]
+    g[:, n - keep + 1 :] = engine._g[:, width - keep + 1 :]
+    np.fft.fft(g, axis=1, out=g)
+    return leg_by_index(g, engine._rows, engine._pending) if engine._pending else g
+
+
+def whole_band_kernel(engine, t):
+    """A narrowed engine's K for a leg of length t, built in one (rows, N)
+    array: the leg applied to ones, ifft_N, cut to the lags |l| <= 2L - 2
+    in W columns, fft_W; rows of the moving rows only."""
+    plan, n = engine._plan, engine._n
+    keep, width = 2 * plan.band - 1, plan.width
+    phases = leg_by_index(np.ones((len(engine._rows), n), dtype=complex), engine._rows, t)
+    phases = np.fft.ifft(phases[engine._moving :], axis=1)
+    kernel = np.zeros((len(phases), width), dtype=complex)
+    kernel[:, :keep] = phases[:, :keep]
+    kernel[:, width - keep + 1 :] = phases[:, n - keep + 1 :]
+    return np.fft.fft(kernel, axis=1)
+
+
 def row_l1(engine):
     """The l1 norm of each of an engine's chord rows of G."""
-    g = engine._widen() if engine._narrowed else engine._g
+    g = widened(engine) if engine._narrowed else engine._g
     return np.abs(g).sum(axis=1)
+
+
+@pytest.mark.parametrize(
+    "measurement, rows",
+    [
+        (make_regions(256, 6), None),
+        (make_regions(256, 16), None),
+        (pointer_kernel(PointerSpec(1.0, DistanceConvention.LINEAR), 256), None),
+        (DampingKernel(np.array(autocorrelation_kernel([3, 5, 2] + [0] * 253))), range(7, 100)),
+    ],
+    ids=["pvm6", "pvm16", "linear1", "compact_kernel_block"],
+)
+def test_chunked_records_and_band_kernels_match_whole_arrays(measurement, rows):
+    """A narrowed engine takes N columns one chunk of rows at a time. Its
+    records, on and off the grid, and its K after legs of 0.001, 0.00037 and
+    0.0123 equal the same built whole in one (rows, N) array, bit for bit;
+    so do those of a block of rows 7..99, whose chunks hold no row 0."""
+    n = 256
+    state = build_initial_state(GaussianPacketSpec(8, 8.0, 31), n)
+    engine = Propagator(state, ChannelPlan(measurement), rows)
+    for leg, record_at in ((0.001, 0.0), (0.00037, 0.5), (0.0123, 0.25), (0.001, 0.6)):
+        engine.advance(record_at * leg)
+        if engine._narrowed:
+            got, want = Snapshots(1, n), Snapshots(1, n)
+            engine.record(got, 0)
+            g = widened(engine)
+            sums, norms, momentum, imag = want.partials(0)
+            part = slice(engine._rows.start, engine._rows.stop)
+            g.sum(axis=1, out=sums[part])
+            np.einsum("ij,ij->i", g.view(np.float64), g.view(np.float64), out=norms[part])
+            read = 2  # p(k) and its imaginary part only from the block of row 0
+            if part.start == 0:
+                momentum[:], imag[0], read = g[0].real, np.max(np.abs(g[0].imag)), 4
+            for a, b in list(zip(got.partials(0), want.partials(0)))[:read]:
+                np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+        engine.advance((1 - record_at) * leg)
+        engine.measure()
+        assert engine._narrowed
+        want = whole_band_kernel(engine, engine._table_t)
+        np.testing.assert_array_equal(engine._table.view(np.uint64), want.view(np.uint64))
 
 
 @st.composite
@@ -1252,28 +1422,31 @@ def test_a_block_charges_each_dropped_row_its_l1_norm_with_its_mirror():
     assert drops > 1 and len(block._rows) < n // 2 + 1 - lo
 
 
-def test_a_block_copies_its_rows_once_half_are_dropped():
+def test_a_block_shrinks_its_rows_in_place_once_half_are_dropped():
     """Dropped rows are cut off by a view of G until the kept rows fill at
-    most half of the array it reads; then they are copied, and the rest is
-    freed. Block 0 of the pointer_n1024 workload, 26 rows, ends on a copy
-    of less than a quarter of them."""
+    most half of the array it reads; then that array is shrunk in place to
+    them, never copied. Block 0 of the pointer_n1024 workload, 26 rows,
+    holds the one array it built at the start, or a view of it, and ends
+    on less than a quarter of its rows."""
     scenario = named_scenario("pointer_n1024")
     n = 1024
     state = build_initial_state(scenario.state, n)
     plan = ChannelPlan(pointer_kernel(scenario.measurement, n))
     engine = Propagator(state, plan, range(26), 2.0**-54, 40)
-    held, views = [], 0
+    first = engine._g
+    held, views = [first.nbytes], 0
     for _ in range(40):
         engine.advance(0.01)
         engine.measure()
         g = engine._g
         owner = g if g.base is None else g.base
+        assert owner is first and owner.flags.owndata
         assert g.shape == (len(engine._rows), n)
         assert g.base is None or 2 * g.nbytes > owner.nbytes
         held.append(owner.nbytes)
         views += g.base is not None
     assert held[0] == 26 * n * 16 and held[-1] < held[0] // 4
-    assert views > 0
+    assert views > 0 and len(set(held)) > 2  # shrunk more than once
 
 
 @settings(max_examples=15, deadline=None)

@@ -42,6 +42,7 @@ def test_step_cost_reports_every_operation():
         "free_leg",
         "new_leg",
         "snapshot",
+        "narrowed_snapshot",
         "pointer_step",
         "pvm_step",
         "pvm16_step",
