@@ -260,9 +260,17 @@ def emit_csv(records: list[ObservableRecord], out_dir: str | Path) -> tuple[Path
     """
     if not records:
         raise ValueError("no records to write")
-    region_count = records[0].region_masses.size
-    if any(r.region_masses.size != region_count for r in records):
-        raise ValueError("records disagree on region count")
+    first = records[0]
+    for field in ("region_masses", "position_dist", "momentum_dist"):
+        if any(getattr(r, field).size != getattr(first, field).size for r in records):
+            raise ValueError(f"records disagree on the length of {field}")
+    region_count = first.region_masses.size
+
+    # One %-template per file: a record is one format call over
+    # (t, p0, t, p1, ...). %.17g formats a float as format(p, ".17g") does.
+    position_row = "".join(f"%s,{n},%.17g\n" for n in range(first.position_dist.size))
+    signed = signed_momentum_values(first.momentum_dist.size).tolist()
+    momentum_row = "".join(f"%s,{k},{signed_k},%.17g\n" for k, signed_k in enumerate(signed))
 
     out = Path(out_dir)
     positions_path = out / "positions.csv"
@@ -271,22 +279,17 @@ def emit_csv(records: list[ObservableRecord], out_dir: str | Path) -> tuple[Path
     try:
         out.mkdir(parents=True, exist_ok=True)
 
-        with open(positions_path, "w") as handle:
-            handle.write("time_display,n,p_x\n")
-            for rec in records:
-                t = _fmt(rec.time_display)
-                clamped = _clamped(rec.position_dist)
-                handle.write("".join(f"{t},{n},{p:.17g}\n" for n, p in enumerate(clamped)))
-
-        with open(momenta_path, "w") as handle:
-            handle.write("time_display,k,signed_k,p_k\n")
-            for rec in records:
-                t = _fmt(rec.time_display)
-                signed = signed_momentum_values(rec.momentum_dist.size).tolist()
-                clamped = _clamped(rec.momentum_dist)
-                handle.write(
-                    "".join(f"{t},{k},{signed[k]},{p:.17g}\n" for k, p in enumerate(clamped))
-                )
+        for path, head, template, field in (
+            (positions_path, "time_display,n,p_x\n", position_row, "position_dist"),
+            (momenta_path, "time_display,k,signed_k,p_k\n", momentum_row, "momentum_dist"),
+        ):
+            with open(path, "w") as handle:
+                handle.write(head)
+                for rec in records:
+                    clamped = _clamped(getattr(rec, field))
+                    values = [_fmt(rec.time_display)] * (2 * len(clamped))
+                    values[1::2] = clamped
+                    handle.write(template % tuple(values))
 
         with open(summary_path, "w") as handle:
             head = "time_display,purity,expected_momentum,momentum_variance,negative_momentum_fraction"

@@ -1,6 +1,8 @@
 """Run loop, grid doubling and CSV emission."""
 
+import math
 import os
+import tempfile
 import textwrap
 import threading
 import tracemalloc
@@ -21,6 +23,7 @@ from zenolattice import (
     GaussianPacketSpec,
     LatticeConfig,
     NoMeasurement,
+    ObservableRecord,
     PointerSpec,
     PositionEigenstateSpec,
     RegionPartition,
@@ -1077,15 +1080,17 @@ def captured_run(scenario):
 
 def replay(state, plan, ops, count, blocks):
     """ops stepped on one Propagator per (rows, share) of blocks, one block
-    after the other, into snapshots of their own."""
-    whole = Snapshots(count, state.n_sites)
+    after the other, into snapshots of their own, every op on every block,
+    an emptied one too. Returns the snapshots and what each engine spent."""
+    whole, spent = Snapshots(count, state.n_sites), []
     for rows, share in blocks:
         engine = Propagator(state, plan, rows, share, measurements_in(ops))
         for method, *args in ops:
             if method is Propagator.record:
                 args = (whole, args[1])
             method(engine, *args)
-    return whole
+        spent.append(engine.spent)
+    return whole, spent
 
 
 def measurements_in(ops):
@@ -1133,13 +1138,66 @@ def test_row_blocks_match_one_block_of_all_rows(scenario):
     if measurements >= 20:
         assert any(to_come > 0 for _, _, to_come, _ in drops)
 
-    whole = replay(state, plan, ops, len(records), [(rows, share) for _, rows, share in blocks])
+    whole, _ = replay(state, plan, ops, len(records), [(rows, share) for _, rows, share in blocks])
     for j, rec in enumerate(records):
         np.testing.assert_array_equal(rec.position_dist, whole.position_distribution(j))
         np.testing.assert_array_equal(rec.momentum_dist, whole.momentum_distribution(j))
         assert rec.purity == whole.purity(j)
 
     assert_same_records(run_schedule(scenario), records)
+
+
+def spy_engine_calls():
+    """Patches Propagator.advance, measure and record to log (method name,
+    rows the engine holds) for every call."""
+    calls = []
+
+    def spy(name):
+        inner = getattr(Propagator, name)
+
+        def logged(self, *args):
+            calls.append((name, len(self._rows)))
+            return inner(self, *args)
+
+        return mock.patch.object(Propagator, name, logged)
+
+    return calls, [spy(name) for name in ("advance", "measure", "record")]
+
+
+def assert_emptied_blocks_stop(scenario):
+    """No advance, measure or record of run_schedule runs on an engine that
+    holds no rows, and its certificate C and records equal, bit for bit,
+    the same blocks stepped through every op by replay, which does run
+    those calls. Returns how many calls of each method run_schedule skips."""
+    calls, spies = spy_engine_calls()
+    with spies[0], spies[1], spies[2]:
+        records, (state, operator, ops), certificate, blocks = captured_run(scenario)
+        run, plan = len(calls), plan_of(operator)
+        whole, spent = replay(state, plan, ops, len(records), [(rows, share) for _, rows, share in blocks])
+        _, cut = row_cut(state, plan, measurements_in(ops))  # ops hold the spies
+    replayed = calls[run:]
+    assert all(held > 0 for _, held in calls[:run])
+    assert sum(held > 0 for _, held in replayed) == run
+    assert certificate == math.fsum([cut, *spent])
+    for j, rec in enumerate(records):
+        np.testing.assert_array_equal(rec.position_dist, whole.position_distribution(j))
+        np.testing.assert_array_equal(rec.momentum_dist, whole.momentum_distribution(j))
+        assert rec.purity == whole.purity(j)
+    return {name: replayed.count((name, 0)) for name in ("advance", "measure", "record")}
+
+
+def test_pointer_n1024_emptied_blocks_stop():
+    """Blocks 2 and 3 of the pointer_n1024 workload drop their last rows
+    after measurements 7 and 4: they skip the rest of the run, 142 of the
+    249 engine calls that replay makes."""
+    skipped = assert_emptied_blocks_stop(named_scenario("pointer_n1024"))
+    assert skipped == {"advance": 69, "measure": 69, "record": 4}
+
+
+@settings(max_examples=10, deadline=None)
+@given(blocked_scenarios(["damped"]))
+def test_emptied_blocks_stop_on_damped_runs(scenario):
+    assert_emptied_blocks_stop(scenario)
 
 
 def test_row_blocks_start_no_thread():
@@ -1337,7 +1395,7 @@ def assert_cut_matches_all_rows(scenario):
     assert cut <= certificate <= 2.0**-52
     if plan is not None and plan.couples:
         assert (kept, certificate) == (half, 0.0)
-    whole = replay(state, plan, ops, len(records), [(range(half), None)])
+    whole, _ = replay(state, plan, ops, len(records), [(range(half), None)])
     partition = operator if isinstance(operator, RegionPartition) else None
     for j, rec in enumerate(records):
         want = harness._snapshot(whole, j, scenario.lattice, rec.time_display, partition)
@@ -1665,6 +1723,61 @@ class TestEmitCsv:
         with pytest.raises(ValueError, match="no records"):
             emit_csv([], target)
         assert not target.exists()
+
+    def test_distribution_lengths_must_agree(self, tmp_path):
+        """The row templates are built from the first record, so a record
+        whose p(n) or p(k) has another length is refused, before anything
+        is written."""
+        records = self.tiny_records()
+        for field in ("position_dist", "momentum_dist"):
+            short = replace(records[1], **{field: getattr(records[1], field)[:-1]})
+            target = tmp_path / field
+            with pytest.raises(ValueError, match=f"disagree on the length of {field}"):
+                emit_csv([records[0], short], target)
+            assert not target.exists()
+
+    @staticmethod
+    def per_line_csv(records):
+        """positions.csv and momenta.csv written one f-string per line, as
+        emit_csv wrote them before its row templates: their oracle."""
+        positions, momenta = ["time_display,n,p_x\n"], ["time_display,k,signed_k,p_k\n"]
+        for rec in records:
+            t = format(float(rec.time_display), ".17g")
+            signed = signed_momentum_values(rec.momentum_dist.size).tolist()
+            for n, p in enumerate(rec.position_dist.tolist()):
+                positions.append(f"{t},{n},{max(p, 0.0):.17g}\n")
+            for k, p in enumerate(rec.momentum_dist.tolist()):
+                momenta.append(f"{t},{k},{signed[k]},{max(p, 0.0):.17g}\n")
+        return "".join(positions), "".join(momenta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_row_templates_write_what_per_line_formatting_writes(self, data):
+        tiny = 2.2250738585072014e-308  # the smallest normal float
+        value = st.one_of(
+            st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, -1e-13, 1e-300, 5e-324]),
+            st.floats(-tiny, tiny),  # subnormals
+            st.floats(1.0, allow_infinity=False),
+            st.floats(),
+        )
+        n = data.draw(st.integers(1, 12))
+        records = [
+            ObservableRecord(
+                time_natural=t,
+                time_display=t,
+                position_dist=np.array(data.draw(st.lists(value, min_size=n, max_size=n))),
+                momentum_dist=np.array(data.draw(st.lists(value, min_size=n, max_size=n))),
+                purity=1.0,
+                expected_momentum_signed=0.0,
+                momentum_variance=0.0,
+                region_masses=np.empty(0),
+                negative_momentum_fraction=0.0,
+            )
+            for t in data.draw(st.lists(st.integers(0, 10**6).map(lambda i: i / 1000), min_size=1, max_size=4))
+        ]
+        with tempfile.TemporaryDirectory() as out:
+            positions, momenta, _ = emit_csv(records, out)
+            assert (positions.read_text(), momenta.read_text()) == self.per_line_csv(records)
 
     def test_negative_roundoff_clamped_only_in_csv(self, tmp_path):
         records = self.tiny_records()
