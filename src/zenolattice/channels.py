@@ -141,7 +141,6 @@ class DampingKernel:
 
     values: np.ndarray
     distance_convention: DistanceConvention = DistanceConvention.MINIMAL_IMAGE
-    _matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # A copy: the caller's array stays writable, and this one is read-only.
@@ -172,14 +171,12 @@ class DampingKernel:
         return self.values.size
 
     def schur_matrix(self) -> np.ndarray:
-        """Full N x N damping matrix K(m, n) = values[dist(m, n)]; memoized."""
-        if self._matrix is None:
-            if self.distance_convention is DistanceConvention.MINIMAL_IMAGE:
-                idx = np.arange(self.n_sites)
-                self._matrix = self.values[(idx[:, None] - idx[None, :]) % self.n_sites]
-            else:
-                self._matrix = _linear_matrix(self.values)
-        return self._matrix
+        """Full N x N damping matrix K(m, n) = values[dist(m, n)], built on
+        each call: the kernel holds no N x N array of its own."""
+        if self.distance_convention is DistanceConvention.MINIMAL_IMAGE:
+            idx = np.arange(self.n_sites)
+            return self.values[(idx[:, None] - idx[None, :]) % self.n_sites]
+        return _linear_matrix(self.values)
 
 
 def _linear_matrix(values: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ k is k**2/2, folded symmetrically at k = N/2.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +57,8 @@ class LatticeConfig:
         n = self.n_sites
         if n < 8 or n & (n - 1):
             raise ValueError(f"n_sites must be a power of two >= 8, got {n}")
-        if not self.display_time_factor > 0:
-            raise ValueError("display_time_factor must be positive")
+        if not 0 < self.display_time_factor < math.inf:
+            raise ValueError("display_time_factor must be positive and finite")
 
     def to_natural_time(self, display_time: float) -> float:
         return display_time / self.display_time_factor

@@ -37,6 +37,7 @@ The [measurement] section may be omitted entirely for an unmeasured run.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -96,13 +97,18 @@ class Schedule:
     record_times: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.total_time > 0:
-            raise ValueError("total_time must be positive")
-        if self.measurement_interval is not None and not self.measurement_interval > 0:
-            raise ValueError("measurement interval must be positive")
+        # Not nan, not inf: an infinite total time or interval would never
+        # finish or never measure, and a nan record time compares false.
+        if not 0 < self.total_time < math.inf:
+            raise ValueError("total_time must be positive and finite")
+        interval = self.measurement_interval
+        if interval is not None and not 0 < interval < math.inf:
+            raise ValueError("measurement interval must be positive and finite")
         times = tuple(float(t) for t in self.record_times)
         if not times:
             raise ValueError("at least one record time is required")
+        if not all(map(math.isfinite, times)):
+            raise ValueError("record times must be finite")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("record times must be strictly increasing")
         if times[0] < 0 or times[-1] > self.total_time:

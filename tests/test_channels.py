@@ -197,6 +197,16 @@ class TestKernelChannel:
         out = kernel_channel(rho, DampingKernel(np.ones(32)))
         np.testing.assert_array_equal(out.entries, rho.entries)
 
+    @pytest.mark.parametrize("convention", list(DistanceConvention))
+    def test_kernel_keeps_no_matrix_after_a_channel(self, convention):
+        """The N x N damping matrix belongs to the call that builds it: a
+        kernel holds no 2-D array after kernel_channel, only its values."""
+        rho = make_random_density(16, np.random.default_rng(4))
+        kernel = pointer_kernel(PointerSpec(1.0, convention), 16)
+        kernel_channel(rho, kernel)
+        held = [v for v in vars(kernel).values() if isinstance(v, np.ndarray)]
+        assert [a.ndim for a in held] == [1]
+
     def test_gaussian_kernels_compose(self):
         rho = make_random_density(64, np.random.default_rng(4))
         a1, a2 = 0.5, 0.6

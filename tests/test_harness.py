@@ -57,7 +57,7 @@ from zenolattice import (
     with_interval,
     with_regions,
 )
-from zenolattice import harness
+from zenolattice import harness, propagator
 from zenolattice.propagator import (
     CHUNK_ENTRIES,
     ChannelPlan,
@@ -1480,31 +1480,58 @@ def test_a_block_charges_each_dropped_row_its_l1_norm_with_its_mirror():
     assert drops > 1 and len(block._rows) < n // 2 + 1 - lo
 
 
-def test_a_block_shrinks_its_rows_in_place_once_half_are_dropped():
-    """Dropped rows are cut off by a view of G until the kept rows fill at
-    most half of the array it reads; then that array is shrunk in place to
-    them, never copied. Block 0 of the pointer_n1024 workload, 26 rows,
-    holds the one array it built at the start, or a view of it, and ends
-    on less than a quarter of its rows."""
-    scenario = named_scenario("pointer_n1024")
-    n = 1024
-    state = build_initial_state(scenario.state, n)
-    plan = ChannelPlan(pointer_kernel(scenario.measurement, n))
-    engine = Propagator(state, plan, range(26), 2.0**-54, 40)
-    first = engine._g
-    held, views = [first.nbytes], 0
+@pytest.mark.parametrize(
+    "state, measurement, rows, leg",
+    [
+        (
+            build_initial_state(GaussianPacketSpec(512, 32.0, 0), 1024),
+            pointer_kernel(PointerSpec(0.05), 1024),
+            range(26),
+            0.01,
+        ),
+        (
+            build_initial_state(GaussianPacketSpec(100, 8.0, 20), 256),
+            DampingKernel(np.array(autocorrelation_kernel([3, 5, 2] + [0] * 253))),
+            range(103),
+            0.05,
+        ),
+    ],
+    ids=["pointer_n1024_block0", "compact_kernel_block"],
+)
+def test_a_block_steps_its_kept_rows_as_a_prefix_view(state, measurement, rows, leg):
+    """A block drops rows through a view of the first rows of the one G
+    (once narrowed, band) and K arrays it built, which it never copies or
+    resizes: after every measurement each is that array or a prefix view
+    of it, and that array keeps its first shape. Block 0 of the
+    pointer_n1024 workload and a narrowed compact-kernel block, on legs of
+    one length, each end on fewer than a quarter of their rows."""
+    engine = Propagator(state, ChannelPlan(measurement), rows, 2.0**-54, 40)
+    start, built = engine._g, None
     for _ in range(40):
-        engine.advance(0.01)
+        engine.advance(leg)
         engine.measure()
-        g = engine._g
-        owner = g if g.base is None else g.base
-        assert owner is first and owner.flags.owndata
-        assert g.shape == (len(engine._rows), n)
-        assert g.base is None or 2 * g.nbytes > owner.nbytes
-        held.append(owner.nbytes)
-        views += g.base is not None
-    assert held[0] == 26 * n * 16 and held[-1] < held[0] // 4
-    assert views > 0 and len(set(held)) > 2  # shrunk more than once
+        arrays = (engine._g, engine._table)
+        owners = [a if a.base is None else a.base for a in arrays]
+        if built is None:  # a narrowing block builds its band and K here
+            built = [(owner, owner.shape) for owner in owners]
+            assert engine._narrowed or owners[0] is start
+        for a, owner, (first, shape) in zip(arrays, owners, built):
+            assert owner is first and owner.shape == shape
+            assert a.ctypes.data == first.ctypes.data  # a view of its first rows
+        assert len(engine._g) == len(engine._rows)
+    assert built[0][1][0] == len(rows) and 4 * len(engine._rows) < len(rows)
+
+
+def test_run_blocks_builds_no_more_blocks_than_rows(monkeypatch):
+    """Past N = BLOCK_ENTRIES a single row fills a block: with
+    BLOCK_ENTRIES at 64, a quarter of a row at N = 256, the 82 rows that
+    pointer_stationary's cut keeps go to 82 one-row block engines, none
+    empty, and its records still match all rows within C."""
+    monkeypatch.setattr(propagator, "BLOCK_ENTRIES", 64)
+    scenario = named_scenario("pointer_stationary")
+    _, _, _, blocks = captured_run(scenario)
+    assert [len(rows) for _, rows, _ in blocks] == [1] * 82
+    assert assert_cut_matches_all_rows(scenario)[0] == 82
 
 
 @settings(max_examples=15, deadline=None)

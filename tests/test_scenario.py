@@ -173,6 +173,13 @@ def test_interval_none_token(tmp_path):
          "record_times = 0, 50, 20", "strictly increasing"),
         ("total_time = 360", "total_time = 100", "total_time"),
         ("interval = 1", "interval = -2", "positive"),
+        # nan and inf parse as floats; each field must still be finite
+        ("total_time = 360", "total_time = inf", "total_time must be positive and finite"),
+        ("interval = 1", "interval = inf", "interval must be positive and finite"),
+        ("record_times = 0, 60, 80, 100, 140, 180, 200, 240, 360",
+         "record_times = 0, nan, 100", "record times must be finite"),
+        ("display_time_factor = 1000", "display_time_factor = inf",
+         "display_time_factor must be positive and finite"),
     ],
 )
 def test_invalid_values_are_reported(tmp_path, original, mutation, message):
