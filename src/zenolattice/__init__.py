@@ -35,8 +35,6 @@ from .lattice import (
     density_to_position,
     dispersion_table,
     evolve_density,
-    to_momentum_basis,
-    to_position_basis,
 )
 from .observables import (
     ObservableRecord,

@@ -9,6 +9,7 @@ factors depending only on site separation.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,8 +125,8 @@ class PointerSpec:
     distance_convention: DistanceConvention = DistanceConvention.MINIMAL_IMAGE
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
 
 
 @dataclass
@@ -149,7 +150,8 @@ class DampingKernel:
             raise ValueError("kernel values must be a vector with one entry per site")
         if values[0] != 1.0:
             raise ValueError("values[0] must be exactly 1")
-        if np.any(values < 0.0) or np.any(values > 1.0):
+        # Written so that NaN fails it too.
+        if not np.all((values >= 0.0) & (values <= 1.0)):
             raise ValueError("kernel values must lie in [0, 1]")
         n = values.size
         if self.distance_convention is DistanceConvention.MINIMAL_IMAGE:

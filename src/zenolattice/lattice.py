@@ -25,20 +25,18 @@ __all__ = [
     "density_to_position",
     "dispersion_table",
     "evolve_density",
-    "to_momentum_basis",
-    "to_position_basis",
 ]
 
 
 class Basis(enum.Enum):
-    """Which eigenbasis the stored coefficients refer to."""
+    """Which eigenbasis a density matrix's entries refer to."""
 
     POSITION = "position"
     MOMENTUM = "momentum"
 
 
 class BasisError(ValueError):
-    """An operation received a state or density matrix in the wrong basis."""
+    """An operation received a density matrix in the wrong basis."""
 
 
 @dataclass
@@ -67,24 +65,26 @@ class LatticeConfig:
         return natural_time * self.display_time_factor
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateVector:
-    """Pure-state coefficient vector tagged with its basis.
+    """Pure state as its position amplitudes psi(n).
 
     Normalization (sum of squared magnitudes equal to 1 within 1e-12) is
-    enforced at construction.
+    checked once, at construction, on a read-only copy: the check holds for
+    the state's life, and the caller's array stays writable.
     """
 
     amplitudes: np.ndarray
-    basis: Basis
 
     def __post_init__(self) -> None:
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.ndim != 1:
+        amplitudes = np.array(self.amplitudes, dtype=np.complex128)
+        if amplitudes.ndim != 1:
             raise ValueError("amplitudes must be one-dimensional")
-        norm2 = float(np.sum(np.abs(self.amplitudes) ** 2))
+        norm2 = float(np.sum(np.abs(amplitudes) ** 2))
         if abs(norm2 - 1.0) > 1e-12:
             raise ValueError(f"state is not normalized: |amplitudes|^2 = {norm2}")
+        amplitudes.flags.writeable = False
+        object.__setattr__(self, "amplitudes", amplitudes)
 
     @property
     def n_sites(self) -> int:
@@ -95,10 +95,10 @@ class StateVector:
 class DensityMatrix:
     """Density operator in a definite basis.
 
-    Hermiticity and unit trace can be asserted with validate(). Positive
-    semidefiniteness costs a full eigendecomposition, so it is only checked
-    on demand through min_eigenvalue(); anything above -1e-10 counts as PSD
-    (two-sided FFTs of a 256x256 matrix leave round-off at the 1e-13 level).
+    Positive semidefiniteness costs a full eigendecomposition, so it is
+    only checked on demand through min_eigenvalue(); anything above -1e-10
+    counts as PSD (two-sided FFTs of a 256x256 matrix leave round-off at
+    the 1e-13 level).
     """
 
     entries: np.ndarray
@@ -113,21 +113,13 @@ class DensityMatrix:
     def n_sites(self) -> int:
         return self.entries.shape[0]
 
-    def validate(self, atol: float = 1e-12) -> None:
-        asym = float(np.max(np.abs(self.entries - self.entries.conj().T)))
-        if asym > atol:
-            raise ValueError(f"not Hermitian: max |rho - rho^dagger| = {asym:.3e}")
-        trace = complex(np.trace(self.entries))
-        if abs(trace - 1.0) > atol:
-            raise ValueError(f"trace is {trace}, expected 1")
-
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.entries)[0])
 
 
-def _require_basis(obj: StateVector | DensityMatrix, basis: Basis, op: str) -> None:
-    if obj.basis is not basis:
-        raise BasisError(f"{op} expects a {basis.value}-basis input, got {obj.basis.value}")
+def _require_basis(rho: DensityMatrix, basis: Basis, op: str) -> None:
+    if rho.basis is not basis:
+        raise BasisError(f"{op} expects a {basis.value}-basis input, got {rho.basis.value}")
 
 
 def dispersion_table(n_sites: int) -> np.ndarray:
@@ -136,25 +128,6 @@ def dispersion_table(n_sites: int) -> np.ndarray:
     momentum of magnitude N-k; a new array on every call."""
     k = np.arange(n_sites)
     return np.minimum(k, n_sites - k).astype(float) ** 2 / 2.0
-
-
-def to_momentum_basis(state: StateVector) -> StateVector:
-    """Unitary DFT, normalized by 1/sqrt(N).
-
-    Sign convention: a position-space phase factor exp(+2*pi*i*k0*n/N) lands
-    on momentum index k0, and with the k**2/2 dispersion such a packet moves
-    toward increasing site index.
-    """
-    _require_basis(state, Basis.POSITION, "to_momentum_basis")
-    amp = np.fft.fft(state.amplitudes) / np.sqrt(state.n_sites)
-    return StateVector(amp, Basis.MOMENTUM)
-
-
-def to_position_basis(state: StateVector) -> StateVector:
-    """Inverse of to_momentum_basis."""
-    _require_basis(state, Basis.MOMENTUM, "to_position_basis")
-    amp = np.fft.ifft(state.amplitudes) * np.sqrt(state.n_sites)
-    return StateVector(amp, Basis.POSITION)
 
 
 def density_to_momentum(rho: DensityMatrix) -> DensityMatrix:

@@ -154,7 +154,7 @@ import math
 import numpy as np
 
 from .channels import DampingKernel, DistanceConvention, RegionPartition
-from .lattice import Basis, StateVector, _require_basis, dispersion_table
+from .lattice import StateVector, dispersion_table
 
 __all__ = ["ChannelPlan", "Propagator", "Snapshots", "row_cut", "run_blocks"]
 
@@ -257,8 +257,9 @@ class Propagator:
     too, charging each row N sum_d |H[delta, d]| >= ||G[delta]||_1. It
     steps its kept rows as a prefix view of the arrays it built and frees
     none of them before it goes: a run holds one engine at a time. Without
-    a share the engine keeps its rows. The state must be a position-basis
-    vector on a power-of-two ring.
+    a share the engine keeps its rows. The state's amplitudes were checked
+    to be normalized when it was built; its ring must have a power-of-two
+    size.
     """
 
     def __init__(
@@ -269,7 +270,6 @@ class Propagator:
         share: float | None = None,
         measurements: int = 0,
     ) -> None:
-        _require_basis(state, Basis.POSITION, "Propagator")
         n = state.n_sites
         if plan is not None and plan.n != n:
             raise ValueError("measurement size does not match the state")
@@ -284,11 +284,6 @@ class Propagator:
         # Row 0's phase is exactly 1 on every leg, so a narrowed leg skips it.
         self._moving = 1 if rows.start == 0 else 0
         phi = np.fft.fft(state.amplitudes)
-        if rows.start == 0:
-            # The trace is sum |phi|^2 / N, checked once, by the block of row 0.
-            trace = float(np.vdot(phi, phi).real) / n
-            if abs(trace - 1.0) > 1e-12:
-                raise ValueError(f"trace is {trace}, expected 1")
         # N is a power of two, so phi / n is exact and row 0 is |phi|^2 / N.
         # Row by row: one broadcast multiply takes numpy's iterator buffers
         # beside G, and a block's start sets the run's peak. pointer_n1024's

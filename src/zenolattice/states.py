@@ -57,7 +57,7 @@ def build_gaussian_packet(spec: GaussianPacketSpec, n_sites: int) -> StateVector
         2j * np.pi * spec.momentum_index * n / n_sites
     )
     amplitudes /= np.linalg.norm(amplitudes)
-    return StateVector(amplitudes, Basis.POSITION)
+    return StateVector(amplitudes)
 
 
 def build_position_eigenstate(site: int, n_sites: int) -> StateVector:
@@ -65,7 +65,7 @@ def build_position_eigenstate(site: int, n_sites: int) -> StateVector:
         raise ValueError(f"site {site} outside [0, {n_sites})")
     amplitudes = np.zeros(n_sites, dtype=np.complex128)
     amplitudes[site] = 1.0
-    return StateVector(amplitudes, Basis.POSITION)
+    return StateVector(amplitudes)
 
 
 def build_initial_state(
@@ -82,8 +82,5 @@ def build_initial_state(
 
 
 def density_from_pure(state: StateVector) -> DensityMatrix:
-    """rho = |psi><psi|, keeping the basis tag of the input."""
-    norm2 = float(np.sum(np.abs(state.amplitudes) ** 2))
-    if abs(norm2 - 1.0) > 1e-12:
-        raise ValueError(f"state is not normalized: |amplitudes|^2 = {norm2}")
-    return DensityMatrix(np.outer(state.amplitudes, state.amplitudes.conj()), state.basis)
+    """rho = |psi><psi| in the position basis."""
+    return DensityMatrix(np.outer(state.amplitudes, state.amplitudes.conj()), Basis.POSITION)

@@ -1,14 +1,8 @@
-"""Shared builders for randomized states and density matrices."""
+"""Shared builder for randomized density matrices."""
 
 import numpy as np
 
-from zenolattice import Basis, DensityMatrix, StateVector
-
-
-def make_random_state(n_sites: int, rng: np.random.Generator) -> StateVector:
-    amp = rng.standard_normal(n_sites) + 1j * rng.standard_normal(n_sites)
-    amp /= np.linalg.norm(amp)
-    return StateVector(amp, Basis.POSITION)
+from zenolattice import Basis, DensityMatrix
 
 
 def make_random_density(n_sites: int, rng: np.random.Generator, rank: int = 4) -> DensityMatrix:

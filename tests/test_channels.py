@@ -94,7 +94,7 @@ class TestPvmChannel:
         n = 256
         amp = np.zeros(n, dtype=complex)
         amp[10] = amp[100] = 1 / np.sqrt(2)
-        rho = density_from_pure(StateVector(amp, Basis.POSITION))
+        rho = density_from_pure(StateVector(amp))
         out = pvm_channel(rho, make_regions(n, 6))
         assert out.entries[10, 100] == 0.0
         assert out.entries[10, 10] == pytest.approx(0.5)
@@ -160,6 +160,11 @@ class TestDampingKernel:
     def test_rejects_out_of_range_values(self):
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             DampingKernel(np.array([1.0, 1.5, 0.1, 1.5]))
+
+    @pytest.mark.parametrize("convention", list(DistanceConvention))
+    def test_rejects_nan_values(self, convention):
+        with pytest.raises(ValueError, match="\\[0, 1\\]"):
+            DampingKernel(np.array([1.0, np.nan, 0.1, np.nan]), convention)
 
     def test_rejects_asymmetric_minimal_image(self):
         with pytest.raises(ValueError, match="values\\[N-d\\]"):

@@ -411,12 +411,6 @@ class TestPropagator:
         for got, want in ((g, phi.conj()[behind] * (phi / n)), (engine._g, after)):
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    def test_initial_trace_is_checked(self):
-        state = build_initial_state(GaussianPacketSpec(8, 3.0, 5), 32)
-        state.amplitudes *= 1.001
-        with pytest.raises(ValueError, match="trace is"):
-            Propagator(state)
-
     def test_momentum_snapshot_rejects_imaginary_diagonal(self):
         engine = Propagator(build_initial_state(GaussianPacketSpec(8, 3.0, 5), 32))
         engine._g[0, 3] += 1e-9j
@@ -1337,7 +1331,7 @@ def row_local_runs(draw):
     else:
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         amplitudes = rng.normal(size=n) + 1j * rng.normal(size=n)
-        state = StateVector(amplitudes / np.linalg.norm(amplitudes), Basis.POSITION)
+        state = StateVector(amplitudes / np.linalg.norm(amplitudes))
     kind = draw(st.sampled_from(["pointer", "custom", "sites", "none"]))
     if kind == "pointer":
         # narrower than about 1/32 of the ring, so the kernel is PSD

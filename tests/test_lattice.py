@@ -1,11 +1,13 @@
-"""Lattice core: dispersion, basis changes, exact evolution, dense oracle."""
+"""Lattice core: dispersion, density basis changes, exact evolution, dense oracle."""
+
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_density, make_random_state
+from conftest import make_random_density
 from zenolattice import (
     Basis,
     BasisError,
@@ -18,8 +20,6 @@ from zenolattice import (
     dispersion_table,
     evolve_density,
     purity,
-    to_momentum_basis,
-    to_position_basis,
 )
 
 sizes = st.sampled_from([8, 16, 32, 64, 128, 256])
@@ -68,37 +68,6 @@ class TestDispersion:
         table = dispersion_table(n)
         assert all(table[k] == (k * k if k <= n // 2 else (n - k) ** 2) / 2 for k in range(n))
         assert table.min() >= 0.0
-
-
-class TestBasisChange:
-    def test_delta_transforms_to_uniform(self):
-        amp = np.zeros(32, dtype=complex)
-        amp[0] = 1.0
-        mom = to_momentum_basis(StateVector(amp, Basis.POSITION))
-        np.testing.assert_allclose(np.abs(mom.amplitudes) ** 2, 1 / 32, atol=1e-15)
-
-    def test_plane_wave_phase_fixes_sign_convention(self):
-        # exp(+2*pi*i*31*n/256) must land on momentum index +31
-        n = np.arange(256)
-        amp = np.exp(2j * np.pi * 31 * n / 256) / 16.0
-        mom = to_momentum_basis(StateVector(amp, Basis.POSITION))
-        dist = np.abs(mom.amplitudes) ** 2
-        assert np.argmax(dist) == 31
-        assert dist[31] == pytest.approx(1.0, abs=1e-12)
-
-    @given(sizes, seeds)
-    @settings(max_examples=30, deadline=None)
-    def test_round_trip_is_identity(self, n, seed):
-        state = make_random_state(n, np.random.default_rng(seed))
-        back = to_position_basis(to_momentum_basis(state))
-        assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
-
-    def test_wrong_basis_raises(self):
-        state = make_random_state(8, np.random.default_rng(0))
-        with pytest.raises(BasisError):
-            to_position_basis(state)
-        with pytest.raises(BasisError):
-            to_momentum_basis(to_momentum_basis(state))
 
 
 class TestDensityTransforms:
@@ -224,16 +193,24 @@ def test_positive_momentum_packet_moves_to_increasing_sites():
 
 def test_state_vector_rejects_unnormalized():
     with pytest.raises(ValueError, match="not normalized"):
-        StateVector(np.ones(8, dtype=complex), Basis.POSITION)
+        StateVector(np.ones(8, dtype=complex))
+
+
+def test_state_vector_amplitudes_are_a_read_only_copy():
+    """The normalization check holds for the state's life: its amplitudes
+    can be neither written nor replaced after it, and the caller's array
+    stays writable."""
+    amplitudes = np.zeros(8, dtype=complex)
+    amplitudes[0] = 1.0
+    state = StateVector(amplitudes)
+    amplitudes[0] = 2.0
+    assert state.amplitudes[0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        state.amplitudes[0] = 2.0
+    with pytest.raises(FrozenInstanceError):
+        state.amplitudes = amplitudes
 
 
 def test_density_matrix_validate():
     good = DensityMatrix(np.eye(8) / 8, Basis.POSITION)
-    good.validate()
     assert good.min_eigenvalue() == pytest.approx(1 / 8)
-    lopsided = np.eye(8, dtype=complex) / 8
-    lopsided[0, 1] = 0.3
-    with pytest.raises(ValueError, match="Hermitian"):
-        DensityMatrix(lopsided, Basis.POSITION).validate()
-    with pytest.raises(ValueError, match="trace"):
-        DensityMatrix(np.eye(8, dtype=complex), Basis.POSITION).validate()

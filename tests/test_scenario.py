@@ -180,6 +180,8 @@ def test_interval_none_token(tmp_path):
          "record_times = 0, nan, 100", "record times must be finite"),
         ("display_time_factor = 1000", "display_time_factor = inf",
          "display_time_factor must be positive and finite"),
+        pytest.param("kind = region_pvm\nregions = 6", "kind = pointer\nalpha = inf",
+                     "alpha must be positive and finite", id="alpha-inf"),
     ],
 )
 def test_invalid_values_are_reported(tmp_path, original, mutation, message):

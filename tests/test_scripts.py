@@ -1,11 +1,16 @@
-"""Smoke runs of the experiment scripts on small inputs: each runs to the
-end against the current API and prints a row per requested value."""
+"""Smoke runs of the experiment scripts on small inputs, and of one traced
+benchmark execution: each runs to the end against the current API."""
 
+import json
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+BENCH = ROOT / "bench"
 
 
 def run_script(name, args, monkeypatch, capsys):
@@ -49,3 +54,28 @@ def test_step_cost_reports_every_operation():
         "linear_step",
     }
     assert all(seconds > 0 for seconds in costs.values())
+
+
+def test_traced_benchmark_execution_finds_every_layer(tmp_path):
+    """--mode trace wraps the program's functions by name and fails if one is
+    gone. Both steps run in child processes, so this one imports nothing
+    from bench/ and writes no bytecode there."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    write = "import sys; from pathlib import Path; from workloads import write_ini; "
+    write += "print(write_ini('pointer_n1024', 7, Path(sys.argv[1])))"
+    ini = subprocess.run(
+        [sys.executable, "-c", write, str(tmp_path)],
+        cwd=BENCH, env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    proc = subprocess.run(
+        [
+            sys.executable, str(BENCH / "execution.py"), "--workload", "pointer_n1024",
+            "--seed", "7", "--ini", ini, "--work", str(tmp_path), "--mode", "trace",
+        ],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["errors"] == []
+    assert "layers" in result
