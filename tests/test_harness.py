@@ -411,6 +411,15 @@ class TestPropagator:
         for got, want in ((g, phi.conj()[behind] * (phi / n)), (engine._g, after)):
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    def test_initial_trace_is_checked(self):
+        # the state's one normalization check holds: its amplitudes refuse
+        # the write that would change the engine's initial trace
+        state = build_initial_state(GaussianPacketSpec(8, 3.0, 5), 32)
+        with pytest.raises(ValueError, match="read-only"):
+            state.amplitudes *= 1.001
+        engine = Propagator(state)
+        assert engine._g[0].sum().real == pytest.approx(1.0, abs=1e-12)
+
     def test_momentum_snapshot_rejects_imaginary_diagonal(self):
         engine = Propagator(build_initial_state(GaussianPacketSpec(8, 3.0, 5), 32))
         engine._g[0, 3] += 1e-9j

@@ -1,5 +1,7 @@
 """Initial-state builders and their momentum content."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,12 @@ class TestDensityFromPure:
         amp[0] = amp[1] = 1 / np.sqrt(2)
         rho = density_from_pure(StateVector(amp))
         np.testing.assert_allclose(rho.entries[:2, :2], 0.5, atol=1e-15)
+
+    def test_rejects_tampered_amplitudes(self):
+        state = build_position_eigenstate(0, 8)
+        with pytest.raises(FrozenInstanceError):
+            state.amplitudes = state.amplitudes * 2.0
+        assert np.trace(density_from_pure(state).entries).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dispatch_by_spec_type():
