@@ -3,10 +3,12 @@
 Times a free leg of the length the engine applied last (free_leg) and of a
 length it has not applied yet (new_leg, which builds the leg's phases), a
 pointer step, a 6-region and a 16-region PVM step, a LINEAR-kernel step (a
-step is one leg and one measurement), a snapshot of an unmeasured engine and
-one of a 6-region engine after narrowing (narrowed_snapshot, which rebuilds
-G a chunk of rows at a time) through Propagator at N = 256, 512 and 1024,
-and prints the medians as JSON. Each measured engine
+step is one leg and one measurement), and snapshots: of an unmeasured
+engine, of a 6-region engine after narrowing on the measurement grid
+(narrowed_snapshot, read off its band) and of the same with half a leg
+pending (off_grid_snapshot, which rebuilds G a chunk of rows at a time),
+through Propagator at N = 256, 512 and 1024, and prints the medians as
+JSON. Each measured engine
 reads a ChannelPlan of its measurement, built once, as a run builds it, and
 not timed. Steps are timed after the engine's first measurement, which
 narrows a PVM engine to its band:
@@ -60,9 +62,11 @@ def costs(n):
         "linear_step": pointer_kernel(PointerSpec(alpha, DistanceConvention.LINEAR), n),
     }
     free = Propagator(state)
-    narrowed = Propagator(state, ChannelPlan(measurements["pvm_step"]))
-    narrowed.advance(INTERVAL)
-    narrowed.measure()
+    narrowed, off_grid = (Propagator(state, ChannelPlan(measurements["pvm_step"])) for _ in range(2))
+    for engine in (narrowed, off_grid):
+        engine.advance(INTERVAL)
+        engine.measure()
+    off_grid.advance(INTERVAL / 2)
     snapshots = Snapshots(1, n)
 
     def snapshot(engine):
@@ -75,6 +79,7 @@ def costs(n):
         "new_leg": median_s(lambda: free.advance(next(lengths))),
         "snapshot": median_s(lambda: snapshot(free)),
         "narrowed_snapshot": median_s(lambda: snapshot(narrowed)),
+        "off_grid_snapshot": median_s(lambda: snapshot(off_grid)),
     }
     for name, measurement in measurements.items():
         engine = Propagator(state, ChannelPlan(measurement))

@@ -129,7 +129,7 @@ class PointerSpec:
             raise ValueError("alpha must be positive and finite")
 
 
-@dataclass
+@dataclass(eq=False)
 class DampingKernel:
     """Off-diagonal damping factors indexed by site separation.
 
@@ -138,6 +138,7 @@ class DampingKernel:
     semidefinite so the channel is completely positive. Both are checked at
     construction: circulant (minimal-image) kernels through the sign of
     their DFT, linear ones through a one-off eigenvalue computation.
+    Kernels compare and hash by identity.
     """
 
     values: np.ndarray

@@ -116,54 +116,69 @@ def _snapshot(
     )
 
 
-def run_schedule(scenario: Scenario) -> list[ObservableRecord]:
-    """Run one scenario and return a record per scheduled record time.
+class _Operations:
+    """A schedule's operations on a Propagator, (method, *args) with method
+    Propagator.advance, measure or record, generated afresh on each pass:
+    a run holds one operation at a time, not two per measurement.
 
-    The schedule becomes one list of operations on a Propagator: free legs
-    are elementwise phases and each measurement is applied in place.
     Measurements fall at interval, 2*interval, ... up to total_time; nothing
     is applied at time zero. Record times may fall anywhere (evolution is
     exact for arbitrary sub-interval durations) and recording is passive.
     When a record time coincides with a measurement time the measurement is
-    applied first. run_blocks takes each block of rows through the list;
-    the records are read off the combined snapshots afterwards.
+    applied first. Every pass computes the same legs, bit for bit.
+    """
+
+    def __init__(self, scenario: Scenario, measured: bool, snapshots: Snapshots) -> None:
+        self._lattice = scenario.lattice
+        self._schedule = scenario.schedule
+        self._interval = self._schedule.measurement_interval if measured else None
+        self._snapshots = snapshots
+
+    def __iter__(self):
+        lattice, schedule, interval = self._lattice, self._schedule, self._interval
+        step = lattice.to_natural_time(interval) if interval is not None else None
+        snap = 1e-9 * (interval if interval is not None else 1.0)
+        now = 0.0
+        applied = 0
+        for j, target in enumerate(schedule.record_times):
+            if interval is not None:
+                while True:
+                    due = (applied + 1) * interval
+                    if due > schedule.total_time + snap or due > target + snap:
+                        break
+                    # A leg that starts at a measurement is one whole interval,
+                    # the same float every time, so the engine keeps its phases.
+                    on_grid = now == applied * interval
+                    yield Propagator.advance, step if on_grid else lattice.to_natural_time(due - now)
+                    yield (Propagator.measure,)
+                    now = due
+                    applied += 1
+            if target - now > snap:
+                yield Propagator.advance, lattice.to_natural_time(target - now)
+                now = target
+            yield Propagator.record, self._snapshots, j
+
+
+def run_schedule(scenario: Scenario) -> list[ObservableRecord]:
+    """Run one scenario and return a record per scheduled record time.
+
+    The schedule becomes operations on a Propagator (_Operations): free
+    legs are elementwise phases and each measurement is applied in place.
+    run_blocks takes each block of rows through them, generated afresh for
+    each block; the records are read off the combined snapshots afterwards.
     """
     lattice = scenario.lattice
     n = lattice.n_sites
     state = build_initial_state(scenario.state, n)
     operator = _measurement_operator(scenario.measurement, n)
-    schedule = scenario.schedule
-    interval = schedule.measurement_interval if operator is not None else None
-    step = lattice.to_natural_time(interval) if interval is not None else None
-    snapshots = Snapshots(len(schedule.record_times), n)
-    snap = 1e-9 * (interval if interval is not None else 1.0)
-
-    ops: list[tuple] = []
-    now = 0.0
-    applied = 0
-    for j, target in enumerate(schedule.record_times):
-        if interval is not None:
-            while True:
-                due = (applied + 1) * interval
-                if due > schedule.total_time + snap or due > target + snap:
-                    break
-                # A leg that starts at a measurement is one whole interval,
-                # the same float every time, so the engine keeps its phases.
-                on_grid = now == applied * interval
-                leg = step if on_grid else lattice.to_natural_time(due - now)
-                ops += [(Propagator.advance, leg), (Propagator.measure,)]
-                now = due
-                applied += 1
-        if target - now > snap:
-            ops.append((Propagator.advance, lattice.to_natural_time(target - now)))
-            now = target
-        ops.append((Propagator.record, snapshots, j))
-    run_blocks(state, operator, ops)
+    record_times = scenario.schedule.record_times
+    snapshots = Snapshots(len(record_times), n)
+    run_blocks(state, operator, _Operations(scenario, operator is not None, snapshots))
 
     partition = operator if isinstance(operator, RegionPartition) else None
     return [
         _snapshot(snapshots, j, lattice, target, partition)
-        for j, target in enumerate(schedule.record_times)
+        for j, target in enumerate(record_times)
     ]
 
 

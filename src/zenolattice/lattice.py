@@ -65,13 +65,14 @@ class LatticeConfig:
         return natural_time * self.display_time_factor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure state as its position amplitudes psi(n).
 
     Normalization (sum of squared magnitudes equal to 1 within 1e-12) is
     checked once, at construction, on a read-only copy: the check holds for
-    the state's life, and the caller's array stays writable.
+    the state's life, and the caller's array stays writable. States compare
+    and hash by identity, as an array has no single truth value.
     """
 
     amplitudes: np.ndarray
@@ -91,14 +92,14 @@ class StateVector:
         return self.amplitudes.size
 
 
-@dataclass
+@dataclass(eq=False)
 class DensityMatrix:
     """Density operator in a definite basis.
 
     Positive semidefiniteness costs a full eigendecomposition, so it is
     only checked on demand through min_eigenvalue(); anything above -1e-10
     counts as PSD (two-sided FFTs of a 256x256 matrix leave round-off at
-    the 1e-13 level).
+    the 1e-13 level). Matrices compare and hash by identity.
     """
 
     entries: np.ndarray

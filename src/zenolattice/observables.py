@@ -28,9 +28,10 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class ObservableRecord:
-    """One snapshot of everything the simulator reports at a record time."""
+    """One snapshot of everything the simulator reports at a record time;
+    records compare and hash by identity."""
 
     time_natural: float
     time_display: float

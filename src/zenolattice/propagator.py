@@ -71,14 +71,19 @@ that chunk's lags written into K. Then:
   step above with the mirror column N - d held at W - d. Two transforms
   of length W replace two of length N: for pvm_packet (N = 256, L = 42)
   W = 168;
-- record rebuilds G one chunk of rows at a time, as fft_N of the band in
-  N columns times the pending leg's phases, and reads each chunk as
-  above into that chunk's rows of the snapshot's partials.
+- record on the grid, with no pending leg, reads the partials off the
+  band: G = fft_N of H along d, so the row sums are N H[:, 0] and, by
+  Parseval, the squared row norms are N sum_d |H|^2; p(k), row 0 of G, is
+  one length-N FFT of band row 0 laid out in N columns. Off the grid it
+  rebuilds G one chunk of rows at a time, as fft_N of the band in N
+  columns times the pending leg's phases, and reads each chunk as above
+  into that chunk's rows of the snapshot's partials: that reads the
+  pending leg without applying it to the band or building its K.
 
-So a narrowed engine holds no array N columns wide but one chunk. Every
-engine builds the window step's (N, c) buffer in its first measurement, a
-narrowing one after narrowing has freed G, so G, the band and the buffer
-are never all alive.
+So a narrowed engine holds no array N columns wide but one chunk, and a
+record on the grid holds one row. Every engine builds the window step's
+(N, c) buffer in its first measurement, a narrowing one after narrowing
+has freed G, so G, the band and the buffer are never all alive.
 
 Free legs, channels without cut columns and snapshots all act on each row
 delta alone, so a Propagator may hold any range of rows, built from the
@@ -150,6 +155,7 @@ steps one at a time; the tests use them as this engine's reference.
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 import numpy as np
 
@@ -248,12 +254,13 @@ class Propagator:
     window step's buffer, an engine that has not narrowed holds no array of
     N columns per row; a narrowed one holds its band, K and the buffer, and
     takes N columns only one chunk of CHUNK_ENTRIES entries at a time, for
-    a record or a new K. rows is the range of rows delta the engine
-    holds, all of 0..N/2 by default; a plan that couples rows needs all of
-    them. share, if given, is the part of the run's certificate budget that
-    the engine may spend on rows it drops after each measurement (the
-    module docstring's re-cut), and measurements the number of measurements
-    the run makes; spent is what it has spent. A narrowed engine re-cuts
+    a record off the measurement grid or a new K, and one row for a record
+    on it. rows is the range of rows delta the engine holds, all of 0..N/2
+    by default; a plan that couples rows needs all of them. share, if
+    given, is the part of the run's certificate budget that the engine may
+    spend on rows it drops after each measurement (the module docstring's
+    re-cut), and measurements the number of measurements the run makes;
+    spent is what it has spent. A narrowed engine re-cuts
     too, charging each row N sum_d |H[delta, d]| >= ||G[delta]||_1. It
     steps its kept rows as a prefix view of the arrays it built and frees
     none of them before it goes: a run holds one engine at a time. Without
@@ -474,7 +481,9 @@ class Propagator:
     def _g_chunks(self):
         """(rows, G on those rows) over the engine's rows: G itself, or once
         narrowed G rebuilt one chunk of rows at a time, as fft_N of the band
-        in N columns times the pending leg's phases."""
+        in N columns times the pending leg's phases. record takes this path
+        off the grid, where no G is held and the pending leg must not be
+        applied to the band."""
         if not self._narrowed:
             yield self._rows, self._g
             return
@@ -489,8 +498,12 @@ class Propagator:
     def record(self, snapshots: Snapshots, j: int) -> None:
         """Write this engine's rows of snapshot j: row sums, squared row
         norms and, if it holds row 0, the real part of row 0 and the
-        largest imaginary part on it."""
+        largest imaginary part on it. A narrowed engine with no pending leg
+        reads them off its band (_band_record)."""
         sums, norms, momentum, imag = snapshots.partials(j)
+        if self._narrowed and not self._pending:
+            self._band_record(sums, norms, momentum, imag)
+            return
         for rows, g in self._g_chunks():
             part = slice(rows.start, rows.stop)
             g.sum(axis=1, out=sums[part])
@@ -499,6 +512,23 @@ class Propagator:
             if rows.start == 0:
                 momentum[:] = g[0].real
                 imag[0] = np.max(np.abs(g[0].imag))
+
+    def _band_record(self, sums, norms, momentum, imag) -> None:
+        """record on the grid, off the band H with no G: the row sums are
+        N H[:, 0], the squared row norms N sum_d |H|^2 by Parseval, and row 0
+        of G is fft_N of band row 0 in N columns, one row wide."""
+        n, band = self._n, self._g
+        part = slice(self._rows.start, self._rows.stop)
+        np.multiply(band[:, 0], n, out=sums[part])
+        pairs = band.view(np.float64)
+        out = norms[part]
+        np.einsum("ij,ij->i", pairs, pairs, out=out)
+        np.multiply(out, n, out=out)
+        if part.start == 0:
+            row = _band_columns(band[0], self._plan.band, np.empty(n, dtype=complex))
+            np.fft.fft(row, out=row)
+            momentum[:] = row.real
+            imag[0] = np.max(np.abs(row.imag))
 
 
 class Snapshots:
@@ -561,22 +591,24 @@ class Snapshots:
 def run_blocks(
     state: StateVector,
     measurement: DampingKernel | RegionPartition | None,
-    ops: list[tuple],
+    ops: Iterable[tuple],
 ) -> float:
     """Take every block of the rows that row_cut keeps through ops, each
     block on a Propagator of its own; all of them read the one ChannelPlan
     built here. Returns the run's certificate C <= 2**-52: row_cut's plus
     what every block spent on the rows it dropped.
 
-    ops is a list of (method, *args), with method Propagator.advance,
-    Propagator.measure or Propagator.record; a block runs them in order.
-    In a run whose plan does not couple rows, every block gets an equal
-    share of the budget that row_cut leaves, fixed before any block
-    starts, so what a block drops does not depend on the blocks before it.
-    The blocks run one after the other, each engine freed before the next
-    is built. A block whose engine holds no rows stops there: what is left
-    of ops would step and record no row. The block of row 0 never drops it
-    and is the first to record, so it allocates every snapshot's partials.
+    ops yields (method, *args), with method Propagator.advance,
+    Propagator.measure or Propagator.record, and must yield the same ones
+    on every pass, as a list does: one pass counts the measurements and
+    each block makes one more, running them in order. In a run whose plan
+    does not couple rows, every block gets an equal share of the budget
+    that row_cut leaves, fixed before any block starts, so what a block
+    drops does not depend on the blocks before it. The blocks run one
+    after the other, each engine freed before the next is built. A block
+    whose engine holds no rows stops there: what is left of ops would step
+    and record no row. The block of row 0 never drops it and is the first
+    to record, so it allocates every snapshot's partials.
     """
     n = state.n_sites
     plan = None if measurement is None else ChannelPlan(measurement)

@@ -176,7 +176,7 @@ class TestRunSchedule:
     @pytest.mark.parametrize(
         "measurement, bound",
         [
-            (PointerSpec(0.2), 1.35),  # 0.595, one row block of the rows the cut keeps
+            (PointerSpec(0.2), 1.35),  # 0.615, one row block of the rows the cut keeps
             (RegionPvmSpec(6), 1.4),  # 1.11, a window of c = 41 columns, narrowed to W = 168
             (PointerSpec(1.0, DistanceConvention.LINEAR), 1.9),  # 1.51, c = 54, W = 224
             (PointerSpec(0.2, DistanceConvention.LINEAR), 3.25),  # 1.70, c = 127
@@ -199,7 +199,7 @@ class TestRunSchedule:
     def test_pointer_run_memory_is_bounded_at_large_n(self):
         """Row blocks, one at a time, hold a pointer run at N = 4096, with an
         off-grid record that needs phases of its own, below 1/192 of one
-        N x N matrix (1.33 MiB); it peaks at 0.991 MiB, 1/258 of one."""
+        N x N matrix (1.33 MiB); it peaks at 0.992 MiB, 1/258 of one."""
         n = 4096
         scenario = Scenario(
             lattice=LatticeConfig(n),
@@ -227,9 +227,10 @@ class TestRunSchedule:
         """A narrowing run at N = 2048, 4 measurements and 3 records, one of
         them off the grid, peaks at a small multiple of G = (N/2 + 1) N
         complex entries: G, the band, its K and the window buffer are never
-        all alive, and records and band kernels take N columns one chunk of
-        rows at a time. The measurement is built before tracing starts: a
-        LINEAR kernel's O(N^3) PSD check alone peaks at 2.00 G."""
+        all alive, records off the grid and band kernels take N columns one
+        chunk of rows at a time, and a record on the grid one row. The
+        measurement is built before tracing starts: a LINEAR kernel's O(N^3)
+        PSD check alone peaks at 2.00 G."""
         n = 2048
         scenario = packet_scenario(n_sites=n, measurement=measurement, total=4.0,
                                    records=(0.0, 2.5, 4.0), state=GaussianPacketSpec(64, 64.0, 248))
@@ -242,6 +243,30 @@ class TestRunSchedule:
         finally:
             tracemalloc.stop()
         assert peak < bound * (n // 2 + 1) * n * 16
+
+    def test_run_memory_does_not_grow_with_its_measurements(self):
+        """The schedule is generated afresh for each pass, not held: a
+        narrowed 6-region run at N = 64 with 2,000 measurements peaks within
+        4 KiB of the same run, with the same three records, at 200. They
+        peaked 72 B apart; a schedule held as a list of operations peaked
+        211 KiB higher, about 120 B per measurement. One warm-up, of the
+        short run, so that few of the long run's tuples come from the ones
+        Python keeps free from an earlier run, which it reuses untraced."""
+        scenarios = [
+            packet_scenario(n_sites=64, interval=interval, total=200.0,
+                            records=(0.0, 100.0, 200.0), state=GaussianPacketSpec(2, 2.0, 7))
+            for interval in (1.0, 0.1)
+        ]
+        run_schedule(scenarios[0])  # warm-up: FFT plans
+        peaks = []
+        for scenario in scenarios:
+            tracemalloc.start()
+            try:
+                run_schedule(scenario)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 4 * 1024
 
     @pytest.mark.parametrize("measurement", [RegionPvmSpec(6), PointerSpec(0.5)])
     def test_long_horizon_drift_per_step(self, measurement):
@@ -683,31 +708,34 @@ def test_row_zero_stays_bit_identical_across_every_advance(measurement):
 
 
 def test_narrowed_record_and_new_leg_allocate_one_chunk():
-    """Beyond the arrays it keeps, a narrowed engine allocates one chunk of
-    CHUNK_ENTRIES entries and the doubled N-site phase vector of a leg, and
-    numpy at most the iterator buffer of a broadcast multiply on that chunk
-    (as large as the chunk) and 8 KiB more: in a record on the grid, in one
-    off it, and in a measure whose pending leg has a new length and builds a
-    new K. A whole (rows, N) array would be 8 chunks."""
+    """Beyond the arrays it keeps, a narrowed engine allocates, in a record
+    on the grid, one N-wide row for p(k) and at most as much again for its
+    FFT, and 1 KiB more (7.4 KiB in all at N = 256). In a record off the
+    grid, and in a measure whose pending leg has a new length and builds a
+    new K, it allocates one chunk of CHUNK_ENTRIES entries and the doubled
+    N-site phase vector of a leg, and numpy at most the iterator buffer of
+    a broadcast multiply on that chunk (as large as the chunk) and 8 KiB
+    more (142 KiB). A whole (rows, N) array would be 8 chunks."""
     n, t = 256, 0.001
     engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), ChannelPlan(make_regions(n, 6)))
     snapshots = Snapshots(1, n)
     engine.advance(t)
     engine.measure()  # narrows
     engine.record(snapshots, 0)  # warm-up: the snapshot's partials, FFT plans
+    chunked = 2 * CHUNK_ENTRIES * 16 + 2 * n * 16 + 8 * 1024
     actions = [
-        lambda: engine.record(snapshots, 0),
-        lambda: (engine.advance(0.4 * t), engine.record(snapshots, 0)),
-        lambda: (engine.advance(0.3 * t), engine.measure()),  # a leg of 0.7 t
+        (lambda: engine.record(snapshots, 0), 2 * n * 16 + 1024),
+        (lambda: (engine.advance(0.4 * t), engine.record(snapshots, 0)), chunked),
+        (lambda: (engine.advance(0.3 * t), engine.measure()), chunked),  # a leg of 0.7 t
     ]
-    for action in actions:
+    for action, bound in actions:
         tracemalloc.start()
         try:
             action()
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - current <= 2 * CHUNK_ENTRIES * 16 + 2 * n * 16 + 8 * 1024
+        assert peak - current <= bound
     assert engine._table_t == pytest.approx(0.7 * t)
 
 
@@ -1132,6 +1160,7 @@ def test_row_blocks_match_one_block_of_all_rows(scenario):
         records, (state, operator, ops), certificate, blocks = captured_run(scenario)
 
     plan = plan_of(operator)
+    assert list(ops) == list(ops)  # generated afresh on each pass, the same each time
     measurements = measurements_in(ops)
     kept, cut = row_cut(state, plan, measurements)
     shares = {share for _, _, share in blocks}
@@ -1224,7 +1253,7 @@ def test_row_blocks_start_no_thread():
 
 def test_pointer_n1024_peak_is_one_block_at_a_time():
     """The pointer_n1024 workload holds one block's engine at a time: its
-    run peaks at 0.745-0.749 MiB, below 1 MiB in each of three runs (two
+    run peaks at 0.682-0.683 MiB, below 1 MiB in each of three runs (two
     blocks stepped at once peaked at 1.09-1.33)."""
     scenario = named_scenario("pointer_n1024")
     for _ in range(3):
@@ -1321,6 +1350,57 @@ def test_chunked_records_and_band_kernels_match_whole_arrays(measurement, rows):
         assert engine._narrowed
         want = whole_band_kernel(engine, engine._table_t)
         np.testing.assert_array_equal(engine._table.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "measurement, rows",
+    [
+        (make_regions(256, 6), None),
+        (make_regions(256, 16), None),
+        (make_regions(256, 256), None),
+        (DampingKernel(np.array(autocorrelation_kernel([3, 5, 2] + [0] * 253))), None),
+        (DampingKernel(np.array(autocorrelation_kernel([3, 5, 2] + [0] * 253))), range(7, 100)),
+    ],
+    ids=["pvm6", "pvm16", "per_site_pvm", "compact_kernel", "compact_kernel_block"],
+)
+@pytest.mark.parametrize("random_state", [False, True], ids=["packet", "random"])
+def test_records_on_the_grid_read_the_band(measurement, rows, random_state):
+    """A narrowed engine with no pending leg records off its band: row sums
+    N H[:, 0], squared row norms N sum_d |H|^2 and p(k) from band row 0.
+    They match what the chunk path reads off G rebuilt on the same engine:
+    p(k) and its imaginary part bit for bit, the sums within 1e-15 of the
+    largest and the norms within 4e-15 of the largest. The chunk path's G is
+    summed exactly (fsum): its own einsum over 2N squares rounds by up to
+    5.9e-15 of the largest norm on a per-site PVM, whose band is the one
+    column d = 0. The band's einsum over 2W squares rounds too: by up to
+    2.5e-15 of the largest norm on 150 random states under a 6-region PVM."""
+    n = 256
+    if random_state:
+        rng = np.random.default_rng(11)
+        amplitudes = rng.normal(size=n) + 1j * rng.normal(size=n)
+        state = StateVector(amplitudes / np.linalg.norm(amplitudes))
+    else:
+        state = build_initial_state(GaussianPacketSpec(8, 8.0, 31), n)
+    engine = Propagator(state, ChannelPlan(measurement), rows)
+    for leg in (0.001, 0.001, 0.00037, 0.0123):
+        engine.advance(leg)
+        engine.measure()
+        assert engine._narrowed and engine._pending == 0.0
+        got, want = Snapshots(1, n), Snapshots(1, n)
+        engine.record(got, 0)
+        sums, norms, momentum, imag = want.partials(0)
+        for part, g in engine._g_chunks():
+            for delta, row in zip(part, g.view(np.float64)):
+                sums[delta] = complex(math.fsum(row[0::2]), math.fsum(row[1::2]))
+                norms[delta] = math.fsum(row * row)
+            if part.start == 0:
+                momentum[:], imag[0] = g[0].real, np.max(np.abs(g[0].imag))
+        block = slice(engine._rows.start, engine._rows.stop)
+        for a, b, tolerance in zip(got.partials(0), want.partials(0), (1e-15, 4e-15)):
+            np.testing.assert_allclose(a[block], b[block], rtol=0, atol=tolerance * np.abs(b).max())
+        if block.start == 0:
+            for a, b in zip(got.partials(0)[2:], want.partials(0)[2:]):
+                np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 @st.composite

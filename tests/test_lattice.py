@@ -11,9 +11,12 @@ from conftest import make_random_density
 from zenolattice import (
     Basis,
     BasisError,
+    DampingKernel,
     DensityMatrix,
     LatticeConfig,
+    ObservableRecord,
     StateVector,
+    build_position_eigenstate,
     dense_oracle_evolve,
     density_to_momentum,
     density_to_position,
@@ -209,6 +212,27 @@ def test_state_vector_amplitudes_are_a_read_only_copy():
         state.amplitudes[0] = 2.0
     with pytest.raises(FrozenInstanceError):
         state.amplitudes = amplitudes
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_position_eigenstate(1, 8),
+        lambda: DensityMatrix(np.eye(8) / 8, Basis.POSITION),
+        lambda: DampingKernel(np.array([1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5])),
+        lambda: ObservableRecord(0.0, 0.0, np.full(8, 0.125), np.full(8, 0.125), 1.0, 0.0, 0.0,
+                                 np.empty(0), 0.0),
+    ],
+    ids=["state", "density", "kernel", "record"],
+)
+def test_array_holders_compare_and_hash_by_identity(build):
+    """Objects that hold an ndarray compare by identity: == between two
+    built alike answers False instead of raising numpy's ambiguous truth
+    value, and each hashes, so it can key a dict or sit in a set."""
+    a, b = build(), build()
+    assert a == a and a != b and not a == b
+    assert len({a, b, a}) == 2
+    assert {a: 1}[a] == 1
 
 
 def test_density_matrix_validate():

@@ -48,6 +48,7 @@ def test_step_cost_reports_every_operation():
         "new_leg",
         "snapshot",
         "narrowed_snapshot",
+        "off_grid_snapshot",
         "pointer_step",
         "pvm_step",
         "pvm16_step",
