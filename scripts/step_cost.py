@@ -8,10 +8,11 @@ engine, of a 6-region engine after narrowing on the measurement grid
 (narrowed_snapshot, read off its band) and of the same with half a leg
 pending (off_grid_snapshot, which rebuilds G a chunk of rows at a time),
 through Propagator at N = 256, 512 and 1024, and prints the medians as
-JSON. Each measured engine
-reads a ChannelPlan of its measurement, built once, as a run builds it, and
-not timed. Steps are timed after the engine's first measurement, which
-narrows a PVM engine to its band:
+JSON. Each measured engine reads a ChannelPlan of its measurement, built
+once, as a run builds it, and not timed. Every engine is built and timed
+through in_one_row_buffer, as run_blocks steps a run's blocks, so numpy's
+ufunc buffer is one row of N, as in a run. Steps are timed after the
+engine's first measurement, which narrows a PVM engine to its band:
 
     PYTHONPATH=src python scripts/step_cost.py
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from zenolattice import DistanceConvention, GaussianPacketSpec, PointerSpec
 from zenolattice import build_gaussian_packet, make_regions, pointer_kernel
-from zenolattice.propagator import ChannelPlan, Propagator, Snapshots
+from zenolattice.propagator import ChannelPlan, Propagator, Snapshots, in_one_row_buffer
 
 INTERVAL = 0.001  # one display unit of natural time
 REPEATS = 25
@@ -51,7 +52,12 @@ def median_s(action):
 
 
 def costs(n):
-    """Wall-second medians of each operation at N sites."""
+    """Wall-second medians of each operation at N sites, stepped in the
+    one-row ufunc buffer that run_blocks gives a run."""
+    return in_one_row_buffer(n, lambda: _costs(n))
+
+
+def _costs(n):
     # The pvm_packet state and measurements, scaled with N.
     state = build_gaussian_packet(GaussianPacketSpec(n // 32, n / 32, 31 * n // 256), n)
     alpha = 0.2 * 256 / n

@@ -1,5 +1,6 @@
 """Run loop, grid doubling and CSV emission."""
 
+import itertools
 import math
 import os
 import tempfile
@@ -63,6 +64,7 @@ from zenolattice.propagator import (
     ChannelPlan,
     Propagator,
     Snapshots,
+    in_one_row_buffer,
     row_cut,
     run_blocks,
 )
@@ -1252,9 +1254,11 @@ def test_row_blocks_start_no_thread():
 
 
 def test_pointer_n1024_peak_is_one_block_at_a_time():
-    """The pointer_n1024 workload holds one block's engine at a time: its
-    run peaks at 0.682-0.683 MiB, below 1 MiB in each of three runs (two
-    blocks stepped at once peaked at 1.09-1.33)."""
+    """The pointer_n1024 workload holds one block's engine at a time, each
+    stepped in a one-row ufunc buffer: its run peaks at 0.574 MiB, below
+    0.625 MiB in each of three runs (0.684 with numpy's 128 KiB buffer on
+    every leg and pointer step; two blocks stepped at once peaked at
+    1.09-1.33)."""
     scenario = named_scenario("pointer_n1024")
     for _ in range(3):
         tracemalloc.start()
@@ -1263,7 +1267,87 @@ def test_pointer_n1024_peak_is_one_block_at_a_time():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2**20
+        assert peak < 0.625 * 2**20
+
+
+def allocated_beyond(action):
+    """Bytes action allocates at its peak beyond what was held before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        action()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_pointer_block_steps_take_one_row_of_buffer():
+    """Inside a run's in_one_row_buffer, each pointer_n1024 block's advance
+    and measure, and an unmeasured leg on the same rows, allocate at most
+    one row (16 KiB at N = 1024) and 4 KiB more beyond the engine's arrays:
+    17.3 KiB each, 145 KiB with numpy's default buffer. The leg has the
+    length of the last one, as every leg of the workload but its first."""
+    n = 1024
+    state = build_initial_state(GaussianPacketSpec(512, 32.0, 0), n)
+    plan = ChannelPlan(pointer_kernel(PointerSpec(0.05), n))
+    t = LatticeConfig(n).to_natural_time(10.0)
+
+    def transients(rows):
+        measured, free = Propagator(state, plan, rows), Propagator(state, None, rows)
+        for engine in (measured, free):
+            engine.advance(t)
+        measured.measure()
+        steps = (lambda: measured.advance(t), measured.measure, lambda: free.advance(t))
+        return [allocated_beyond(step) for step in steps]
+
+    for rows in (range(26), range(26, 53), range(53, 80)):  # the workload's blocks
+        assert max(in_one_row_buffer(n, lambda: transients(rows))) <= 16 * n + 4096
+
+
+def raise_on_call(calls):
+    """A stand-in engine method that raises on its calls-th call."""
+    made = itertools.count(1)
+
+    def method(engine, *args):
+        if next(made) == calls:
+            raise RuntimeError("op failed mid-block")
+
+    return method
+
+
+@pytest.mark.parametrize("caller", [None, 4096], ids=["numpy's", "caller's"])
+def test_runs_step_in_one_row_buffer_and_restore_the_callers(caller):
+    """run_blocks steps its blocks with numpy's ufunc buffer at one row of
+    N elements, 16 (numpy's smallest multiple of 16) at N = 8, and gives
+    back the size it was called with, numpy's default or one the caller
+    set: after it returns, and after an op raises mid-block. So does
+    run_schedule, whose third measurement raises."""
+    seen = []
+
+    def log(engine):
+        seen.append(np.getbufsize())
+
+    with np.errstate():
+        if caller is not None:
+            np.setbufsize(caller)
+        size = np.getbufsize()
+        for n, inside in ((1024, 1024), (8, 16)):
+            state = build_initial_state(GaussianPacketSpec(n // 2, n / 32, 0), n)
+            steps = [(log,), (Propagator.advance, 0.1)]
+            seen.clear()
+            run_blocks(state, None, [*steps, (log,)])
+            assert set(seen) == {inside} and np.getbufsize() == size
+            seen.clear()
+            with pytest.raises(RuntimeError, match="mid-block"):
+                run_blocks(state, None, [*steps, (raise_on_call(1),)])
+            assert set(seen) == {inside} and np.getbufsize() == size
+        scenario = named_scenario("pointer_n1024")
+        run_schedule(scenario)
+        assert np.getbufsize() == size
+        with mock.patch.object(Propagator, "measure", raise_on_call(3)):
+            with pytest.raises(RuntimeError, match="mid-block"):
+                run_schedule(scenario)
+        assert np.getbufsize() == size
 
 
 def leg_by_index(g, rows, t):

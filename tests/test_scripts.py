@@ -7,6 +7,11 @@ import runpy
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
+
+import numpy as np
+
+from zenolattice.propagator import Propagator
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -39,8 +44,22 @@ def test_pointer_spread(monkeypatch, capsys):
 def test_step_cost_reports_every_operation():
     # Only reference_costs imports the benchmark's calibration, as the
     # top-level modules of bench/; costs leaves sys.path and sys.modules be.
+    # It steps every engine in a run's one-row ufunc buffer, 64 elements.
     path = list(sys.path)
-    costs = runpy.run_path(str(SCRIPTS / "step_cost.py"))["costs"](64)
+    sizes = set()
+
+    def logged(name):
+        inner = getattr(Propagator, name)
+
+        def method(self, *args):
+            sizes.add(np.getbufsize())
+            return inner(self, *args)
+
+        return mock.patch.object(Propagator, name, method)
+
+    with logged("advance"), logged("measure"), logged("record"):
+        costs = runpy.run_path(str(SCRIPTS / "step_cost.py"))["costs"](64)
+    assert sizes == {64}
     assert sys.path == path
     assert not {"execution", "run", "tracing", "workloads"} & set(sys.modules)
     assert set(costs) == {
