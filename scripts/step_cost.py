@@ -1,18 +1,24 @@
 """Median cost in reference milliseconds of each stepping-engine operation.
 
 Times a free leg of the length the engine applied last (free_leg) and of a
-length it has not applied yet (new_leg, which builds the leg's phases), a
-pointer step, a 6-region and a 16-region PVM step, a LINEAR-kernel step (a
-step is one leg and one measurement), and snapshots: of an unmeasured
-engine, of a 6-region engine after narrowing on the measurement grid
+length it has not applied yet (new_leg, which builds the leg's phase
+table), on a pointer engine that holds G; a pointer step, a 6-region and a
+16-region PVM step, a LINEAR-kernel step (a step is one leg and one
+measurement); the first measurement of a 6-region engine (narrowing, which
+builds its band from G's rows a chunk at a time, with no G); and
+snapshots: of an unmeasured engine (snapshot, read off psi(t) in its pure
+stage), of a 6-region engine after narrowing on the measurement grid
 (narrowed_snapshot, read off its band) and of the same with half a leg
 pending (off_grid_snapshot, which rebuilds G a chunk of rows at a time),
 through Propagator at N = 256, 512 and 1024, and prints the medians as
-JSON. Each measured engine reads a ChannelPlan of its measurement, built
-once, as a run builds it, and not timed. Every engine is built and timed
-through in_one_row_buffer, as run_blocks steps a run's blocks, so numpy's
-ufunc buffer is one row of N, as in a run. Steps are timed after the
-engine's first measurement, which narrows a PVM engine to its band:
+JSON, with the tracemalloc peak of narrowing in KiB beside them
+(narrowing_peak_kib, beyond what the engine held before). Each measured
+engine reads a ChannelPlan of its measurement, built once, as a run builds
+it, and not timed. Every engine is built and timed through
+in_one_row_buffer, as run_blocks steps a run's blocks, so numpy's ufunc
+buffer is one row of N, as in a run. Steps are timed after the engine's
+first measurement, which ends its pure stage and narrows a PVM engine to
+its band:
 
     PYTHONPATH=src python scripts/step_cost.py
 
@@ -29,6 +35,7 @@ import itertools
 import json
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -51,25 +58,65 @@ def median_s(action):
     return float(np.median(times))
 
 
+def first_measure_s(state, plan):
+    """Median wall seconds of the first measure of a fresh engine after one
+    leg; the first of REPEATS + 1 engines sets up FFT plans untimed."""
+    times = []
+    for _ in range(REPEATS + 1):
+        engine = Propagator(state, plan)
+        engine.advance(INTERVAL)
+        start = time.perf_counter()
+        engine.measure()
+        times.append(time.perf_counter() - start)
+    return float(np.median(times[1:]))
+
+
 def costs(n):
     """Wall-second medians of each operation at N sites, stepped in the
     one-row ufunc buffer that run_blocks gives a run."""
     return in_one_row_buffer(n, lambda: _costs(n))
 
 
-def _costs(n):
-    # The pvm_packet state and measurements, scaled with N.
+def narrowing_peak_kib(n):
+    """The tracemalloc peak, in KiB beyond what the engine held before, of
+    a fresh 6-region engine's first measure after one leg, after one
+    untraced, in the one-row ufunc buffer that run_blocks gives a run."""
+    state, measurements = _workload(n)
+    plan = ChannelPlan(measurements["pvm_step"])
+
+    def peak():
+        for traced in (False, True):
+            engine = Propagator(state, plan)
+            engine.advance(INTERVAL)
+            if traced:
+                tracemalloc.start()
+                before = tracemalloc.get_traced_memory()[0]
+            engine.measure()
+        kib = (tracemalloc.get_traced_memory()[1] - before) / 1024
+        tracemalloc.stop()
+        return round(kib, 1)
+
+    return in_one_row_buffer(n, peak)
+
+
+def _workload(n):
+    """The pvm_packet state and the measurements, scaled with N."""
     state = build_gaussian_packet(GaussianPacketSpec(n // 32, n / 32, 31 * n // 256), n)
     alpha = 0.2 * 256 / n
-    measurements = {
+    return state, {
         "pointer_step": pointer_kernel(PointerSpec(alpha), n),
         "pvm_step": make_regions(n, 6),
         "pvm16_step": make_regions(n, 16),
         "linear_step": pointer_kernel(PointerSpec(alpha, DistanceConvention.LINEAR), n),
     }
-    free = Propagator(state)
+
+
+def _costs(n):
+    state, measurements = _workload(n)
+    unmeasured = Propagator(state)
+    free = Propagator(state, ChannelPlan(measurements["pointer_step"]))
     narrowed, off_grid = (Propagator(state, ChannelPlan(measurements["pvm_step"])) for _ in range(2))
-    for engine in (narrowed, off_grid):
+    for engine in (free, narrowed, off_grid):
         engine.advance(INTERVAL)
         engine.measure()
     off_grid.advance(INTERVAL / 2)
@@ -83,9 +130,10 @@ def _costs(n):
     row = {
         "free_leg": median_s(lambda: free.advance(INTERVAL)),
         "new_leg": median_s(lambda: free.advance(next(lengths))),
-        "snapshot": median_s(lambda: snapshot(free)),
+        "snapshot": median_s(lambda: snapshot(unmeasured)),
         "narrowed_snapshot": median_s(lambda: snapshot(narrowed)),
         "off_grid_snapshot": median_s(lambda: snapshot(off_grid)),
+        "narrowing": first_measure_s(state, ChannelPlan(measurements["pvm_step"])),
     }
     for name, measurement in measurements.items():
         engine = Propagator(state, ChannelPlan(measurement))
@@ -104,7 +152,9 @@ def reference_costs(n):
     row = costs(n)
     kernel = (before + calibrate(size)) / 2
     scale = 1e3 * REFERENCE_CALIBRATION_S[size] / kernel
-    return {name: round(seconds * scale, 3) for name, seconds in row.items()}
+    row = {name: round(seconds * scale, 3) for name, seconds in row.items()}
+    row["narrowing_peak_kib"] = narrowing_peak_kib(n)
+    return row
 
 
 if __name__ == "__main__":

@@ -1,5 +1,13 @@
 """The stepping engine: one run's density matrix in half chord coordinates.
 
+Pure stage. Until its first measurement a run's state is pure, rho =
+|psi(t)><psi(t)|, so an engine holds only the state's momentum amplitudes
+phi = fft(psi) and the time t since t = 0: a free leg adds to t, and a
+record reads psi(t) off phi (the snapshots below). An unmeasured run never
+leaves this stage, nor does a run whose channel is the identity. The first
+measurement builds the chord rows below from phi(t) = phi exp(-i t E), or,
+for a plan that narrows, its band from them.
+
 The engine stores the momentum-basis matrix R of lattice.density_to_momentum
 in chord (difference) coordinates, G[delta, k] = R[k, k - delta] with indices
 mod N and k on the contiguous axis (Ozorio de Almeida, Phys. Rep. 295 (1998)
@@ -36,15 +44,21 @@ that this puts on the distributions. In these coordinates:
 
       H[N - delta, d] = exp(-2 pi i delta d / N) conj H[delta, N - d].
 
-  The step copies columns d = 1..c, rows 0..N/2, into an (N, c) buffer
-  and builds its rows N - delta from columns N - d by that identity, all
+  The step reads H d-major, as h[d, delta]: a narrowed engine's band is
+  stored so, and an engine of N columns passes the transposed view of G.
+  It copies rows d = 1..c, entries delta = 0..N/2, into a (c, N) buffer
+  and builds its entries N - delta from rows N - d by that identity, all
   through basic slices. It transforms that buffer along delta, masks it,
-  transforms it back, copies rows 0..N/2 back to columns d and builds
-  those of columns N - d by the identity again: 1 + 2c/N passes;
+  transforms it back, copies entries 0..N/2 back to rows d and builds
+  those of rows N - d by the identity again: 1 + 2c/N passes;
 - a snapshot costs O(N^2) and no transform: p(k) is row 0, p(n) is the
   inverse FFT of the row sums s[delta], with s[N - delta] = conj s[delta]
   filling in the rest, and the purity is
-  |row 0|^2 + 2 sum_{delta=1}^{N/2-1} |row delta|^2 + |row N/2|^2.
+  |row 0|^2 + 2 sum_{delta=1}^{N/2-1} |row delta|^2 + |row N/2|^2. In the
+  pure stage p(k) = |phi|^2 / N is row 0 built as G builds it, bit for
+  bit; the row sums are fft_N of p(n) = |psi(t)(n)|^2; and the squared row
+  norms, sum_k p(k) p(k - delta), do not depend on t and are correlated
+  directly, as row_cut correlates the l1 norms: O(N) memory and no G.
 
 Band-limited stepping. Every column with min(d, N - d) >= L is 0 at
 every n, for L = 1 + the largest min(d, N - d) that the channel leaves
@@ -52,25 +66,36 @@ nonzero: the largest region for a region PVM, 1 for a per-site PVM, the
 support of a compact kernel. After one measurement H holds only the
 2L - 1 band columns |d| < L. An engine whose width W, the smallest
 integer >= 4L - 3 with no prime factor above 7, is below N narrows at its
-first measurement. It keeps the band columns of H in a (rows, W) array,
-column -d at W - d, frees G, and then builds the band kernel K of the last
-leg's length. Multiplying row delta of G by its phases is a cyclic
-convolution of row delta of H with ifft_N(phases) along d. On the band
-only the lags |l| <= 2L - 2 of that kernel reach the band, and with
+first measurement, and never holds G: G's rows of psi(t) are built from
+phi(t) one chunk at a time, each chunk is transformed by ifft_N along k,
+and its band columns are kept. The band is stored d-major, a (W, rows)
+array read as a (rows, W) view, with column -d at W - d. Its zero
+padding, rows L..W - L, is then one contiguous block of at least
+(2L - 2)(N/2 + 1) entries, more than the (L - 1) N of L - 1 rows of N
+columns. The chunks of G lie in that padding, which is zeroed again
+afterwards; the build takes one chunk of CHUNK_ENTRIES entries instead
+when the padding holds less than one row of N. G's rows are built each
+on its own, so no row takes round-off from another, which the row cut
+below needs: a transform along delta would spread each column's
+round-off over every row. Multiplying row delta of G by its phases is a
+cyclic convolution of row delta of H with ifft_N(phases) along d. On the
+band only the lags |l| <= 2L - 2 of that kernel reach the band, and with
 W >= 4L - 3 a cyclic product of length W wraps none of its terms onto
 the band. So a narrowed leg is exact: fft_W, a multiply by K = fft_W of
 the kernel cut to those lags, ifft_W, on every row but row 0, whose phase
-is exactly 1. K is built one chunk of rows at a time, of CHUNK_ENTRIES
-entries N columns wide: the leg applied to a chunk of ones, ifft_N, and
-that chunk's lags written into K. Then:
+is exactly 1. K is built for the first leg after narrowing, d-major as
+the band, one chunk of rows at a time, of CHUNK_ENTRIES entries N columns
+wide: the leg applied to a chunk of ones, ifft_N, and that chunk's lags
+written into K. Then:
 
 - advance(t) only adds t to a pending time;
 - measure applies the pending leg with the K of the last leg length, or
   with a K built the same way for another pending time, which replaces
-  it; then the channel: it zeroes columns L..W - L and runs the window
-  step above with the mirror column N - d held at W - d. Two transforms
-  of length W replace two of length N: for pvm_packet (N = 256, L = 42)
-  W = 168;
+  it; then the channel: the window step above runs in a (c, N) view of
+  the band's padding, with the mirror column N - d held at W - d, and the
+  step then zeroes columns L..W - L, the padding, for the next leg. Two
+  transforms of length W replace two of length N: for pvm_packet
+  (N = 256, L = 42) W = 168;
 - record on the grid, with no pending leg, reads the partials off the
   band: G = fft_N of H along d, so the row sums are N H[:, 0] and, by
   Parseval, the squared row norms are N sum_d |H|^2; p(k), row 0 of G, is
@@ -80,43 +105,50 @@ that chunk's lags written into K. Then:
   into that chunk's rows of the snapshot's partials: that reads the
   pending leg without applying it to the band or building its K.
 
-So a narrowed engine holds no array N columns wide but one chunk, and a
-record on the grid holds one row. Every engine builds the window step's
-(N, c) buffer in its first measurement, a narrowing one after narrowing
-has freed G, so G, the band and the buffer are never all alive.
+So a narrowed engine holds its band and K and no array N columns wide
+but one chunk, a record on the grid holds one row, and its window buffer
+is the band's own padding: for pvm_packet 85 x 129 = 10,965 padding
+entries hold the 41 x 256 = 10,496 of the buffer. The d-major layout is
+kept for that memory, not for speed: the transposed buffer alone was no
+faster (ROADMAP, Retired), and a narrowed step's strided passes cost it a
+few percent. An engine of N columns builds its own (c, N) buffer in its
+first measurement, and its copies to and from G.T transpose.
 
 Free legs, channels without cut columns and snapshots all act on each row
-delta alone, so a Propagator may hold any range of rows, built from the
-state's momentum amplitudes phi with G[delta, k] = conj phi[k - delta] phi[k] / N,
-and a leg's phases on those rows are u[k - delta] conj u[k]: both are read
-off strided views of phi and u doubled, with no index table. run_blocks
-compiles the run's measurement once, into a ChannelPlan that every block's
-engine reads; a block of a per-site PVM or a compact kernel narrows on its
-own. It splits the rows of such a run into blocks of about BLOCK_ENTRIES
-entries, small enough that a block's G stays in a core's L2 cache, and
-takes each block through the whole schedule on its own, one after the
-other, so the run holds one block's engine at a time. A snapshot writes
-its rows' partials, the row sums s[delta], the squared norms of the rows
-and the real part of row 0 with its largest imaginary part, into a
-Snapshots object indexed by row, which allocates a snapshot's partials
-when the first block records it; the observables are read off the
-combined partials in a fixed order, so no result depends on how the rows
-were split. A channel that cuts a column (a PVM of two regions or more,
-most LINEAR kernels) couples rows through its transform along delta, so
-such a run takes one block of all rows.
+delta alone, so a Propagator may hold any range of rows, built from
+phi(t) with G[delta, k] = conj phi(t)[k - delta] phi(t)[k] / N, and a
+leg's phases on those rows are u[k - delta] conj u[k]: both are read off
+strided views of conj phi(t) and of u doubled, with no index table. The
+leg's phase table keeps conj u beside u, so a leg builds no conj u.
+run_blocks compiles the run's measurement once, into a ChannelPlan that
+every block's engine reads; a block of a per-site PVM or a compact kernel
+narrows on its own. It splits the rows of such a run into blocks of
+about BLOCK_ENTRIES entries, small enough that a block's G stays in a
+core's L2 cache, and takes each block through the whole schedule on its
+own, one after the other, so the run holds one block's engine at a time.
+A snapshot writes its rows' partials, the row sums s[delta], the squared
+norms of the rows and the real part of row 0 with its largest imaginary
+part, into a Snapshots object indexed by row, which allocates a
+snapshot's partials when the first block records it; the observables are
+read off the combined partials in a fixed order, so no result depends on
+how the rows were split. A channel that cuts a column (a PVM of two
+regions or more, most LINEAR kernels) couples rows through its transform
+along delta, so such a run takes one block of all rows, and so does an
+unmeasured run, which stays pure.
 
 Ufunc buffer. numpy copies an operand that is broadcast or not
 contiguous with the output through an iterator buffer, which it allocates
-on each such call: G's build, a free leg's two multiplies (the lagged view
-of u, the broadcast conj u) and a kernel's scale multiply. At numpy's
-default of 8192 elements that is 128 KiB of complex128 a call, on every
-leg and pointer step. run_blocks steps its blocks through
-in_one_row_buffer, where the buffer is one row of N elements: at N = 1024
-a pointer block's advance or measure allocates 17.3 KiB beyond the
-engine's arrays, not 145 KiB. The size sets only how many elements numpy
-copies at a time, so no result changes.
+on each such call: G's build, a free leg's multiply by the lagged view of
+u, a kernel's scale multiply, and every multiply over a strided 2-D view
+of a d-major band or buffer. At numpy's default of 8192 elements that is
+128 KiB of complex128 per operand a call, on every leg and step.
+run_blocks steps its blocks through in_one_row_buffer, where the buffer
+is one row of N elements: at N = 1024 a pointer block's advance
+allocates 1.3 KiB beyond the engine's arrays and its measure 17.3 KiB,
+16 of them the FFT's row buffer, not 145 KiB. The size sets only how many
+elements numpy copies at a time, so no result changes.
 
-Row cut. In a run whose plan does not couple rows (unmeasured, a
+Row cut. In a measured run whose plan does not couple rows (a
 minimal-image kernel, an identity or per-site PVM, narrowed or not) no
 step moves weight from one row to another. A free leg multiplies row
 delta by unit-modulus phases; a channel step convolves it along k with
@@ -137,6 +169,8 @@ exact. The purity loses at most the dropped rows' squared norms, at most
 (N C)^2, below half an ulp of a purity >= 1/N for N up to 2**16. A plan
 that couples rows keeps all N/2 + 1, and so does a state whose rows are
 all above the cut: a position eigenstate, whose rows all have l1 norm 1.
+An unmeasured run cuts no row: its one engine stays pure, with no rows to
+step.
 
 Re-cut. A pointer damps every row delta > 0 as the run goes on: over the
 40 applications of the pointer_n1024 benchmark workload row 10's l1 norm
@@ -150,11 +184,11 @@ The run's certificate C is C0 plus every row a block dropped, still at
 most 2**-52, and no decision depends on another block.
 A block drops rows through a prefix view of the one G (once narrowed,
 band) array it built, and of its K, and steps the kept rows there: no
-copy, no resize. The run holds one block's engine at a time, and a
-block's peak comes at its start or at narrowing, before any re-cut, so
-letting the dropped rows go sooner would lower no peak; they go with the
-engine. A block whose rows are all gone stops: its remaining operations
-would step and record no row.
+copy, no resize. The run holds one block's engine at a time, and the
+dropped rows go with it: a copy of the kept rows would hold both arrays
+at once (pointer_n1024's blocks peak in a measure after the first one,
+with G, the leg's phase table and the FFT's row buffer alive). A block whose rows are all gone stops: its remaining
+operations would step and record no row.
 Rows the blocks of pointer_n1024 (3 blocks, 80 rows at the start) hold
 after 1, 5, 10, 20 and 40 applications: 78, 33, 14, 6 and 2, 13.2 on
 average. Propagator itself holds all rows by default and drops none.
@@ -193,15 +227,16 @@ class ChannelPlan:
 
     band is L of the module docstring, at most N/2 + 1, window is its
     c < L, and couples is c > 0. width is W when W < N, so that the first
-    measurement narrows to it, and N otherwise. cut[n, d - 1] is the (N, c) mask down columns
-    d = 1..c: the entries a PVM drops, to zero them without a cast, or a
-    LINEAR kernel's multiplier. scale[d] is the value of column d outside
-    the window, constant there, and 1 inside it, at width columns with -d
-    at width - d; None for a PVM, whose other columns below L are all 1. A
+    measurement narrows to it, and N otherwise. The window's tables are
+    d-major, as the window step's buffer: cut[d - 1, n] is the (c, N) mask
+    along columns d = 1..c, the entries a PVM drops, to zero them without a
+    cast, or a LINEAR kernel's multiplier, and twiddle[d - 1, N/2 - delta]
+    is conj exp(-2 pi i delta d / N), for buffer entry N - delta: delta =
+    N/2..1 along each row. scale[d] is the value of column d outside the
+    window, constant there, and 1 inside it, at width columns with -d at
+    width - d; None for a PVM, whose other columns below L are all 1. A
     minimal-image kernel that keeps N columns has its values as scale; one
     built here is complex, which numpy would otherwise cast on every step.
-    twiddle is conj exp(-2 pi i delta d / N) at [N/2 - delta, d - 1], for
-    buffer row N - delta: delta = N/2..1 down the rows, d = 1..c.
     growth is rho = sum |w| of the module docstring, for w = DFT(values) / N
     of a kernel, 1 for a PVM; it bounds a row's l1 growth per measurement
     only in a plan that does not couple rows.
@@ -216,20 +251,20 @@ class ChannelPlan:
             values = measurement.values
             growth = float(np.abs(np.fft.fft(values)).sum()) / n
             if measurement.distance_convention is DistanceConvention.MINIMAL_IMAGE:
-                scale, c, cut = values, 0, np.empty((n, 0))
+                scale, c, cut = values, 0, np.empty((0, n))
             else:
                 # LINEAR: column d is values[d] where n + d < N and values[N - d]
                 # past the wrap; a column inside the window whose two values
                 # agree is masked by that value.
                 mirrored = values[-sites]
                 c = int(separation[values != mirrored].max(initial=0))
-                window = sites[1 : c + 1]
-                cut = np.where(sites[:, None] < n - window, values[window], mirrored[window])
+                window = sites[1 : c + 1, None]
+                cut = np.where(sites < n - window, values[window], mirrored[window])
                 inside = (separation > 0) & (separation <= c)
                 scale = np.where(inside, 1.0, values).astype(complex)
             band = 1 + max(c, int(separation[scale != 0].max()))
         elif measurement.n_regions == 1:
-            band, c, cut = n // 2 + 1, 0, np.empty((n, 0))
+            band, c, cut = n // 2 + 1, 0, np.empty((0, n))
         else:
             # Regions are contiguous and do not wrap, so some pair at separation d
             # shares a region iff min(d, N - d) is below the largest region's size;
@@ -237,7 +272,7 @@ class ChannelPlan:
             largest = max(np.diff(measurement.boundaries + (n,)))
             c = int(min(largest - 1, n // 2))
             region = measurement.region_of
-            cut = region[(sites[:, None] + sites[1 : c + 1]) % n] != region[:, None]
+            cut = region[(sites + sites[1 : c + 1, None]) % n] != region
             band = c + 1
         self.band, self.window, self.couples, self.growth = band, c, c > 0, growth
         self.width = min(_smooth_width(4 * band - 3), n)
@@ -247,7 +282,7 @@ class ChannelPlan:
         if scale is not None and self.width < n:
             # A narrowing engine applies the scale only after it narrows.
             scale = _band_columns(scale, band, np.empty(self.width, dtype=complex))
-        turns = np.outer(sites[n // 2 : 0 : -1], sites[1 : c + 1]) % n
+        turns = np.outer(sites[1 : c + 1], sites[n // 2 : 0 : -1]) % n
         self.twiddle = np.exp(-2j * np.pi * turns / n).conj()
         self.scale, self.cut = scale, cut
         for table in (self.scale, self.cut, self.twiddle):
@@ -259,27 +294,34 @@ class Propagator:
     """Exact free evolution and repeated measurement of one state, in place.
 
     plan is the run's compiled measurement, shared with every other block
-    of the run, or None for a run that is never measured. The engine keeps
-    the phase vector exp(i t E), doubled, of the last leg length t it
-    applied, or once narrowed that length's band kernel, so a run of equal
-    legs builds it once; a leg of another length builds its own in its
-    place. Besides G, the plan and, for a channel that couples rows, the
-    window step's buffer, an engine that has not narrowed holds no array of
-    N columns per row; a narrowed one holds its band, K and the buffer, and
-    takes N columns only one chunk of CHUNK_ENTRIES entries at a time, for
-    a record off the measurement grid or a new K, and one row for a record
-    on it. rows is the range of rows delta the engine holds, all of 0..N/2
-    by default; a plan that couples rows needs all of them. share, if
-    given, is the part of the run's certificate budget that the engine may
-    spend on rows it drops after each measurement (the module docstring's
-    re-cut), and measurements the number of measurements the run makes;
-    spent is what it has spent. A narrowed engine re-cuts
-    too, charging each row N sum_d |H[delta, d]| >= ||G[delta]||_1. It
-    steps its kept rows as a prefix view of the arrays it built and frees
-    none of them before it goes: a run holds one engine at a time. Without
-    a share the engine keeps its rows. The state's amplitudes were checked
-    to be normalized when it was built; its ring must have a power-of-two
-    size.
+    of the run, or None for a run that is never measured. Until its first
+    measurement the engine is in its pure stage: it holds the state's
+    momentum amplitudes phi and the time since t = 0, and records read
+    psi(t) off them; an engine without a plan never leaves it. The first
+    measurement builds G of psi(t) on the engine's rows or, when the plan
+    narrows, the band of H from G's rows a chunk at a time, d-major, in
+    its own zero padding, where the window step's buffer then stays. The
+    engine then keeps the phase table of the last leg length t it applied,
+    exp(i t E) and its conjugate (_phase_vector), or once narrowed that
+    length's band kernel, d-major too, so a run of equal legs builds it
+    once; a leg of another length builds its own in its place. Besides G,
+    the plan and, for a channel that couples rows, the window step's (c, N)
+    buffer, an engine that keeps all N columns holds no array of N columns
+    per row; a narrowed one holds its band and K, never G, and takes N
+    columns only one chunk of CHUNK_ENTRIES entries at a time, to build
+    the band, a record off the measurement grid or a new K, and one row for
+    a record on it. rows is the range of
+    rows delta the engine holds, all of 0..N/2 by default; a plan that
+    couples rows needs all of them. share, if given, is the part of the
+    run's certificate budget that the engine may spend on rows it drops
+    after each measurement (the module docstring's re-cut), and
+    measurements the number of measurements the run makes; spent is what
+    it has spent. A narrowed engine re-cuts too, charging each row
+    N sum_d |H[delta, d]| >= ||G[delta]||_1. It steps its kept rows as a
+    prefix view of the arrays it built and frees none of them before it
+    goes: a run holds one engine at a time. Without a share the engine
+    keeps its rows. The state's amplitudes were checked to be normalized
+    when it was built; its ring must have a power-of-two size.
     """
 
     def __init__(
@@ -301,32 +343,43 @@ class Propagator:
         self._plan = plan
         self._rows = rows
         self._n = n
-        # Row 0's phase is exactly 1 on every leg, so a narrowed leg skips it.
+        # Row 0's phase is exactly 1 on every leg, so a leg skips it.
         self._moving = 1 if rows.start == 0 else 0
-        phi = np.fft.fft(state.amplitudes)
-        # N is a power of two, so phi / n is exact and row 0 is |phi|^2 / N.
-        # One multiply: run_blocks builds every engine through in_one_row_buffer,
-        # so its iterator buffer is one row, not numpy's 128 KiB. pointer_n1024's
-        # warm tracemalloc peak is 0.574 MiB so, 0.590 with G built row by row.
-        self._g = np.multiply(_lagged(np.tile(phi.conj(), 2), rows), phi / n)
+        # The pure stage: phi, and in _pending the time since t = 0. Once
+        # measured, G (rows, N) or the band as a (rows, W) view of a d-major
+        # array, and in _pending a narrowed engine's leg still to apply.
+        self._phi = np.fft.fft(state.amplitudes)
+        self._g = None
+        self._pending = 0.0
 
         self._share = share
         self._to_come = measurements
         self.spent = 0.0
-        self._pending = 0.0
-        self._buffer = None  # the window step's (N, c) buffer, built when first used
-        # exp(i t E) doubled for a leg of length _table_t, or once narrowed its K
+        self._buffer = None  # the window step's (c, N) buffer
+        # the phase table of a leg of length _table_t, or once narrowed its K
         self._table = None
         self._table_t = None
 
     @property
     def _narrowed(self) -> bool:
         """Whether the engine holds the band of H in W < N columns, not G."""
-        return self._g.shape[1] < self._n
+        return self._g is not None and self._g.shape[1] < self._n
 
     def _phase_vector(self, t: float) -> np.ndarray:
-        """u = exp(i t E(k)), doubled for _lagged."""
-        return np.tile(np.exp(1j * t * dispersion_table(self._n)), 2)
+        """A leg's phase table for u = exp(i t E(k)), 5N/2 entries built in
+        place: conj u, then u from k = N/2 on, then u. Its last 2N entries
+        stand for u doubled, of which _lagged reads for rows delta <= N/2
+        only the entries from N/2 on, which they hold."""
+        n = self._n
+        energies = dispersion_table(n)  # its temporaries go before the table comes
+        table = np.empty(5 * n // 2, dtype=complex)
+        u = table[3 * n // 2 :]
+        np.multiply(energies, t, out=u.imag)
+        u.real = 0.0
+        np.exp(u, out=u)
+        table[n : 3 * n // 2] = u[n // 2 :]
+        np.conjugate(u, out=table[:n])
+        return table
 
     def _chunks(self, rows: range):
         """(slice, rows in it, a (rows, N) view) for each chunk of rows, of
@@ -341,21 +394,23 @@ class Propagator:
     def _free_leg(self, g: np.ndarray, turns: np.ndarray, rows: range) -> np.ndarray:
         """Multiply g, the rows of G in rows, N columns, by the phases
         exp(i t (E(k - delta) - E(k))) = u[k - delta] conj u[k], for turns
-        the doubled u of _phase_vector; row 0, whose phase is exactly 1, is
-        left alone when rows holds it."""
+        the table of _phase_vector; row 0, whose phase is exactly 1, is left
+        alone when rows holds it."""
+        n = self._n
         skip = 1 if rows.start == 0 else 0
         moving = g[skip:]
-        np.multiply(moving, _lagged(turns, rows[skip:]), out=moving)
-        np.multiply(moving, turns[: self._n].conj(), out=moving)
+        np.multiply(moving, _lagged(turns[n // 2 :], rows[skip:]), out=moving)
+        np.multiply(moving, turns[:n], out=moving)
         return g
 
     def _band_kernel(self, turns: np.ndarray) -> np.ndarray:
         """fft_W of each moving row's circulant kernel ifft_N(phases), cut to
         the lags |l| <= 2L - 2 that carry the band onto itself, for the
-        phases of the leg whose doubled u is turns: the leg applied to a
-        chunk of ones at a time, whose lags are written into K."""
+        phases of the leg whose table is turns: the leg applied to a chunk
+        of ones at a time, whose lags are written into K, a (rows, W) view
+        of a d-major array, as the band."""
         rows = self._rows[self._moving :]
-        kernel = np.empty((len(rows), self._plan.width), dtype=complex)
+        kernel = np.empty((self._plan.width, len(rows)), dtype=complex).T
         for part, chunk, phases in self._chunks(rows):
             phases.fill(1.0)
             self._free_leg(phases, turns, chunk)
@@ -365,7 +420,7 @@ class Propagator:
         return kernel
 
     def _leg_table(self, t: float) -> np.ndarray:
-        """The doubled u of a leg of length t, or once narrowed its band
+        """The phase table of a leg of length t, or once narrowed its band
         kernel: the kept one if the last leg had length t, else a new one
         that takes its place."""
         if t != self._table_t:
@@ -376,28 +431,31 @@ class Propagator:
         return self._table
 
     def advance(self, t: float) -> None:
-        """Free evolution for natural time t; no transform. A narrowed
-        engine only adds t to the leg it applies at the next measurement."""
-        if self._narrowed:
+        """Free evolution for natural time t; no transform. An engine in its
+        pure stage, or narrowed, only adds t to the time it applies at the
+        next measurement."""
+        if self._g is None or self._narrowed:
             self._pending += t
             return
         self._free_leg(self._g, self._leg_table(t), self._rows)
 
     def measure(self) -> None:
         """Apply the measurement channel once; an engine with a share then
-        drops the rows it can (_recut)."""
+        drops the rows it can (_recut). The first measurement ends the pure
+        stage."""
         if self._plan is None:
             raise ValueError("this run has no measurement")
         if self._plan.identity:
             return
-        if self._narrowed:
+        if self._g is None:
+            self._g = self._pure_band() if self._plan.width < self._n else self._pure_rows()
+        elif self._narrowed:
             self._leg()
-        else:
+        narrowed = self._narrowed
+        if not narrowed:
             np.fft.ifft(self._g, axis=1, out=self._g)
-            if self._plan.width < self._n:
-                self._narrow()
-        self._mask(self._g)
-        if not self._narrowed:
+        self._mask(self._g.T)
+        if not narrowed:
             np.fft.fft(self._g, axis=1, out=self._g)
         if self._share is not None:
             self._recut()
@@ -428,14 +486,64 @@ class Propagator:
         if self._narrowed and self._table is not None:
             self._table = self._table[: kept - self._moving]
 
-    def _narrow(self) -> None:
-        """Keep only the band columns of H from now on, in a (rows, W)
-        array, free G, and then build the band kernel of the last leg's
-        length in place of its phase vector."""
-        band = np.empty((len(self._rows), self._plan.width), dtype=complex)
-        self._g = _band_columns(self._g, self._plan.band, band)
-        if self._table is not None:
-            self._table = self._band_kernel(self._table)  # from the kept u
+    def _pure_chunks(self, buffer: np.ndarray):
+        """Leave the pure stage: (slice, rows in it, G of psi(t) on those
+        rows) for each chunk of len(buffer) of the engine's rows, written
+        into buffer in turn: G[delta, k] = conj phi(t)[k - delta] phi(t)[k] / N,
+        for phi(t) = phi exp(-i t E) and t the pending time, read off
+        strided views of conj phi(t) doubled. Row 0 is built from phi, its
+        phase being exactly 1, so p(k) keeps every bit. No leg's phase table
+        is held meanwhile."""
+        n, rows, phi, skip = self._n, self._rows, self._phi, self._moving
+        self._phi = None
+        if skip:  # row 0 of the first chunk
+            np.multiply(phi.conj(), phi / n, out=buffer[0])
+        phi *= _pure_phases(n, self._pending)  # phi(t), then phi(t) / N, in place
+        self._pending = 0.0
+        doubled = np.empty(2 * n, dtype=complex)
+        np.conjugate(phi, out=doubled[:n])
+        doubled[n:] = doubled[:n]
+        phi /= n  # exact: N is a power of two
+        for lo in range(0, len(rows), len(buffer)):
+            part = slice(lo, lo + len(buffer))
+            chunk = rows[part]
+            g = buffer[: len(chunk)]
+            built = skip if lo == 0 else 0
+            np.multiply(_lagged(doubled, chunk[built:]), phi, out=g[built:])
+            yield part, chunk, g
+
+    def _pure_rows(self) -> np.ndarray:
+        """G of psi(t) on the engine's rows, built whole."""
+        g = np.empty((len(self._rows), self._n), dtype=complex)
+        for _ in self._pure_chunks(g):
+            pass
+        return g
+
+    def _pure_band(self) -> np.ndarray:
+        """The band of H of psi(t), with no G: G's rows are built one chunk
+        at a time, transformed by ifft_N along k, and their band columns
+        kept. The chunks lie in the band's own zero padding, rows L..W - L
+        of the d-major (W, rows) array, which is zeroed again afterwards
+        (in one chunk of CHUNK_ENTRIES entries when that holds less than one
+        row of N); a window step's buffer stays there. Returns the band as a
+        (rows, W) view of that array."""
+        plan, n, rows = self._plan, self._n, self._rows
+        keep, width = plan.band, plan.width
+        band = np.empty((width, len(rows)), dtype=complex)
+        h = band.T
+        padding = band[keep : width - keep + 1]
+        room = min(padding.size // n, len(rows))
+        scratch = padding.reshape(-1)[: room * n].reshape(room, n)
+        if not room:
+            scratch = np.empty((min(max(1, CHUNK_ENTRIES // n), len(rows)), n), dtype=complex)
+        for part, _, g in self._pure_chunks(scratch):
+            np.fft.ifft(g, axis=1, out=g)
+            h[part, :keep] = g[:, :keep]
+            h[part, width - keep + 1 :] = g[:, n - keep + 1 :]
+        padding[...] = 0.0
+        if plan.window:
+            self._buffer = scratch[: plan.window]
+        return h
 
     def _leg(self) -> None:
         """The pending free leg of a narrowed engine: an exact cyclic product
@@ -450,43 +558,46 @@ class Propagator:
         np.multiply(h, kernel, out=h)
         np.fft.ifft(h, axis=1, out=h)
 
-    def _mask(self, g: np.ndarray) -> None:
-        """The channel on H[delta, d], N columns or a narrowed band's W."""
-        half, width = g.shape
+    def _mask(self, h: np.ndarray) -> None:
+        """The channel on H, d-major as h[d, delta]: G.T of N columns or a
+        narrowed band's W, whose zero padding holds the window buffer."""
+        width, half = h.shape
         plan = self._plan
-        g[:, plan.band : width - plan.band + 1] = 0.0  # the columns it zeroes at every n
-        if plan.scale is not None:
-            np.multiply(g, plan.scale, out=g)  # 1 inside the window
+        if plan.scale is not None:  # 1 inside the window; along d's contiguous axis in G
+            np.multiply(h.T, plan.scale, out=h.T)
         c = plan.window
         if c:
-            if self._buffer is None:  # built here, once a narrowing engine has freed G
-                self._buffer = np.empty((self._n, c), dtype=complex)
+            if self._buffer is None:  # an engine of N columns keeps its own
+                self._buffer = np.empty((c, self._n), dtype=complex)
             buffer, twiddle = self._buffer, plan.twiddle
-            # Column j of buffer is d = j + 1 and column j of mirror is N - d,
-            # held at width - d. Buffer rows N/2..N - 1 are rows N - delta for
-            # delta = N/2..1, the rows of twiddle; w conj(x) = conj(x conj(w))
+            # Row j of buffer is d = j + 1 and row j of mirror is N - d, held
+            # at width - d. Buffer columns N/2..N - 1 are delta' = N - delta for
+            # delta = N/2..1, the columns of twiddle; w conj(x) = conj(x conj(w))
             # builds them in place, in contiguous passes.
-            mirror = g[:, width - 1 : width - c - 1 : -1]
-            buffer[:half] = g[:, 1 : c + 1]
-            upper = buffer[half:]  # rows N - delta, delta = N/2 - 1 .. 1
-            upper[:] = mirror[half - 2 : 0 : -1]
-            np.multiply(upper, twiddle[1:], out=upper)
+            mirror = h[width - 1 : width - c - 1 : -1]
+            buffer[:, :half] = h[1 : c + 1]
+            upper = buffer[:, half:]  # delta' = N - delta, delta = N/2 - 1 .. 1
+            upper[:] = mirror[:, half - 2 : 0 : -1]
+            np.multiply(upper, twiddle[:, 1:], out=upper)
             np.conjugate(upper, out=upper)
-            np.fft.ifft(buffer, axis=0, out=buffer)
+            np.fft.ifft(buffer, axis=1, out=buffer)
             if plan.cut.dtype == bool:
                 np.copyto(buffer, 0.0, where=plan.cut)
             else:
                 np.multiply(buffer, plan.cut, out=buffer)
-            np.fft.fft(buffer, axis=0, out=buffer)
-            g[:, 1 : c + 1] = buffer[:half]
-            # Rows delta = 0..N/2 of column N - d from rows (N - delta) mod N
-            # of column d; column N/2, its own mirror, is written already.
+            np.fft.fft(buffer, axis=1, out=buffer)
+            h[1 : c + 1] = buffer[:, :half]
+            # delta = 0..N/2 of column N - d from (N - delta) mod N of column
+            # d; column N/2, its own mirror, is written already.
             pairs = min(c, half - 2)
-            lower = buffer[half - 1 :]  # rows N - delta, delta = N/2 .. 1
+            lower = buffer[:, half - 1 :]  # delta' = N - delta, delta = N/2 .. 1
             np.multiply(lower, twiddle, out=lower)
             np.conjugate(lower, out=lower)
-            np.conjugate(buffer[0, :pairs], out=mirror[0, :pairs])
-            mirror[1:, :pairs] = lower[::-1, :pairs]
+            np.conjugate(buffer[:pairs, 0], out=mirror[:pairs, 0])
+            mirror[:pairs, 1:] = lower[:pairs, ::-1]
+        # The columns the channel zeroes at every n; in a narrowed band the
+        # zero padding, where the window step's buffer was.
+        h[plan.band : width - plan.band + 1] = 0.0
 
     def _g_chunks(self):
         """(rows, G on those rows) over the engine's rows: G itself, or once
@@ -508,9 +619,13 @@ class Propagator:
     def record(self, snapshots: Snapshots, j: int) -> None:
         """Write this engine's rows of snapshot j: row sums, squared row
         norms and, if it holds row 0, the real part of row 0 and the
-        largest imaginary part on it. A narrowed engine with no pending leg
-        reads them off its band (_band_record)."""
+        largest imaginary part on it. An engine in its pure stage reads
+        them off psi(t) (_pure_record), a narrowed engine with no pending
+        leg off its band (_band_record)."""
         sums, norms, momentum, imag = snapshots.partials(j)
+        if self._g is None:
+            self._pure_record(sums, norms, momentum, imag)
+            return
         if self._narrowed and not self._pending:
             self._band_record(sums, norms, momentum, imag)
             return
@@ -523,16 +638,37 @@ class Propagator:
                 momentum[:] = g[0].real
                 imag[0] = np.max(np.abs(g[0].imag))
 
+    def _pure_record(self, sums, norms, momentum, imag) -> None:
+        """record in the pure stage, with no G. Row 0 is q = |phi|^2 / N,
+        built as G's row 0 is. The squared row norms, sum_k q(k) q(k - delta),
+        do not depend on t; they are correlated directly, as row_cut
+        correlates the l1 norms. The row sums are fft_N(p), for p(n) =
+        |psi(t)(n)|^2."""
+        n, phi = self._n, self._phi
+        part = slice(self._rows.start, self._rows.stop)
+        row = np.multiply(phi.conj(), phi / n)
+        q = row.real
+        if part.start == 0:
+            momentum[:] = q
+            imag[0] = np.max(np.abs(row.imag))
+        doubled = np.concatenate([q, q[: n // 2]])
+        norms[part] = np.correlate(doubled[part.start : part.stop + n - 1], q)
+        del row, q, doubled  # before psi's arrays come
+        psi = np.fft.ifft(phi * _pure_phases(n, self._pending))
+        pairs = psi.view(np.float64).reshape(n, 2)
+        sums[part] = np.fft.fft(np.einsum("ij,ij->i", pairs, pairs))[part]
+
     def _band_record(self, sums, norms, momentum, imag) -> None:
         """record on the grid, off the band H with no G: the row sums are
         N H[:, 0], the squared row norms N sum_d |H|^2 by Parseval, and row 0
         of G is fft_N of band row 0 in N columns, one row wide."""
         n, band = self._n, self._g
         part = slice(self._rows.start, self._rows.stop)
-        np.multiply(band[:, 0], n, out=sums[part])
-        pairs = band.view(np.float64)
+        h = band.T  # d-major: row d of H over the rows, contiguous along them
+        np.multiply(h[0], n, out=sums[part])
+        pairs = h.view(np.float64)  # |H|^2 summed over d, down each re and im column
         out = norms[part]
-        np.einsum("ij,ij->i", pairs, pairs, out=out)
+        np.einsum("dj,dj->j", pairs, pairs).reshape(-1, 2).sum(axis=1, out=out)
         np.multiply(out, n, out=out)
         if part.start == 0:
             row = _band_columns(band[0], self._plan.band, np.empty(n, dtype=complex))
@@ -605,8 +741,10 @@ def run_blocks(
 ) -> float:
     """Take every block of the rows that row_cut keeps through ops, each
     block on a Propagator of its own; all of them read the one ChannelPlan
-    built here. Returns the run's certificate C <= 2**-52: row_cut's plus
-    what every block spent on the rows it dropped.
+    built here. An unmeasured run is one engine of all rows, which stays in
+    its pure stage, with no cut. Returns the run's certificate C <= 2**-52:
+    row_cut's plus what every block spent on the rows it dropped, 0 for an
+    unmeasured run.
 
     ops yields (method, *args), with method Propagator.advance,
     Propagator.measure or Propagator.record, and must yield the same ones
@@ -623,13 +761,14 @@ def run_blocks(
     n = state.n_sites
     plan = None if measurement is None else ChannelPlan(measurement)
     measurements = sum(op[0] is Propagator.measure for op in ops)
-    kept, certificate = row_cut(state, plan, measurements)
-    couples = plan is not None and plan.couples
+    # An unmeasured run stays pure: one engine of all rows, none cut.
+    whole = plan is None or plan.couples
+    kept, certificate = (n // 2 + 1, 0.0) if plan is None else row_cut(state, plan, measurements)
     # No more blocks than rows: past N = BLOCK_ENTRIES a row alone fills one.
-    count = 1 if couples else min(kept, -(-kept * n // BLOCK_ENTRIES))
+    count = 1 if whole else min(kept, -(-kept * n // BLOCK_ENTRIES))
     # A hair under an equal part, so that math.fsum of the parts spent
     # cannot round C past the budget.
-    share = None if couples else (BUDGET - certificate) / count * (1.0 - 2.0**-50)
+    share = None if whole else (BUDGET - certificate) / count * (1.0 - 2.0**-50)
     bounds = [kept * i // count for i in range(count + 1)]
 
     def run_block(rows: range) -> float:
@@ -658,33 +797,37 @@ def in_one_row_buffer(n: int, action: Callable[[], T]) -> T:
         return action()
 
 
-def row_cut(
-    state: StateVector, plan: ChannelPlan | None, measurements: int
-) -> tuple[int, float]:
+def row_cut(state: StateVector, plan: ChannelPlan, measurements: int) -> tuple[int, float]:
     """(K, C0) of the module docstring: the rows 0..K - 1 that a run of
-    this many measurements starts with, and the certificate C0 <= 2**-52
-    that bounds how far dropping the others moves any entry of p(n). A plan
-    that couples rows keeps all N/2 + 1, with C0 = 0."""
+    this many measurements under plan starts with, and the certificate
+    C0 <= 2**-52 that bounds how far dropping the others moves any entry
+    of p(n). A plan that couples rows keeps all N/2 + 1, with C0 = 0."""
     n = state.n_sites
     half = n // 2 + 1
-    if plan is not None and plan.couples:
+    if plan.couples:
         return half, 0.0
     magnitude = np.abs(np.fft.fft(state.amplitudes))
     # ||G[delta]||_1 = (1/N) sum_k |phi(k)| |phi(k - delta)|, correlated
     # directly: an FFT's round-off floor would swamp the smallest rows.
     l1 = np.correlate(np.concatenate([magnitude, magnitude[: half - 1]]), magnitude) / n
     l1[1 : n // 2] *= 2.0  # rows 1..N/2 - 1 stand for their mirrors too
-    growth = 1.0 if plan is None else plan.growth**measurements
+    growth = plan.growth**measurements
     # dropped[K] = C for a cut at K, summed from the smallest rows up
     dropped = np.append(np.cumsum(l1[::-1])[::-1], 0.0) * growth / n
     kept = 1 + int(np.argmax(dropped[1:] <= BUDGET))
     return kept, float(dropped[kept])
 
 
+def _pure_phases(n: int, t: float) -> np.ndarray:
+    """exp(-i t E(k)): phi(t) = phi exp(-i t E) is psi(t)'s momentum amplitudes."""
+    return np.exp(-1j * t * dispersion_table(n))
+
+
 def _lagged(doubled: np.ndarray, rows: range) -> np.ndarray:
     """x[(k - delta) mod N] at [delta - rows.start, k], for doubled the
     contiguous N-vector x followed by itself: a view whose row delta starts
-    at element N - delta, with no index table."""
+    at element N - delta, with no index table. Rows delta <= N/2 read only
+    its elements from N/2 on."""
     n, step = doubled.size // 2, doubled.itemsize
     offset = (n - rows.start) * step
     return np.ndarray((len(rows), n), doubled.dtype, doubled, offset, (-step, step))

@@ -154,8 +154,9 @@ class TestRunSchedule:
 
     def test_memory_is_bounded_by_the_run(self):
         """Forty distinct leg lengths leave no phases per length behind. The
-        run's one row block holds its chord rows and one N-site phase
-        vector; it peaks at 0.77-0.78 N x N matrices, inside the bound."""
+        run is never measured, so its one engine holds phi and no chord
+        rows; it peaks at 0.33 N x N matrices, below 0.4, with its forty
+        snapshots and records (0.65 when it stepped its chord rows)."""
         n = 256
         times = tuple(float(t) for t in np.cumsum(0.37 * np.arange(1, 41)))
         scenario = packet_scenario(measurement=NoMeasurement(), interval=None,
@@ -172,16 +173,16 @@ class TestRunSchedule:
             evolve_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert run_peak < 1.35 * matrix
+        assert run_peak < 0.4 * matrix
         assert evolve_peak < 8 * matrix
 
     @pytest.mark.parametrize(
         "measurement, bound",
         [
-            (PointerSpec(0.2), 1.35),  # 0.615, one row block of the rows the cut keeps
-            (RegionPvmSpec(6), 1.4),  # 1.11, a window of c = 41 columns, narrowed to W = 168
-            (PointerSpec(1.0, DistanceConvention.LINEAR), 1.9),  # 1.51, c = 54, W = 224
-            (PointerSpec(0.2, DistanceConvention.LINEAR), 3.25),  # 1.70, c = 127
+            (PointerSpec(0.2), 1.35),  # 0.495, one row block of the rows the cut keeps
+            (RegionPvmSpec(6), 1.0),  # 0.89, a window of c = 41 columns, narrowed to W = 168
+            (PointerSpec(1.0, DistanceConvention.LINEAR), 1.35),  # 1.23, c = 54, W = 224
+            (PointerSpec(0.2, DistanceConvention.LINEAR), 3.25),  # 1.58, c = 127
         ],
     )
     def test_measured_run_memory_is_bounded(self, measurement, bound):
@@ -200,8 +201,9 @@ class TestRunSchedule:
 
     def test_pointer_run_memory_is_bounded_at_large_n(self):
         """Row blocks, one at a time, hold a pointer run at N = 4096, with an
-        off-grid record that needs phases of its own, below 1/192 of one
-        N x N matrix (1.33 MiB); it peaks at 0.992 MiB, 1/258 of one."""
+        off-grid record that needs phases of its own, below 1/256 of one
+        N x N matrix (1 MiB); it peaks at 0.897 MiB, 1/285 of one (0.992
+        when each block built its rows at the start)."""
         n = 4096
         scenario = Scenario(
             lattice=LatticeConfig(n),
@@ -215,22 +217,24 @@ class TestRunSchedule:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < n * n * 16 / 192
+        assert peak < n * n * 16 / 256
 
     @pytest.mark.parametrize(
         "measurement, bound",
         [
-            (RegionPvmSpec(6), 2.35),  # 1.87: G, then the band and K, W = 1372
-            (PointerSpec(0.5, DistanceConvention.LINEAR), 1.66),  # 1.33: c = 109, W = 441
+            (RegionPvmSpec(6), 1.7),  # 1.53: the band and K, W = 1372 (1.87 with G first)
+            (PointerSpec(0.5, DistanceConvention.LINEAR), 0.65),  # 0.55: c = 109, W = 441 (1.33)
         ],
         ids=["pvm6", "linear0.5"],
     )
     def test_narrowing_run_memory_is_bounded_at_large_n(self, measurement, bound):
         """A narrowing run at N = 2048, 4 measurements and 3 records, one of
         them off the grid, peaks at a small multiple of G = (N/2 + 1) N
-        complex entries: G, the band, its K and the window buffer are never
-        all alive, records off the grid and band kernels take N columns one
-        chunk of rows at a time, and a record on the grid one row. The
+        complex entries: it never holds G, for the first measurement builds
+        the band from G's rows a chunk at a time, in the band's zero
+        padding, where the window buffer stays; records off the grid and
+        band kernels take N columns one chunk of rows at a time, and a
+        record on the grid one row. The
         measurement is built before tracing starts: a LINEAR kernel's O(N^3)
         PSD check alone peaks at 2.00 G."""
         n = 2048
@@ -389,14 +393,17 @@ class TestPropagator:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert abs(snapshots.purity(0) - purity(rho)) <= 1e-12
         if isinstance(operator, RegionPartition):
-            once = engine._g.copy()
             engine.measure()
-            assert np.max(np.abs(engine._g - once)) <= 1e-14
+            again = snapshot(engine, n)
+            for got, want in zip(again.partials(0), snapshots.partials(0)):
+                assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_minimal_image_step_is_one_multiply_between_transforms(self):
         n, t = 256, 0.004
         kernel = pointer_kernel(PointerSpec(0.2), n)
         engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), ChannelPlan(kernel))
+        engine.advance(t)
+        engine.measure()  # builds G, ending the pure stage
         engine.advance(t)
         expected = np.fft.fft(np.fft.ifft(engine._g, axis=1) * kernel.values, axis=1)
         engine.measure()
@@ -406,27 +413,39 @@ class TestPropagator:
         "operator", [make_regions(64, 1), DampingKernel(np.ones(64))], ids=["pvm1", "ones"]
     )
     def test_identity_channel_leaves_the_state_alone(self, operator):
-        """A channel that cuts no column and scales every one by 1 is skipped."""
-        engine = Propagator(build_initial_state(GaussianPacketSpec(8, 3.0, 5), 64), ChannelPlan(operator))
-        engine.advance(0.001)
-        before = engine._g.copy()
+        """A channel that cuts no column and scales every one by 1 is
+        skipped: the engine stays in its pure stage, with no G, and records
+        what an engine with no measurement records, bit for bit."""
+        state = build_initial_state(GaussianPacketSpec(8, 3.0, 5), 64)
+        engine, free = Propagator(state, ChannelPlan(operator)), Propagator(state)
+        for each in (engine, free):
+            each.advance(0.001)
         engine.measure()
-        np.testing.assert_array_equal(engine._g, before)
+        assert engine._g is None
+        for got, want in zip(snapshot(engine, 64).partials(0), snapshot(free, 64).partials(0)):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("n, lo, hi", [(8, 0, 5), (64, 3, 33), (256, 0, 129), (256, 64, 129)])
     def test_tables_match_an_index_gather(self, n, lo, hi):
-        """G and G after a leg, read off strided views of phi and of the
-        leg's phase vector, equal the same products built through an index
-        table, bit for bit, zero signs included; row 0 does not move."""
-        t = 0.0037
+        """G of psi(t0), read off strided views of phi(t0), and G after a
+        leg, read off strided views of the leg's phase table, equal the same
+        products built through an index table, bit for bit, zero signs
+        included; row 0 is built from phi and does not move."""
+        t0, t = 0.0021, 0.0037
         state = build_initial_state(GaussianPacketSpec(n // 3, n / 8, 1), n)
         engine = Propagator(state, None, range(lo, hi))
+        engine.advance(t0)
+        engine._g = engine._pure_rows()  # as the first measurement builds it
         g = engine._g.copy()
         engine.advance(t)
         phi = np.fft.fft(state.amplitudes)
         sites = np.arange(n)
         behind = (sites[None, :] - sites[lo:hi, None]) % n  # (k - delta) mod N
         energies = dispersion_table(n)
+        at_t0 = phi * np.exp(-1j * t0 * energies)
+        built = at_t0.conj()[behind] * (at_t0 / n)
+        if lo == 0:
+            built[0] = phi.conj() * (phi / n)
         turns = np.exp(1j * t * energies)  # u; exp(-i t E) is conj u
         # In place, as the engine multiplies: numpy's loop for a fresh
         # output may round a complex product differently in the last bit.
@@ -435,7 +454,7 @@ class TestPropagator:
         np.multiply(after, turns.conj(), out=after)
         if lo == 0:
             after[0] = g[0]
-        for got, want in ((g, phi.conj()[behind] * (phi / n)), (engine._g, after)):
+        for got, want in ((g, built), (engine._g, after)):
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_initial_trace_is_checked(self):
@@ -445,10 +464,13 @@ class TestPropagator:
         with pytest.raises(ValueError, match="read-only"):
             state.amplitudes *= 1.001
         engine = Propagator(state)
-        assert engine._g[0].sum().real == pytest.approx(1.0, abs=1e-12)
+        assert snapshot(engine, 32).momentum_distribution(0).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_momentum_snapshot_rejects_imaginary_diagonal(self):
-        engine = Propagator(build_initial_state(GaussianPacketSpec(8, 3.0, 5), 32))
+        state = build_initial_state(GaussianPacketSpec(8, 3.0, 5), 32)
+        engine = Propagator(state, ChannelPlan(pointer_kernel(PointerSpec(1.5), 32)))
+        engine.advance(0.001)
+        engine.measure()  # builds G, whose row 0 is p(k)
         engine._g[0, 3] += 1e-9j
         with pytest.raises(ValueError, match="imaginary parts"):
             snapshot(engine, 32).momentum_distribution(0)
@@ -654,32 +676,43 @@ def check_snapshot(engine, rho):
 def test_width_after_the_first_measurement(measurement, width):
     """The first measurement narrows an engine to W columns, the smallest
     7-smooth width >= 4L - 3, when W < N; pointers at the shipped alphas
-    and 1-region PVMs keep all N."""
+    keep all N. A 1-region PVM is the identity: its engine stays in its
+    pure stage and builds no chord rows at all."""
     n = measurement.n_sites
     engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), ChannelPlan(measurement))
     engine.advance(0.001)
     engine.measure()
-    assert engine._g.shape[1] == width == expected_width(measurement)
+    assert engine._plan.width == width == expected_width(measurement)
+    if engine._plan.identity:
+        assert engine._g is None
+    else:
+        assert engine._g.shape[1] == width
 
 
 def test_narrowed_engine_holds_nothing_wider_than_w():
-    """Narrowing frees G and builds the band kernel of the last leg's length
-    in place of its phase vector: the engine then holds no array with more
-    than W columns, through legs of other lengths and records on and off
-    the grid, which take N columns one chunk of rows at a time."""
+    """Until its first measurement the engine holds phi and no phase table.
+    Narrowing builds the band straight from psi(t), with no G, and each new
+    leg length its band kernel: the engine then holds no array with more
+    than W columns but the window's: its buffer, which lies in the band's
+    zero padding, and the plan's c-row tables, through legs of other lengths and records on and off the
+    grid, which take N columns one chunk of rows at a time."""
     n, t, width = 256, 0.001, 168
     state = build_initial_state(GaussianPacketSpec(8, 8.0, 31), n)
     engine = Propagator(state, ChannelPlan(make_regions(n, 6)))
     engine.advance(0.4 * t)
     engine.advance(0.6 * t)
-    assert engine._table.shape == (2 * n,)
+    assert engine._table is None and engine._g is None and engine._phi.shape == (n,)
     engine.measure()
     for leg, record_at in ((t, 0.0), (t, 0.5), (0.7 * t, 0.0), (t, 0.25)):
         engine.advance(record_at * leg)
         engine.record(Snapshots(1, n), 0)
         engine.advance((1 - record_at) * leg)
         engine.measure()
-        widths = {name: v.shape[-1] for name, v in engine_arrays(engine).items()}
+        arrays = engine_arrays(engine)
+        assert np.shares_memory(arrays.pop("_buffer"), engine._g)
+        for name in ("plan.cut", "plan.twiddle"):  # the window's c rows, d-major
+            assert arrays.pop(name).shape[0] == engine._plan.window
+        widths = {name: v.shape[-1] for name, v in arrays.items()}
         assert max(widths.values()) == widths["_g"] == widths["_table"] == width
 
 
@@ -695,13 +728,19 @@ def test_row_zero_stays_bit_identical_across_every_advance(measurement):
     record at the measurement before it."""
     n = 256
     engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), ChannelPlan(measurement))
-    on_grid = None
+    on_grid = snapshot(engine, n).momentum_distribution(0)  # the pure stage's
     for leg, record_at in ((0.001, 0.0), (0.001, 0.5), (0.00037, 0.25), (0.001, 0.7)):
         for part in (record_at * leg, (1 - record_at) * leg):
-            before = engine._g[0].copy()
+            if engine._g is None:  # the pure stage: |phi|^2 / N at every t
+                engine.advance(part)
+                off_grid = snapshot(engine, n).momentum_distribution(0)
+                np.testing.assert_array_equal(off_grid.view(np.uint64), on_grid.view(np.uint64))
+                continue
+            before = np.ascontiguousarray(engine._g[0])
             engine.advance(part)
-            np.testing.assert_array_equal(engine._g[0].view(np.uint64), before.view(np.uint64))
-            if on_grid is not None and 0 < part < leg:
+            np.testing.assert_array_equal(np.ascontiguousarray(engine._g[0]).view(np.uint64),
+                                          before.view(np.uint64))
+            if 0 < part < leg:
                 off_grid = snapshot(engine, n).momentum_distribution(0)
                 np.testing.assert_array_equal(off_grid.view(np.uint64), on_grid.view(np.uint64))
         engine.measure()
@@ -710,34 +749,43 @@ def test_row_zero_stays_bit_identical_across_every_advance(measurement):
 
 
 def test_narrowed_record_and_new_leg_allocate_one_chunk():
-    """Beyond the arrays it keeps, a narrowed engine allocates, in a record
-    on the grid, one N-wide row for p(k) and at most as much again for its
-    FFT, and 1 KiB more (7.4 KiB in all at N = 256). In a record off the
+    """Stepped as run_blocks steps it, in a one-row ufunc buffer, a
+    narrowed engine allocates beyond the arrays it keeps, in a record on
+    the grid, one N-wide row for p(k) and at most as much again for its
+    FFT, and 1 KiB more (7.5 KiB in all at N = 256). In a record off the
     grid, and in a measure whose pending leg has a new length and builds a
-    new K, it allocates one chunk of CHUNK_ENTRIES entries and the doubled
-    N-site phase vector of a leg, and numpy at most the iterator buffer of
-    a broadcast multiply on that chunk (as large as the chunk) and 8 KiB
-    more (142 KiB). A whole (rows, N) array would be 8 chunks."""
+    new K, it allocates one chunk of CHUNK_ENTRIES entries, a leg's 3N
+    phase table and 8 KiB more (80 KiB). A whole (rows, N) array would be
+    8 chunks."""
     n, t = 256, 0.001
     engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), ChannelPlan(make_regions(n, 6)))
     snapshots = Snapshots(1, n)
-    engine.advance(t)
-    engine.measure()  # narrows
-    engine.record(snapshots, 0)  # warm-up: the snapshot's partials, FFT plans
-    chunked = 2 * CHUNK_ENTRIES * 16 + 2 * n * 16 + 8 * 1024
+    chunked = CHUNK_ENTRIES * 16 + 3 * n * 16 + 8 * 1024
     actions = [
         (lambda: engine.record(snapshots, 0), 2 * n * 16 + 1024),
         (lambda: (engine.advance(0.4 * t), engine.record(snapshots, 0)), chunked),
         (lambda: (engine.advance(0.3 * t), engine.measure()), chunked),  # a leg of 0.7 t
     ]
-    for action, bound in actions:
-        tracemalloc.start()
-        try:
-            action()
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - current <= bound
+
+    def transients():
+        engine.advance(t)
+        engine.measure()  # narrows
+        engine.advance(t)
+        engine.measure()  # warm-up: the K of a leg of t, FFT plans of length W
+        engine.record(snapshots, 0)  # warm-up: the snapshot's partials, FFT plans
+        peaks = []
+        for action, _ in actions:
+            tracemalloc.start()
+            try:
+                action()
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak - current)
+        return peaks
+
+    for peak, (_, bound) in zip(in_one_row_buffer(n, transients), actions):
+        assert peak <= bound
     assert engine._table_t == pytest.approx(0.7 * t)
 
 
@@ -752,20 +800,25 @@ def test_narrowed_record_and_new_leg_allocate_one_chunk():
 )
 def test_engine_keeps_one_phase_vector_beside_g(measurement):
     """An engine that keeps all N columns holds a leg's phases as one N-site
-    vector, doubled: after legs of two lengths and a measurement it holds no
-    array of more than 2N entries besides G and, for a LINEAR kernel, the
-    c-column arrays of its window step."""
+    vector, doubled and followed by its conjugate: after legs of three
+    lengths, each followed by a measurement, it holds no array of more than
+    3N entries besides G and, for a LINEAR kernel, the c-row d-major
+    arrays of its window step. An engine that is never measured holds phi
+    alone."""
     n = 256
     engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), plan_of(measurement))
-    for t in (0.001, 0.0015):
+    for t in (0.001, 0.0015, 0.0012):
         engine.advance(t)
         if measurement is not None:
             engine.measure()
-    assert engine._g.shape == (n // 2 + 1, n)
-    window = {"_buffer", "plan.cut", "plan.twiddle"}
     arrays = engine_arrays(engine)
-    assert all(arrays[name].shape[-1] == engine._plan.window for name in window & set(arrays))
-    assert max(v.size for name, v in arrays.items() if name not in {"_g", *window}) <= 2 * n
+    if measurement is None:
+        assert engine._g is None and {name: v.shape for name, v in arrays.items()} == {"_phi": (n,)}
+        return
+    assert engine._g.shape == (n // 2 + 1, n) and engine._phi is None
+    window = {"_buffer", "plan.cut", "plan.twiddle"}
+    assert all(arrays[name].shape[0] == engine._plan.window for name in window & set(arrays))
+    assert max(v.size for name, v in arrays.items() if name not in {"_g", *window}) <= 3 * n
 
 
 def named_scenario(name):
@@ -782,15 +835,15 @@ def named_scenario(name):
 
 
 def spy_leg_tables():
-    """Patches Propagator._phase_vector and _band_kernel to log the rows of
-    the engine behind each call."""
+    """Patches Propagator._phase_vector and _band_kernel to log the engine
+    behind each call and the rows it holds then."""
     calls = {"_phase_vector": [], "_band_kernel": []}
 
     def spy(name):
         inner = getattr(Propagator, name)
 
         def logged(self, *args):
-            calls[name].append(self._rows)
+            calls[name].append((self, self._rows))
             return inner(self, *args)
 
         return mock.patch.object(Propagator, name, logged)
@@ -802,20 +855,29 @@ def spy_leg_tables():
 def test_each_block_engine_builds_one_leg_table(workload):
     """Every leg of the shipped PVM run and of the pointer_n1024 benchmark
     workload starts on the measurement grid, so each block engine builds
-    one phase vector over the whole run, and the PVM, which narrows, one
-    band kernel K from it. The pointer run steps only the 80 rows its row
-    cut keeps, in 3 blocks."""
+    one phase table over the whole run, at its second leg, the first being
+    the pure stage's, and the PVM, which narrows, one band kernel K from
+    it. The pointer run steps only the 80 rows its row cut keeps, in 3
+    blocks, which hold 78 of them after the first measurement."""
     scenario = named_scenario(workload)
-    kept = 129 if workload == "pvm_packet" else 80
+    blocks, built = [], Propagator.__init__
+
+    def logged(self, *args):
+        built(self, *args)
+        blocks.append((self, self._rows))
+
     calls, tables, kernels = spy_leg_tables()
-    with tables, kernels:
+    with tables, kernels, mock.patch.object(Propagator, "__init__", logged):
         run_schedule(scenario)
-    blocks = calls["_phase_vector"]
-    assert sorted(row for rows in blocks for row in rows) == list(range(kept))
+    engines = [engine for engine, _ in calls["_phase_vector"]]
+    assert engines == [engine for engine, _ in blocks]  # one each, in block order
     if workload == "pvm_packet":
-        assert blocks == calls["_band_kernel"] == [range(kept)]
+        assert [rows for _, rows in blocks] == [range(129)]
+        assert calls["_phase_vector"] == calls["_band_kernel"] == [(engines[0], range(129))]
     else:
-        assert len(blocks) == 3 and calls["_band_kernel"] == []
+        assert sorted(row for _, rows in blocks for row in rows) == list(range(80))
+        assert sum(len(rows) for _, rows in calls["_phase_vector"]) == 78
+        assert calls["_band_kernel"] == []
 
 
 @pytest.mark.parametrize("workload", ["pvm_packet", "pointer_n1024"])
@@ -838,14 +900,15 @@ def test_a_run_builds_its_channel_plan_once(workload):
 
 
 @pytest.mark.parametrize(
-    "measurement, kernels",
-    [(None, 0), (pointer_kernel(PointerSpec(0.2), 256), 0), (make_regions(256, 6), 3)],
+    "measurement, vectors, kernels",
+    [(None, 0, 0), (pointer_kernel(PointerSpec(0.2), 256), 3, 0), (make_regions(256, 6), 3, 3)],
     ids=["unmeasured", "pointer", "pvm6_narrowed"],
 )
-def test_leg_table_is_rebuilt_only_when_the_leg_length_changes(measurement, kernels):
-    """Legs a, a, b, b, a build three phase vectors; a narrowed engine
-    builds its first K from the first at its first measurement and a K with
-    each later one."""
+def test_leg_table_is_rebuilt_only_when_the_leg_length_changes(measurement, vectors, kernels):
+    """Legs a, a, b, b, a, each followed by a measurement: the first leg is
+    the pure stage's and builds nothing, the others build three phase
+    tables, for a, b and a; a narrowed engine builds a K with each. An
+    engine that is never measured stays pure and builds none."""
     engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), 256), plan_of(measurement))
     calls, tables, kernel_spy = spy_leg_tables()
     with tables, kernel_spy:
@@ -853,29 +916,38 @@ def test_leg_table_is_rebuilt_only_when_the_leg_length_changes(measurement, kern
             engine.advance(t)
             if measurement is not None:
                 engine.measure()
-    assert len(calls["_phase_vector"]) == 3
+    assert len(calls["_phase_vector"]) == vectors
     assert len(calls["_band_kernel"]) == kernels
 
 
 def test_measurement_allocates_nothing_before_or_after_narrowing():
     """A PVM step writes in place: no broadcast scale, no mask cast. A
     2-region engine (W = 512) keeps all N columns; a 6-region one has
-    narrowed after its first measurement."""
+    narrowed after its first measurement. Stepped as run_blocks steps it,
+    in a one-row ufunc buffer, a measure allocates 1.7 KiB, below 4 KiB:
+    a cast or a broadcast operand would take a buffer of one row (4 KiB at
+    N = 256) more. The d-major window step multiplies strided views, which
+    numpy's default 8192-element buffer would copy through 256 KiB."""
     n, t = 256, 0.001
     state = build_initial_state(GaussianPacketSpec(8, 8.0, 31), n)
-    for m_regions, width in ((2, n), (6, 168)):
-        engine = Propagator(state, ChannelPlan(make_regions(n, m_regions)))
-        engine.advance(t)
-        engine.measure()  # warm-up: FFT plans, and narrowing
+
+    def peak_of_a_measure(engine):
+        for _ in range(2):  # warm-up: FFT plans, narrowing and the leg's table
+            engine.advance(t)
+            engine.measure()
         engine.advance(t)
         tracemalloc.start()
         try:
             engine.measure()
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    for m_regions, width in ((2, n), (6, 168)):
+        engine = Propagator(state, ChannelPlan(make_regions(n, m_regions)))
+        peak = in_one_row_buffer(n, lambda: peak_of_a_measure(engine))
         assert engine._g.shape[1] == width
-        assert peak < 8 * 1024
+        assert peak < 4 * 1024
 
 
 def test_a_recutting_measure_reads_row_norms_one_row_at_a_time():
@@ -888,10 +960,11 @@ def test_a_recutting_measure_reads_row_norms_one_row_at_a_time():
     n, t = 1024, 0.01
     state = build_initial_state(scenario.state, n)
     plan = ChannelPlan(pointer_kernel(scenario.measurement, n))
+    warm = Propagator(state, plan, range(27, 54))
+    warm.advance(t)
+    warm.measure()  # warm-up: FFT plans
     plain = Propagator(state, plan, range(27, 54))
     recut = Propagator(state, plan, range(27, 54), 1.0, 1)  # a share that fits every row
-    plain.advance(t)
-    plain.measure()  # warm-up: FFT plans
     peaks = []
     for engine in (plain, recut):
         engine.advance(t)
@@ -1130,6 +1203,12 @@ def measurements_in(ops):
     return sum(op[0] is Propagator.measure for op in ops)
 
 
+def cut_of(state, plan, measurements):
+    """row_cut's (K, C0), or all N/2 + 1 rows and C0 = 0 for a run that is
+    never measured, which stays pure and cuts nothing."""
+    return (state.n_sites // 2 + 1, 0.0) if plan is None else row_cut(state, plan, measurements)
+
+
 def spy_drops():
     """Patches Propagator._recut to log each block's (start row, rows
     dropped, measurements still to come, whether it has narrowed) after
@@ -1154,7 +1233,8 @@ def test_row_blocks_match_one_block_of_all_rows(scenario):
     block exactly once, with an equal share of the budget the cut leaves;
     the same blocks with the same shares, stepped through the same
     operations, give the same records, and so does a second run. A run of
-    20 measurements or more drops rows before its last one.
+    20 measurements or more drops rows before its last one. An unmeasured
+    run is one pure engine of all rows, with no share and C = 0.
     test_row_cut_moves_only_position_entries_within_its_certificate
     compares the cut with all rows."""
     drops, spy = spy_drops()
@@ -1164,10 +1244,13 @@ def test_row_blocks_match_one_block_of_all_rows(scenario):
     plan = plan_of(operator)
     assert list(ops) == list(ops)  # generated afresh on each pass, the same each time
     measurements = measurements_in(ops)
-    kept, cut = row_cut(state, plan, measurements)
+    kept, cut = cut_of(state, plan, measurements)
     shares = {share for _, _, share in blocks}
     assert sorted(row for _, rows, _ in blocks for row in rows) == list(range(kept))
-    assert len(shares) == 1 and len(blocks) * shares.pop() <= 2.0**-52 - cut
+    if plan is None:  # one pure engine of all rows
+        assert shares == {None} and len(blocks) == 1 and certificate == 0.0
+    else:
+        assert len(shares) == 1 and len(blocks) * shares.pop() <= 2.0**-52 - cut
     assert cut <= certificate <= 2.0**-52
     if measurements >= 20:
         assert any(to_come > 0 for _, _, to_come, _ in drops)
@@ -1208,7 +1291,7 @@ def assert_emptied_blocks_stop(scenario):
         records, (state, operator, ops), certificate, blocks = captured_run(scenario)
         run, plan = len(calls), plan_of(operator)
         whole, spent = replay(state, plan, ops, len(records), [(rows, share) for _, rows, share in blocks])
-        _, cut = row_cut(state, plan, measurements_in(ops))  # ops hold the spies
+        _, cut = cut_of(state, plan, measurements_in(ops))  # ops hold the spies
     replayed = calls[run:]
     assert all(held > 0 for _, held in calls[:run])
     assert sum(held > 0 for _, held in replayed) == run
@@ -1237,17 +1320,18 @@ def test_emptied_blocks_stop_on_damped_runs(scenario):
 def test_row_blocks_start_no_thread():
     """run_blocks steps every block on the calling thread: with the host
     said to have two cores and every thread start refused, the
-    pointer_n1024 workload (3 blocks) runs, and so does an unmeasured
-    position eigenstate at N = 1024, whose row cut keeps all 513 rows, in
-    17 blocks that each take their rows once."""
+    pointer_n1024 workload (3 blocks) runs, and so does a position
+    eigenstate at N = 1024 under its pointer, whose row cut keeps all 513
+    rows, in 17 blocks that each take their rows once."""
     n = 1024
     state = build_initial_state(PositionEigenstateSpec(512), n)
     taken = []
     refused = mock.Mock(side_effect=RuntimeError("run_blocks started a thread"))
+    pointer = pointer_kernel(PointerSpec(0.05), n)
     with mock.patch.object(os, "cpu_count", return_value=2), \
             mock.patch.object(threading.Thread, "start", refused):
         records = run_schedule(named_scenario("pointer_n1024"))
-        run_blocks(state, None, [(lambda engine: taken.append(engine._rows),)])
+        run_blocks(state, pointer, [(lambda engine: taken.append(engine._rows),)])
     assert len(records) == 3
     assert len(taken) == 17
     assert sorted(row for rows in taken for row in rows) == list(range(n // 2 + 1))
@@ -1255,10 +1339,11 @@ def test_row_blocks_start_no_thread():
 
 def test_pointer_n1024_peak_is_one_block_at_a_time():
     """The pointer_n1024 workload holds one block's engine at a time, each
-    stepped in a one-row ufunc buffer: its run peaks at 0.574 MiB, below
-    0.625 MiB in each of three runs (0.684 with numpy's 128 KiB buffer on
-    every leg and pointer step; two blocks stepped at once peaked at
-    1.09-1.33)."""
+    stepped in a one-row ufunc buffer: its run peaks at 0.566 MiB, below
+    0.6 MiB in each of three runs (0.574 when each block built its rows at
+    its start and built conj u on every leg, 0.684 with numpy's 128 KiB
+    buffer on every leg and pointer step; two blocks stepped at once
+    peaked at 1.09-1.33)."""
     scenario = named_scenario("pointer_n1024")
     for _ in range(3):
         tracemalloc.start()
@@ -1267,7 +1352,7 @@ def test_pointer_n1024_peak_is_one_block_at_a_time():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.625 * 2**20
+        assert peak < 0.6 * 2**20
 
 
 def allocated_beyond(action):
@@ -1282,11 +1367,15 @@ def allocated_beyond(action):
 
 
 def test_pointer_block_steps_take_one_row_of_buffer():
-    """Inside a run's in_one_row_buffer, each pointer_n1024 block's advance
-    and measure, and an unmeasured leg on the same rows, allocate at most
-    one row (16 KiB at N = 1024) and 4 KiB more beyond the engine's arrays:
-    17.3 KiB each, 145 KiB with numpy's default buffer. The leg has the
-    length of the last one, as every leg of the workload but its first."""
+    """Inside a run's in_one_row_buffer, each pointer_n1024 block's measure
+    allocates at most one row (16 KiB at N = 1024, the FFT's row buffer)
+    and 4 KiB more beyond the engine's arrays (17.3 KiB), 145 KiB with
+    numpy's default buffer. Its advance multiplies by the conj u its phase
+    table holds and allocates at most 4 KiB (1.3 KiB; 17.3 with conj u
+    built on every leg), and so does an unmeasured engine's, which only
+    adds to its pending time. The leg has the length of the last one, as
+    every leg of the workload but its first, which the pure stage takes,
+    and its second."""
     n = 1024
     state = build_initial_state(GaussianPacketSpec(512, 32.0, 0), n)
     plan = ChannelPlan(pointer_kernel(PointerSpec(0.05), n))
@@ -1294,14 +1383,15 @@ def test_pointer_block_steps_take_one_row_of_buffer():
 
     def transients(rows):
         measured, free = Propagator(state, plan, rows), Propagator(state, None, rows)
-        for engine in (measured, free):
-            engine.advance(t)
-        measured.measure()
+        for _ in range(2):
+            measured.advance(t)
+            measured.measure()
         steps = (lambda: measured.advance(t), measured.measure, lambda: free.advance(t))
         return [allocated_beyond(step) for step in steps]
 
     for rows in (range(26), range(26, 53), range(53, 80)):  # the workload's blocks
-        assert max(in_one_row_buffer(n, lambda: transients(rows))) <= 16 * n + 4096
+        leg, measure, free = in_one_row_buffer(n, lambda: transients(rows))
+        assert max(leg, free) <= 4096 and measure <= 16 * n + 4096
 
 
 def raise_on_call(calls):
@@ -1390,9 +1480,21 @@ def whole_band_kernel(engine, t):
     return np.fft.fft(kernel, axis=1)
 
 
+def pure_rows(engine):
+    """G of psi(t) of an engine in its pure stage, through an index table:
+    conj phi(t)[k - delta] phi(t)[k] / N on its rows."""
+    n = engine._n
+    phi = engine._phi * np.exp(-1j * engine._pending * dispersion_table(n))
+    behind = (np.arange(n)[None, :] - np.asarray(engine._rows)[:, None]) % n
+    return phi.conj()[behind] * (phi / n)
+
+
 def row_l1(engine):
     """The l1 norm of each of an engine's chord rows of G."""
-    g = widened(engine) if engine._narrowed else engine._g
+    if engine._g is None:
+        g = pure_rows(engine)
+    else:
+        g = widened(engine) if engine._narrowed else engine._g
     return np.abs(g).sum(axis=1)
 
 
@@ -1432,8 +1534,11 @@ def test_chunked_records_and_band_kernels_match_whole_arrays(measurement, rows):
         engine.advance((1 - record_at) * leg)
         engine.measure()
         assert engine._narrowed
+        if engine._table is None:  # the first leg is the pure stage's: no K yet
+            continue
         want = whole_band_kernel(engine, engine._table_t)
-        np.testing.assert_array_equal(engine._table.view(np.uint64), want.view(np.uint64))
+        got = np.ascontiguousarray(engine._table)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize(
@@ -1485,6 +1590,128 @@ def test_records_on_the_grid_read_the_band(measurement, rows, random_state):
         if block.start == 0:
             for a, b in zip(got.partials(0)[2:], want.partials(0)[2:]):
                 np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@st.composite
+def pure_stage_cases(draw):
+    """A random normalized state at N = 32..256, one to three legs of random
+    length, and a measurement: a partition into 2 to 16 regions at random
+    boundaries, which narrows when no region reaches about N/4, or a
+    compact autocorrelation kernel, which always narrows."""
+    n = draw(st.sampled_from([32, 64, 128, 256]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amplitudes = rng.normal(size=n) + 1j * rng.normal(size=n)
+    state = StateVector(amplitudes / np.linalg.norm(amplitudes))
+    if draw(st.booleans()):
+        count = draw(st.integers(2, 16))
+        starts = draw(st.sets(st.integers(1, n - 1), min_size=count - 1, max_size=count - 1))
+        measurement = RegionPartition((0, *sorted(starts)), n)
+    else:
+        measurement = DampingKernel(np.array(autocorrelation_kernel([3, 5, 2] + [0] * (n - 3))))
+    legs = draw(st.lists(st.floats(1e-4, 0.02), min_size=1, max_size=3))
+    return state, measurement, legs
+
+
+@settings(max_examples=40, deadline=None)
+@given(pure_stage_cases())
+def test_first_measurement_builds_what_the_legs_built(case):
+    """The first measurement builds G of psi(t) from phi(t) = phi exp(-i t E),
+    or, for a plan that narrows, the band of H from G's rows a chunk at a
+    time. The path it replaced built G of phi through an index table,
+    applied each leg, then ifft_N and the band columns. The two agree
+    within eps (1 + log2 N + (legs + 1) t E_max) times the largest |G| on
+    each row, t the legs' sum: each path rounds the phase t E(k), up to
+    t E_max radians, once per leg or once in all, to eps of its size;
+    each product of amplitudes and phases rounds by a few eps, and
+    ifft_N by up to log2 N eps of the row. Seen: at most 0.28 of the
+    bound on G, 0.03 on the band, over 300 random cases."""
+    state, measurement, legs = case
+    n = state.n_sites
+    rows = range(n // 2 + 1)
+    phi = np.fft.fft(state.amplitudes)
+    behind = (np.arange(n)[None, :] - np.asarray(rows)[:, None]) % n
+    g = phi.conj()[behind] * (phi / n)
+    for t in legs:
+        leg_by_index(g, rows, t)
+    bound = np.finfo(float).eps * np.abs(g).max(axis=1)[:, None]
+    bound *= 1 + math.log2(n) + (len(legs) + 1) * sum(legs) * dispersion_table(n).max()
+    plan = ChannelPlan(measurement)
+    engine = Propagator(state, plan)
+    for t in legs:
+        engine.advance(t)
+    if plan.width < n:
+        got, keep, width = engine._pure_band(), plan.band, plan.width
+        want, h = np.zeros_like(got), np.fft.ifft(g, axis=1)
+        want[:, :keep], want[:, width - keep + 1 :] = h[:, :keep], h[:, n - keep + 1 :]
+    else:
+        got, want = engine._pure_rows(), g
+    assert np.all(np.abs(got - want) <= bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pure_stage_cases())
+def test_pure_stage_records_match_the_g_path(case):
+    """Until its first measurement an engine records off phi: p(k) is
+    |phi|^2 / N, built as G's row 0 is, p(n) the inverse FFT of the row
+    sums fft_N(|psi(t)|^2), and the purity its row norms, correlated
+    directly. An engine that holds G of phi built at t = 0 and steps it
+    through the same legs, as an unmeasured run did before the pure stage,
+    records p(k) and its three moments bit for bit the same, and p(n), the
+    region masses and the purity within 1e-15 (seen: 4.5e-16, 6.9e-16
+    and 5.6e-16 over 300 random cases)."""
+    state, measurement, legs = case
+    n = state.n_sites
+    partition = measurement if isinstance(measurement, RegionPartition) else None
+    pure, stepped = Propagator(state), Propagator(state)
+    stepped._g = stepped._pure_rows()  # G of phi, at t = 0
+    records = []
+    for engine in (pure, stepped):
+        for t in legs:
+            engine.advance(t)
+        assert (engine._g is None) == (engine is pure)
+        records.append(harness._snapshot(snapshot(engine, n), 0, LatticeConfig(n), 0.0, partition))
+    got, want = records
+    np.testing.assert_array_equal(got.momentum_dist.view(np.uint64), want.momentum_dist.view(np.uint64))
+    for field in ("expected_momentum_signed", "momentum_variance", "negative_momentum_fraction"):
+        assert getattr(got, field) == getattr(want, field)
+    for field in ("position_dist", "region_masses", "purity"):
+        assert np.max(np.abs(np.subtract(getattr(got, field), getattr(want, field))), initial=0.0) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "measurement",
+    [make_regions(256, 6), make_regions(256, 16), pointer_kernel(PointerSpec(1.0, DistanceConvention.LINEAR), 256)],
+    ids=["pvm6", "pvm16", "linear1"],
+)
+def test_narrowed_window_buffer_lies_in_the_band_padding(measurement):
+    """A narrowed engine with a window holds its band d-major, a (W, N/2 + 1)
+    array, and no (N, c) or (rows, N) array: its window step's (c, N)
+    buffer is a view of the band's zero padding, rows L..W - L, which is
+    exactly 0 after every measure, through legs of two lengths and records
+    on and off the grid. Stepped as run_blocks steps it, its first
+    measure, which narrows, allocates at most the band and one chunk of
+    CHUNK_ENTRIES entries: 12 KiB beside the band at N = 256, for G's rows
+    are built in the band's padding and K waits for the second leg."""
+    n, t = 256, 0.001
+    plan = ChannelPlan(measurement)
+    keep, width, c, half = plan.band, plan.width, plan.window, n // 2 + 1
+    assert width < n and c > 0
+    engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), plan)
+    engine.advance(t)
+    first = in_one_row_buffer(n, lambda: allocated_beyond(engine.measure))
+    assert first <= (width * half + CHUNK_ENTRIES) * 16
+    band = engine._g.T
+    assert band.shape == (width, half) and band.flags.c_contiguous
+    for leg, record_at in ((t, 0.0), (t, 0.5), (0.7 * t, 0.25), (t, 0.0)):
+        engine.advance(record_at * leg)
+        engine.record(Snapshots(1, n), 0)
+        engine.advance((1 - record_at) * leg)
+        engine.measure()
+        assert engine._g.T.ctypes.data == band.ctypes.data
+        assert engine._buffer.shape == (c, n) and np.shares_memory(engine._buffer, band)
+        assert np.all(band[keep : width - keep + 1] == 0.0)
+        shapes = {v.shape for v in engine_arrays(engine).values()}
+        assert (n, c) not in shapes and (half, n) not in shapes
 
 
 @st.composite
@@ -1557,7 +1784,7 @@ def assert_cut_matches_all_rows(scenario):
     rows the cut keeps and the number the blocks hold at the end."""
     records, (state, operator, ops), certificate, blocks = captured_run(scenario)
     plan = plan_of(operator)
-    kept, cut = row_cut(state, plan, measurements_in(ops))
+    kept, cut = cut_of(state, plan, measurements_in(ops))
     half = state.n_sites // 2 + 1
     assert cut <= certificate <= 2.0**-52
     if plan is not None and plan.couples:
@@ -1585,7 +1812,7 @@ def assert_cut_matches_all_rows(scenario):
         for name, kept, final in [
             ("pointer_n1024", 80, 2),
             ("pointer_stationary", 82, 9),
-            ("free_packet", 107, 107),  # unmeasured: nothing to re-cut
+            ("free_packet", 129, 129),  # unmeasured: one pure engine of all rows
             ("pvm_eigenstate", 129, 129),  # couples rows
             ("pvm_packet", 129, 129),  # couples rows
         ]
@@ -1668,25 +1895,32 @@ def test_a_block_charges_each_dropped_row_its_l1_norm_with_its_mirror():
 def test_a_block_steps_its_kept_rows_as_a_prefix_view(state, measurement, rows, leg):
     """A block drops rows through a view of the first rows of the one G
     (once narrowed, band) and K arrays it built, which it never copies or
-    resizes: after every measurement each is that array or a prefix view
-    of it, and that array keeps its first shape. Block 0 of the
+    resizes: after every measurement from the second on each is that
+    array or a prefix view of it, and that array keeps its first shape,
+    (W, rows) for a narrowed engine's d-major band. The first measurement
+    builds G or the band, the second leg the table. Block 0 of the
     pointer_n1024 workload and a narrowed compact-kernel block, on legs of
     one length, each end on fewer than a quarter of their rows."""
     engine = Propagator(state, ChannelPlan(measurement), rows, 2.0**-54, 40)
-    start, built = engine._g, None
-    for _ in range(40):
+    built = None
+    for j in range(40):
         engine.advance(leg)
         engine.measure()
+        if j == 0:  # the first measurement builds G or the band; the second leg its table
+            assert engine._table is None
+            continue
         arrays = (engine._g, engine._table)
         owners = [a if a.base is None else a.base for a in arrays]
-        if built is None:  # a narrowing block builds its band and K here
+        if built is None:
             built = [(owner, owner.shape) for owner in owners]
-            assert engine._narrowed or owners[0] is start
         for a, owner, (first, shape) in zip(arrays, owners, built):
             assert owner is first and owner.shape == shape
             assert a.ctypes.data == first.ctypes.data  # a view of its first rows
         assert len(engine._g) == len(engine._rows)
-    assert built[0][1][0] == len(rows) and 4 * len(engine._rows) < len(rows)
+    n = state.n_sites
+    width = engine._plan.width
+    assert built[0][1] == ((width, len(rows)) if engine._narrowed else (len(rows), n))
+    assert 4 * len(engine._rows) < len(rows)
 
 
 def test_run_blocks_builds_no_more_blocks_than_rows(monkeypatch):
@@ -1713,10 +1947,11 @@ def test_row_cut_matches_all_rows_on_random_runs(scenario):
     ids=["pvm2", "pvm6", "linear0.2"],
 )
 def test_a_plan_that_couples_rows_keeps_them_all(measurement):
-    """A state whose unmeasured run drops rows keeps all N/2 + 1 under a
-    channel whose transform along delta couples them."""
+    """A state whose rows a plan that does not couple them cuts to 82
+    keeps all N/2 + 1 under a channel whose transform along delta couples
+    them."""
     state = build_initial_state(GaussianPacketSpec(128, 8.0, 0), 256)  # pointer_stationary's
-    assert row_cut(state, None, 0)[0] == 82
+    assert row_cut(state, ChannelPlan(pointer_kernel(PointerSpec(0.2), 256)), 0)[0] == 82
     assert row_cut(state, ChannelPlan(measurement), 40) == (129, 0.0)
     with pytest.raises(ValueError, match="couples rows"):
         Propagator(state, ChannelPlan(measurement), None, 2.0**-53, 40)  # nor re-cuts

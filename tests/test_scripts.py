@@ -68,6 +68,7 @@ def test_step_cost_reports_every_operation():
         "snapshot",
         "narrowed_snapshot",
         "off_grid_snapshot",
+        "narrowing",
         "pointer_step",
         "pvm_step",
         "pvm16_step",
