@@ -5,14 +5,16 @@ length it has not applied yet (new_leg, which builds the leg's phase
 table), on a pointer engine that holds G; a pointer step, a 6-region and a
 16-region PVM step, a LINEAR-kernel step (a step is one leg and one
 measurement); the first measurement of a 6-region engine (narrowing, which
-builds its band from G's rows a chunk at a time, with no G); and
-snapshots: of an unmeasured engine (snapshot, read off psi(t) in its pure
-stage), of a 6-region engine after narrowing on the measurement grid
-(narrowed_snapshot, read off its band) and of the same with half a leg
-pending (off_grid_snapshot, which rebuilds G a chunk of rows at a time),
-through Propagator at N = 256, 512 and 1024, and prints the medians as
-JSON, with the tracemalloc peak of narrowing in KiB beside them
-(narrowing_peak_kib, beyond what the engine held before). Each measured
+builds its band from G's rows a chunk at a time, with no G); the measure
+of a narrowed 6-region engine after a leg of a new length (band_kernel,
+which builds the leg's band kernel K); and snapshots: of an unmeasured
+engine (snapshot, read off psi(t) in its pure stage), of a 6-region engine
+after narrowing on the measurement grid (narrowed_snapshot, read off its
+band) and of the same with half a leg pending (off_grid_snapshot, which
+rebuilds G a chunk of rows at a time), through Propagator at N = 256, 512
+and 1024, and prints the medians as JSON, with the tracemalloc peaks of
+narrowing and of band_kernel in KiB beside them (narrowing_peak_kib and
+band_kernel_peak_kib, beyond what the engine held before). Each measured
 engine reads a ChannelPlan of its measurement, built once, as a run builds
 it, and not timed. Every engine is built and timed through
 in_one_row_buffer, as run_blocks steps a run's blocks, so numpy's ufunc
@@ -77,26 +79,47 @@ def costs(n):
     return in_one_row_buffer(n, lambda: _costs(n))
 
 
-def narrowing_peak_kib(n):
-    """The tracemalloc peak, in KiB beyond what the engine held before, of
-    a fresh 6-region engine's first measure after one leg, after one
-    untraced, in the one-row ufunc buffer that run_blocks gives a run."""
+def peaks_kib(n):
+    """The tracemalloc peaks, in KiB beyond what the engine held before, of
+    a fresh 6-region engine's first measure after one leg
+    (narrowing_peak_kib) and of a narrowed one's measure after a leg of a
+    new length, which builds its K (band_kernel_peak_kib), each traced
+    after one untraced, in the one-row ufunc buffer that run_blocks gives a
+    run."""
     state, measurements = _workload(n)
     plan = ChannelPlan(measurements["pvm_step"])
+    narrowed = Propagator(state, plan)
+    lengths = (INTERVAL * (1 + j / 1000) for j in itertools.count())
 
-    def peak():
-        for traced in (False, True):
-            engine = Propagator(state, plan)
-            engine.advance(INTERVAL)
-            if traced:
-                tracemalloc.start()
-                before = tracemalloc.get_traced_memory()[0]
-            engine.measure()
-        kib = (tracemalloc.get_traced_memory()[1] - before) / 1024
-        tracemalloc.stop()
-        return round(kib, 1)
+    def fresh():
+        engine = Propagator(state, plan)
+        engine.advance(INTERVAL)
+        return engine.measure
 
-    return in_one_row_buffer(n, peak)
+    def new_leg():
+        narrowed.advance(next(lengths))
+        return narrowed.measure
+
+    def peaks():
+        narrowed.advance(INTERVAL)
+        narrowed.measure()  # narrows, so that each new_leg builds a K
+        return {"narrowing_peak_kib": _peak_kib(fresh), "band_kernel_peak_kib": _peak_kib(new_leg)}
+
+    return in_one_row_buffer(n, peaks)
+
+
+def _peak_kib(prepare):
+    """KiB that the action prepare() returns allocates at its peak beyond
+    what was held before it, on the second of two, the first untraced."""
+    for traced in (False, True):
+        action = prepare()
+        if traced:
+            tracemalloc.start()
+            before = tracemalloc.get_traced_memory()[0]
+        action()
+    kib = (tracemalloc.get_traced_memory()[1] - before) / 1024
+    tracemalloc.stop()
+    return round(kib, 1)
 
 
 def _workload(n):
@@ -115,8 +138,8 @@ def _costs(n):
     state, measurements = _workload(n)
     unmeasured = Propagator(state)
     free = Propagator(state, ChannelPlan(measurements["pointer_step"]))
-    narrowed, off_grid = (Propagator(state, ChannelPlan(measurements["pvm_step"])) for _ in range(2))
-    for engine in (free, narrowed, off_grid):
+    narrowed, off_grid, kernel = (Propagator(state, ChannelPlan(measurements["pvm_step"])) for _ in range(3))
+    for engine in (free, narrowed, off_grid, kernel):
         engine.advance(INTERVAL)
         engine.measure()
     off_grid.advance(INTERVAL / 2)
@@ -134,6 +157,7 @@ def _costs(n):
         "narrowed_snapshot": median_s(lambda: snapshot(narrowed)),
         "off_grid_snapshot": median_s(lambda: snapshot(off_grid)),
         "narrowing": first_measure_s(state, ChannelPlan(measurements["pvm_step"])),
+        "band_kernel": median_s(lambda: (kernel.advance(next(lengths)), kernel.measure())),
     }
     for name, measurement in measurements.items():
         engine = Propagator(state, ChannelPlan(measurement))
@@ -153,7 +177,7 @@ def reference_costs(n):
     kernel = (before + calibrate(size)) / 2
     scale = 1e3 * REFERENCE_CALIBRATION_S[size] / kernel
     row = {name: round(seconds * scale, 3) for name, seconds in row.items()}
-    row["narrowing_peak_kib"] = narrowing_peak_kib(n)
+    row.update(peaks_kib(n))
     return row
 
 

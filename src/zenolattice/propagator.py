@@ -72,9 +72,11 @@ and its band columns are kept. The band is stored d-major, a (W, rows)
 array read as a (rows, W) view, with column -d at W - d. Its zero
 padding, rows L..W - L, is then one contiguous block of at least
 (2L - 2)(N/2 + 1) entries, more than the (L - 1) N of L - 1 rows of N
-columns. The chunks of G lie in that padding, which is zeroed again
-afterwards; the build takes one chunk of CHUNK_ENTRIES entries instead
-when the padding holds less than one row of N. G's rows are built each
+columns. Every N-wide scratch of a narrowed engine, these chunks of G
+included, lies in that padding and is zeroed again after use; it is one
+fresh chunk of CHUNK_ENTRIES entries instead when the padding holds less
+than one row of N, or is not contiguous: a re-cut's prefix view of the
+band leaves a gap after each padding row. G's rows are built each
 on its own, so no row takes round-off from another, which the row cut
 below needs: a transform along delta would spread each column's
 round-off over every row. Multiplying row delta of G by its phases is a
@@ -84,9 +86,9 @@ W >= 4L - 3 a cyclic product of length W wraps none of its terms onto
 the band. So a narrowed leg is exact: fft_W, a multiply by K = fft_W of
 the kernel cut to those lags, ifft_W, on every row but row 0, whose phase
 is exactly 1. K is built for the first leg after narrowing, d-major as
-the band, one chunk of rows at a time, of CHUNK_ENTRIES entries N columns
-wide: the leg applied to a chunk of ones, ifft_N, and that chunk's lags
-written into K. Then:
+the band, one chunk of rows at a time in the band's padding: the leg
+applied to a chunk of ones, ifft_N, and that chunk's lags written into
+K. Then:
 
 - advance(t) only adds t to a pending time;
 - measure applies the pending leg with the K of the last leg length, or
@@ -99,16 +101,18 @@ written into K. Then:
 - record on the grid, with no pending leg, reads the partials off the
   band: G = fft_N of H along d, so the row sums are N H[:, 0] and, by
   Parseval, the squared row norms are N sum_d |H|^2; p(k), row 0 of G, is
-  one length-N FFT of band row 0 laid out in N columns. Off the grid it
-  rebuilds G one chunk of rows at a time, as fft_N of the band in N
-  columns times the pending leg's phases, and reads each chunk as above
-  into that chunk's rows of the snapshot's partials: that reads the
-  pending leg without applying it to the band or building its K.
+  one length-N FFT of band row 0 laid out in N columns of the padding.
+  Off the grid it rebuilds G one chunk of rows at a time in the padding,
+  as fft_N of the band in N columns times the pending leg's phases, and
+  reads each chunk as above into that chunk's rows of the snapshot's
+  partials: that reads the pending leg without applying it to the band
+  or building its K.
 
-So a narrowed engine holds its band and K and no array N columns wide
-but one chunk, a record on the grid holds one row, and its window buffer
-is the band's own padding: for pvm_packet 85 x 129 = 10,965 padding
-entries hold the 41 x 256 = 10,496 of the buffer. The d-major layout is
+So a narrowed engine holds its band and K and no array N columns wide:
+narrowing, a new K and records on and off the grid take their N columns
+in the band's padding, and so does the window buffer: for pvm_packet
+85 x 129 = 10,965 padding entries hold the 41 x 256 = 10,496 of the
+buffer, or 42 rows of N for the other scratch. The d-major layout is
 kept for that memory, not for speed: the transposed buffer alone was no
 faster (ROADMAP, Retired), and a narrowed step's strided passes cost it a
 few percent. An engine of N columns builds its own (c, N) buffer in its
@@ -128,13 +132,15 @@ core's L2 cache, and takes each block through the whole schedule on its
 own, one after the other, so the run holds one block's engine at a time.
 A snapshot writes its rows' partials, the row sums s[delta], the squared
 norms of the rows and the real part of row 0 with its largest imaginary
-part, into a Snapshots object indexed by row, which allocates a
-snapshot's partials when the first block records it; the observables are
-read off the combined partials in a fixed order, so no result depends on
-how the rows were split. A channel that cuts a column (a PVM of two
-regions or more, most LINEAR kernels) couples rows through its transform
-along delta, so such a run takes one block of all rows, and so does an
-unmeasured run, which stays pure.
+part, into a Snapshots object: the sums and norms as one piece per block,
+over the rows that block holds at that record, so no row that row_cut
+cut or a block re-cut before the record takes an entry, and p(k) when
+the first block records the snapshot. The observables lay the pieces
+into N/2 + 1 rows, zeros elsewhere, and read them in a fixed order, so
+no result depends on how the rows were split. A channel that cuts a
+column (a PVM of two regions or more, most LINEAR kernels) couples rows
+through its transform along delta, so such a run takes one block of all
+rows, and so does an unmeasured run, which stays pure.
 
 Ufunc buffer. numpy copies an operand that is broadcast or not
 contiguous with the output through an iterator buffer, which it allocates
@@ -146,7 +152,9 @@ run_blocks steps its blocks through in_one_row_buffer, where the buffer
 is one row of N elements: at N = 1024 a pointer block's advance
 allocates 1.3 KiB beyond the engine's arrays and its measure 17.3 KiB,
 16 of them the FFT's row buffer, not 145 KiB. The size sets only how many
-elements numpy copies at a time, so no result changes.
+elements numpy copies at a time, so no result changes. A caller that
+steps a Propagator itself does so inside in_one_row_buffer too: at
+numpy's default a narrowed or window measure allocates 256-390 KiB.
 
 Row cut. In a measured run whose plan does not couple rows (a
 minimal-image kernel, an identity or per-site PVM, narrowed or not) no
@@ -199,6 +207,7 @@ steps one at a time; the tests use them as this engine's reference.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, Iterable, TypeVar
 
@@ -212,8 +221,9 @@ __all__ = ["ChannelPlan", "Propagator", "Snapshots", "in_one_row_buffer", "row_c
 # Entries of G per row block: 2**15 complex128 values are 512 KiB, well
 # inside the reference machine's 4 MiB L2 per core.
 BLOCK_ENTRIES = 2**15
-# Entries per chunk of rows that a narrowed engine takes N columns wide: a
-# record's rebuilt G and a band kernel's ones, 16 rows at N = 256.
+# Entries of the chunk of rows, N columns wide, that a narrowed engine takes
+# where its band's padding cannot hold its scratch (_scratch): 16 rows at
+# N = 256.
 CHUNK_ENTRIES = 2**12
 # The certificate budget: no p(n) entry of a row-local run moves by more.
 BUDGET = 2.0**-52
@@ -307,10 +317,13 @@ class Propagator:
     once; a leg of another length builds its own in its place. Besides G,
     the plan and, for a channel that couples rows, the window step's (c, N)
     buffer, an engine that keeps all N columns holds no array of N columns
-    per row; a narrowed one holds its band and K, never G, and takes N
-    columns only one chunk of CHUNK_ENTRIES entries at a time, to build
-    the band, a record off the measurement grid or a new K, and one row for
-    a record on it. rows is the range of
+    per row; a narrowed one holds its band and K, never G, and takes the N
+    columns it builds the band, a new K or a record in as a view of the
+    band's zero padding (_scratch), or as one fresh chunk of CHUNK_ENTRIES
+    entries where that padding is not contiguous or too small. Step an
+    engine inside in_one_row_buffer, as run_blocks, the tests and
+    scripts/step_cost.py do: at numpy's default ufunc buffer each narrowed
+    or window measure allocates 256-390 KiB more. rows is the range of
     rows delta the engine holds, all of 0..N/2 by default; a plan that
     couples rows needs all of them. share, if given, is the part of the
     run's certificate budget that the engine may spend on rows it drops
@@ -381,15 +394,25 @@ class Propagator:
         np.conjugate(u, out=table[:n])
         return table
 
-    def _chunks(self, rows: range):
-        """(slice, rows in it, a (rows, N) view) for each chunk of rows, of
-        CHUNK_ENTRIES // N rows, or one row when a row has more entries. The
-        views share one buffer, so a chunk is valid until the next is taken."""
-        step = max(1, CHUNK_ENTRIES // self._n)
-        buffer = np.empty((min(step, len(rows)), self._n), dtype=complex)
-        for lo in range(0, len(rows), step):
-            part = slice(lo, lo + step)
-            yield part, rows[part], buffer[: len(rows[part])]
+    @contextlib.contextmanager
+    def _scratch(self, band: np.ndarray, rows: int):
+        """An (m, N) scratch of a narrowed engine, m <= rows and m >= 1 when
+        rows is, for band its d-major (W, rows) array: a view of the band's
+        zero padding, rows L..W - L, set back to 0 on exit, or, when that
+        padding is not contiguous (a re-cut's prefix view) or holds less
+        than one row of N, a fresh chunk of CHUNK_ENTRIES entries, or of one
+        row when a row has more."""
+        n, plan = self._n, self._plan
+        padding = band[plan.band : plan.width - plan.band + 1]
+        room = min(padding.size // n, rows) if padding.flags.c_contiguous else 0
+        if not room:
+            yield np.empty((min(max(1, CHUNK_ENTRIES // n), rows), n), dtype=complex)
+            return
+        scratch = padding.reshape(-1)[: room * n].reshape(room, n)
+        try:
+            yield scratch
+        finally:
+            scratch.fill(0.0)
 
     def _free_leg(self, g: np.ndarray, turns: np.ndarray, rows: range) -> np.ndarray:
         """Multiply g, the rows of G in rows, N columns, by the phases
@@ -407,16 +430,17 @@ class Propagator:
         """fft_W of each moving row's circulant kernel ifft_N(phases), cut to
         the lags |l| <= 2L - 2 that carry the band onto itself, for the
         phases of the leg whose table is turns: the leg applied to a chunk
-        of ones at a time, whose lags are written into K, a (rows, W) view
-        of a d-major array, as the band."""
+        of ones at a time in the band's padding (_scratch), whose lags are
+        written into K, a (rows, W) view of a d-major array, as the band."""
         rows = self._rows[self._moving :]
         kernel = np.empty((self._plan.width, len(rows)), dtype=complex).T
-        for part, chunk, phases in self._chunks(rows):
-            phases.fill(1.0)
-            self._free_leg(phases, turns, chunk)
-            np.fft.ifft(phases, axis=1, out=phases)
-            lags = _band_columns(phases, 2 * self._plan.band - 1, kernel[part])
-            np.fft.fft(lags, axis=1, out=lags)
+        with self._scratch(self._g.T, len(rows)) as scratch:
+            for part, chunk, phases in _spans(rows, scratch):
+                phases.fill(1.0)
+                self._free_leg(phases, turns, chunk)
+                np.fft.ifft(phases, axis=1, out=phases)
+                lags = _band_columns(phases, 2 * self._plan.band - 1, kernel[part])
+                np.fft.fft(lags, axis=1, out=lags)
         return kernel
 
     def _leg_table(self, t: float) -> np.ndarray:
@@ -504,11 +528,8 @@ class Propagator:
         np.conjugate(phi, out=doubled[:n])
         doubled[n:] = doubled[:n]
         phi /= n  # exact: N is a power of two
-        for lo in range(0, len(rows), len(buffer)):
-            part = slice(lo, lo + len(buffer))
-            chunk = rows[part]
-            g = buffer[: len(chunk)]
-            built = skip if lo == 0 else 0
+        for part, chunk, g in _spans(rows, buffer):
+            built = skip if part.start == 0 else 0
             np.multiply(_lagged(doubled, chunk[built:]), phi, out=g[built:])
             yield part, chunk, g
 
@@ -523,24 +544,18 @@ class Propagator:
         """The band of H of psi(t), with no G: G's rows are built one chunk
         at a time, transformed by ifft_N along k, and their band columns
         kept. The chunks lie in the band's own zero padding, rows L..W - L
-        of the d-major (W, rows) array, which is zeroed again afterwards
-        (in one chunk of CHUNK_ENTRIES entries when that holds less than one
-        row of N); a window step's buffer stays there. Returns the band as a
-        (rows, W) view of that array."""
+        of the d-major (W, rows) array, zeroed from the start and again
+        afterwards (_scratch); a window step's buffer stays there. Returns
+        the band as a (rows, W) view of that array."""
         plan, n, rows = self._plan, self._n, self._rows
         keep, width = plan.band, plan.width
-        band = np.empty((width, len(rows)), dtype=complex)
+        band = np.zeros((width, len(rows)), dtype=complex)
         h = band.T
-        padding = band[keep : width - keep + 1]
-        room = min(padding.size // n, len(rows))
-        scratch = padding.reshape(-1)[: room * n].reshape(room, n)
-        if not room:
-            scratch = np.empty((min(max(1, CHUNK_ENTRIES // n), len(rows)), n), dtype=complex)
-        for part, _, g in self._pure_chunks(scratch):
-            np.fft.ifft(g, axis=1, out=g)
-            h[part, :keep] = g[:, :keep]
-            h[part, width - keep + 1 :] = g[:, n - keep + 1 :]
-        padding[...] = 0.0
+        with self._scratch(band, len(rows)) as scratch:
+            for part, _, g in self._pure_chunks(scratch):
+                np.fft.ifft(g, axis=1, out=g)
+                h[part, :keep] = g[:, :keep]
+                h[part, width - keep + 1 :] = g[:, n - keep + 1 :]
         if plan.window:
             self._buffer = scratch[: plan.window]
         return h
@@ -601,20 +616,22 @@ class Propagator:
 
     def _g_chunks(self):
         """(rows, G on those rows) over the engine's rows: G itself, or once
-        narrowed G rebuilt one chunk of rows at a time, as fft_N of the band
-        in N columns times the pending leg's phases. record takes this path
+        narrowed G rebuilt one chunk of rows at a time in the band's padding
+        (_scratch), as fft_N of the band in N columns times the pending
+        leg's phases; a chunk is valid until the next. record takes this path
         off the grid, where no G is held and the pending leg must not be
         applied to the band."""
         if not self._narrowed:
             yield self._rows, self._g
             return
         turns = self._phase_vector(self._pending) if self._pending else None
-        for part, rows, g in self._chunks(self._rows):
-            _band_columns(self._g[part], self._plan.band, g)
-            np.fft.fft(g, axis=1, out=g)
-            if turns is not None:
-                self._free_leg(g, turns, rows)
-            yield rows, g
+        with self._scratch(self._g.T, len(self._rows)) as scratch:
+            for part, rows, g in _spans(self._rows, scratch):
+                _band_columns(self._g[part], self._plan.band, g)
+                np.fft.fft(g, axis=1, out=g)
+                if turns is not None:
+                    self._free_leg(g, turns, rows)
+                yield rows, g
 
     def record(self, snapshots: Snapshots, j: int) -> None:
         """Write this engine's rows of snapshot j: row sums, squared row
@@ -622,15 +639,16 @@ class Propagator:
         largest imaginary part on it. An engine in its pure stage reads
         them off psi(t) (_pure_record), a narrowed engine with no pending
         leg off its band (_band_record)."""
-        sums, norms, momentum, imag = snapshots.partials(j)
+        sums, norms, momentum, imag = snapshots.partials(j, self._rows)
         if self._g is None:
             self._pure_record(sums, norms, momentum, imag)
             return
         if self._narrowed and not self._pending:
             self._band_record(sums, norms, momentum, imag)
             return
+        start = self._rows.start
         for rows, g in self._g_chunks():
-            part = slice(rows.start, rows.stop)
+            part = slice(rows.start - start, rows.stop - start)
             g.sum(axis=1, out=sums[part])
             pairs = g.view(np.float64)  # |G|^2 is the sum of squares of re and im
             np.einsum("ij,ij->i", pairs, pairs, out=norms[part])
@@ -644,82 +662,99 @@ class Propagator:
         do not depend on t; they are correlated directly, as row_cut
         correlates the l1 norms. The row sums are fft_N(p), for p(n) =
         |psi(t)(n)|^2."""
-        n, phi = self._n, self._phi
-        part = slice(self._rows.start, self._rows.stop)
+        n, phi, rows = self._n, self._phi, self._rows
         row = np.multiply(phi.conj(), phi / n)
         q = row.real
-        if part.start == 0:
+        if rows.start == 0:
             momentum[:] = q
             imag[0] = np.max(np.abs(row.imag))
         doubled = np.concatenate([q, q[: n // 2]])
-        norms[part] = np.correlate(doubled[part.start : part.stop + n - 1], q)
+        norms[:] = np.correlate(doubled[rows.start : rows.stop + n - 1], q)
         del row, q, doubled  # before psi's arrays come
         psi = np.fft.ifft(phi * _pure_phases(n, self._pending))
         pairs = psi.view(np.float64).reshape(n, 2)
-        sums[part] = np.fft.fft(np.einsum("ij,ij->i", pairs, pairs))[part]
+        sums[:] = np.fft.fft(np.einsum("ij,ij->i", pairs, pairs))[rows.start : rows.stop]
 
     def _band_record(self, sums, norms, momentum, imag) -> None:
         """record on the grid, off the band H with no G: the row sums are
         N H[:, 0], the squared row norms N sum_d |H|^2 by Parseval, and row 0
-        of G is fft_N of band row 0 in N columns, one row wide."""
+        of G is fft_N of band row 0 in N columns, one row of the padding."""
         n, band = self._n, self._g
-        part = slice(self._rows.start, self._rows.stop)
         h = band.T  # d-major: row d of H over the rows, contiguous along them
-        np.multiply(h[0], n, out=sums[part])
+        np.multiply(h[0], n, out=sums)
         pairs = h.view(np.float64)  # |H|^2 summed over d, down each re and im column
-        out = norms[part]
-        np.einsum("dj,dj->j", pairs, pairs).reshape(-1, 2).sum(axis=1, out=out)
-        np.multiply(out, n, out=out)
-        if part.start == 0:
-            row = _band_columns(band[0], self._plan.band, np.empty(n, dtype=complex))
-            np.fft.fft(row, out=row)
-            momentum[:] = row.real
-            imag[0] = np.max(np.abs(row.imag))
+        np.einsum("dj,dj->j", pairs, pairs).reshape(-1, 2).sum(axis=1, out=norms)
+        np.multiply(norms, n, out=norms)
+        if self._rows.start == 0:  # after the norms, which read the padding
+            with self._scratch(h, 1) as scratch:
+                row = _band_columns(band[0], self._plan.band, scratch[0])
+                np.fft.fft(row, out=row)
+                momentum[:] = row.real
+                imag[0] = np.max(np.abs(row.imag, out=row.imag))
 
 
 class Snapshots:
     """Per-row partials of a run's snapshots, filled by Propagator.record
     one block after the other, and the observables combined from them.
 
-    A snapshot's partials are allocated when the first block records it,
-    so a run holds only the snapshots it has reached. Each observable reads
-    all rows in one fixed order, so it does not depend on how the rows
-    were split into blocks.
+    A snapshot's row sums and squared row norms are held in pieces, one per
+    block that records it, each over the rows that block's engine holds at
+    that record, so a run holds no entry for a row that no block recorded:
+    one cut by row_cut or re-cut before the record. p(k) and its largest
+    imaginary part are allocated when the first block records the
+    snapshot, so a run holds only the snapshots it has reached. Each
+    observable lays the pieces into N/2 + 1 rows, zeros elsewhere, and
+    reads all of them in one fixed order, so it does not depend on how the
+    rows were split into blocks.
     """
 
     def __init__(self, count: int, n: int) -> None:
         self._n = n
-        self._partials: list[tuple | None] = [None] * count
+        # Per snapshot reached: p(k) followed by the largest imaginary part on
+        # row 0, N + 1 entries, and a list of pieces, (rows, the row sums then
+        # the squared row norms in 3 len(rows) float64 entries).
+        self._partials: list[tuple[np.ndarray, list] | None] = [None] * count
 
-    def partials(self, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Snapshot j's row sums, squared row norms, p(k) and the largest
-        imaginary part on row 0 (one entry), allocated on first use."""
+    def partials(self, j: int, rows: range) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Snapshot j's row sums and squared row norms on rows, entry i for
+        row rows.start + i, then its p(k) and the largest imaginary part on
+        row 0 (one entry), for a record to write. The piece of rows is
+        allocated on first use and handed out again to a second record
+        over the same rows, which replaces it; rows that overlap another
+        piece are refused."""
         if self._partials[j] is None:
-            half = self._n // 2 + 1
-            # zeros: rows that no block holds, cut by row_cut, add nothing
-            self._partials[j] = (
-                np.zeros(half, dtype=complex),
-                np.zeros(half),
-                np.empty(self._n),
-                np.empty(1),
-            )
-        return self._partials[j]
+            self._partials[j] = (np.empty(self._n + 1), [])
+        momentum, pieces = self._partials[j]
+        piece = next((entries for held, entries in pieces if held == rows), None)
+        if piece is None:
+            if rows and any(rows.start < held.stop and held.start < rows.stop for held, _ in pieces):
+                raise ValueError(f"rows {rows} overlap rows snapshot {j} already holds")
+            piece = np.empty(3 * len(rows))
+            pieces.append((rows, piece))
+        return (*_sums_and_norms(piece, rows), momentum[:-1], momentum[-1:])
 
     def momentum_distribution(self, j: int) -> np.ndarray:
-        """p(k) = R[k, k], row delta = 0; the stored array, not a copy, so
-        a run holds each momentum distribution once."""
-        _, _, momentum, imag = self._partials[j]
-        worst = float(imag[0])
+        """p(k) = R[k, k], row delta = 0; a view of the stored array, not a
+        copy, so a run holds each momentum distribution once."""
+        momentum = self._partials[j][0]
+        worst = float(momentum[-1])
         if worst > 1e-12:
             raise ValueError(f"momentum distribution has imaginary parts up to {worst:.3e}")
-        return momentum
+        return momentum[:-1]
+
+    def _laid_out(self, j: int, which: int, out: np.ndarray) -> np.ndarray:
+        """out, zeroed, with the row sums (which 0) or the squared row norms
+        (which 1) of every piece of snapshot j at its rows."""
+        out.fill(0.0)
+        for rows, piece in self._partials[j][1]:
+            out[rows.start : rows.stop] = _sums_and_norms(piece, rows)[which]
+        return out
 
     def position_distribution(self, j: int) -> np.ndarray:
         """p(n) = rho(n, n), the inverse FFT of the row sums of G."""
-        row_sums = self._partials[j][0]
-        half, n = row_sums.size, self._n
-        sums = np.empty(n, dtype=complex)
-        sums[:half] = row_sums
+        n = self._n
+        half = n // 2 + 1
+        sums = self._laid_out(j, 0, np.empty(n, dtype=complex))
         sums[half:] = sums[n - half : 0 : -1].conj()  # s[N - delta] = conj s[delta]
         diag = np.fft.ifft(sums)
         worst = float(np.max(np.abs(diag.imag)))
@@ -730,7 +765,7 @@ class Snapshots:
     def purity(self, j: int) -> float:
         """Tr(rho^2) = sum |G|^2 over all N rows; the rows 1..N/2 - 1 stand
         for their mirrors too."""
-        norms = self._partials[j][1]
+        norms = self._laid_out(j, 1, np.empty(self._n // 2 + 1))
         return float(norms[0] + norms[-1] + 2.0 * norms[1:-1].sum())
 
 
@@ -791,7 +826,10 @@ def in_one_row_buffer(n: int, action: Callable[[], T]) -> T:
     module docstring's "Ufunc buffer"), rounded up to the multiple of 16
     that numpy requires, or at the caller's size if that is smaller. The
     caller's size comes back on return, also when action raises: the scope
-    is numpy's errstate, local to the context."""
+    is numpy's errstate, local to the context. run_blocks steps its blocks
+    in it; a caller that steps a Propagator directly wraps those steps in
+    it too, or each narrowed or window measure allocates 256-390 KiB of
+    numpy's iterator buffers."""
     with np.errstate():
         np.setbufsize(min(-(-n // 16) * 16, np.getbufsize()))
         return action()
@@ -831,6 +869,23 @@ def _lagged(doubled: np.ndarray, rows: range) -> np.ndarray:
     n, step = doubled.size // 2, doubled.itemsize
     offset = (n - rows.start) * step
     return np.ndarray((len(rows), n), doubled.dtype, doubled, offset, (-step, step))
+
+
+def _sums_and_norms(piece: np.ndarray, rows: range) -> tuple[np.ndarray, np.ndarray]:
+    """The row sums, complex, and the squared row norms of a Snapshots
+    piece over rows: views of its 2 len(rows) and len(rows) float64
+    entries."""
+    size = 2 * len(rows)
+    return piece[:size].view(complex), piece[size:]
+
+
+def _spans(rows: range, scratch: np.ndarray):
+    """(slice, rows in it, a view of scratch) for each chunk of len(scratch)
+    of rows, taken in turn: a chunk is valid until the next is taken."""
+    step = max(1, len(scratch))
+    for lo in range(0, len(rows), step):
+        part = slice(lo, lo + step)
+        yield part, rows[part], scratch[: len(rows[part])]
 
 
 def _band_columns(a: np.ndarray, keep: int, out: np.ndarray) -> np.ndarray:

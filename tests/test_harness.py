@@ -1,5 +1,6 @@
 """Run loop, grid doubling and CSV emission."""
 
+import contextlib
 import itertools
 import math
 import os
@@ -232,9 +233,8 @@ class TestRunSchedule:
         them off the grid, peaks at a small multiple of G = (N/2 + 1) N
         complex entries: it never holds G, for the first measurement builds
         the band from G's rows a chunk at a time, in the band's zero
-        padding, where the window buffer stays; records off the grid and
-        band kernels take N columns one chunk of rows at a time, and a
-        record on the grid one row. The
+        padding, where the window buffer stays and where records on and off
+        the grid and band kernels take their N columns too. The
         measurement is built before tracing starts: a LINEAR kernel's O(N^3)
         PSD check alone peaks at 2.00 G."""
         n = 2048
@@ -395,7 +395,7 @@ class TestPropagator:
         if isinstance(operator, RegionPartition):
             engine.measure()
             again = snapshot(engine, n)
-            for got, want in zip(again.partials(0), snapshots.partials(0)):
+            for got, want in zip(again.partials(0, engine._rows), snapshots.partials(0, engine._rows)):
                 assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_minimal_image_step_is_one_multiply_between_transforms(self):
@@ -422,7 +422,8 @@ class TestPropagator:
             each.advance(0.001)
         engine.measure()
         assert engine._g is None
-        for got, want in zip(snapshot(engine, 64).partials(0), snapshot(free, 64).partials(0)):
+        rows = range(33)
+        for got, want in zip(snapshot(engine, 64).partials(0, rows), snapshot(free, 64).partials(0, rows)):
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("n, lo, hi", [(8, 0, 5), (64, 3, 33), (256, 0, 129), (256, 64, 129)])
@@ -694,8 +695,9 @@ def test_narrowed_engine_holds_nothing_wider_than_w():
     Narrowing builds the band straight from psi(t), with no G, and each new
     leg length its band kernel: the engine then holds no array with more
     than W columns but the window's: its buffer, which lies in the band's
-    zero padding, and the plan's c-row tables, through legs of other lengths and records on and off the
-    grid, which take N columns one chunk of rows at a time."""
+    zero padding, and the plan's c-row tables, through legs of other
+    lengths and records on and off the grid, which take their N columns in
+    that padding too."""
     n, t, width = 256, 0.001, 168
     state = build_initial_state(GaussianPacketSpec(8, 8.0, 31), n)
     engine = Propagator(state, ChannelPlan(make_regions(n, 6)))
@@ -748,23 +750,24 @@ def test_row_zero_stays_bit_identical_across_every_advance(measurement):
     assert engine._narrowed == isinstance(measurement, RegionPartition)
 
 
-def test_narrowed_record_and_new_leg_allocate_one_chunk():
+def test_narrowed_records_and_new_leg_take_their_rows_in_the_padding():
     """Stepped as run_blocks steps it, in a one-row ufunc buffer, a
-    narrowed engine allocates beyond the arrays it keeps, in a record on
-    the grid, one N-wide row for p(k) and at most as much again for its
-    FFT, and 1 KiB more (7.5 KiB in all at N = 256). In a record off the
+    narrowed engine takes its N-wide rows in its band's zero padding and
+    allocates beyond the arrays it keeps, in a record on the grid, at most
+    one row of N for p(k)'s FFT and 1 KiB more: 5 KiB at N = 256 (3.9 KiB
+    seen; 7.5 KiB when p(k) took a row of its own). In a record off the
     grid, and in a measure whose pending leg has a new length and builds a
-    new K, it allocates one chunk of CHUNK_ENTRIES entries, a leg's 3N
-    phase table and 8 KiB more (80 KiB). A whole (rows, N) array would be
-    8 chunks."""
+    new K, it allocates a leg's 3N phase table and 8 KiB more: 20 KiB
+    (15.0 and 13.0 KiB seen; 80 KiB with a chunk of CHUNK_ENTRIES entries
+    of their own)."""
     n, t = 256, 0.001
     engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), ChannelPlan(make_regions(n, 6)))
     snapshots = Snapshots(1, n)
-    chunked = CHUNK_ENTRIES * 16 + 3 * n * 16 + 8 * 1024
+    leg = 3 * n * 16 + 8 * 1024
     actions = [
-        (lambda: engine.record(snapshots, 0), 2 * n * 16 + 1024),
-        (lambda: (engine.advance(0.4 * t), engine.record(snapshots, 0)), chunked),
-        (lambda: (engine.advance(0.3 * t), engine.measure()), chunked),  # a leg of 0.7 t
+        (lambda: engine.record(snapshots, 0), n * 16 + 1024),
+        (lambda: (engine.advance(0.4 * t), engine.record(snapshots, 0)), leg),
+        (lambda: (engine.advance(0.3 * t), engine.measure()), leg),  # a leg of 0.7 t
     ]
 
     def transients():
@@ -1012,8 +1015,10 @@ def test_engine_conserves_trace_and_never_gains_purity_over_thousand_steps(measu
 
 def test_snapshots_are_allocated_when_first_recorded():
     """A run holds only the snapshots it has reached: 1,000 snapshots at
-    N = 1024, one of them recorded, take well under one snapshot's worth
-    per record (about 20 MiB if all were allocated)."""
+    N = 1024, one of them recorded by an engine of all 513 rows, peak
+    below 90 KiB (86.6 KiB seen: the list of 1,000, the snapshot's 20 KiB
+    and the pure record's transients), about 20 MiB if all were
+    allocated."""
     n = 1024
     engine = Propagator(build_initial_state(GaussianPacketSpec(8, 3.0, 5), n))
     tracemalloc.start()
@@ -1023,8 +1028,81 @@ def test_snapshots_are_allocated_when_first_recorded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100_000
+    assert peak < 90 * 1024
     assert snapshots.purity(500) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_snapshots_hold_only_the_rows_each_block_recorded():
+    """pointer_stationary is one block of the 82 rows its row cut keeps,
+    which its re-cut drops to 68, 44, 29 and 9 by its later records: each
+    snapshot holds sums and norms only for the rows the block held when it
+    recorded it, one piece of 3 float64 entries a row, and none for the
+    other rows of the 129."""
+    scenario = load_scenario(SCENARIOS / "pointer_stationary.ini")
+    recorded, inner = [], Propagator.record
+
+    def logged(self, snapshots, j):
+        recorded.append((snapshots, j, self._rows))
+        inner(self, snapshots, j)
+
+    with mock.patch.object(Propagator, "record", logged):
+        run_schedule(scenario)
+    snapshots = recorded[0][0]
+    held = []
+    for j in range(len(scenario.schedule.record_times)):
+        pieces = snapshots._partials[j][1]
+        assert [rows for rows, _ in pieces] == [rows for _, k, rows in recorded if k == j]
+        assert all(piece.size == 3 * len(rows) for rows, piece in pieces)
+        held.append(sum(len(rows) for rows, _ in pieces))
+    assert held == [82, 68, 44, 29, 9]
+
+
+@st.composite
+def snapshot_pieces(draw):
+    """N = 8..256, a random range of rows of 0..N/2 split into 1 to 4
+    blocks, recorded in random order, one of them twice."""
+    n = draw(st.sampled_from([8, 16, 32, 64, 128, 256]))
+    half = n // 2 + 1
+    lo = draw(st.integers(0, half - 1))
+    hi = draw(st.integers(lo + 1, half))
+    inner = draw(st.lists(st.integers(lo + 1, hi - 1), max_size=3, unique=True)) if hi - lo > 1 else []
+    bounds = [lo, *sorted(inner), hi]
+    blocks = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    order = draw(st.permutations(blocks))
+    again = draw(st.sampled_from(blocks))
+    return n, [*order, again], draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(snapshot_pieces())
+def test_snapshot_pieces_read_back_as_full_rows(case):
+    """Random partials written piece by piece, a block's piece written a
+    second time replacing the first, give p(n) and the purity that the
+    same values written into full N/2 + 1 arrays, zeros elsewhere, give,
+    bit for bit; rows overlapping a piece that is held are refused."""
+    n, blocks, seed = case
+    half = n // 2 + 1
+    rng = np.random.default_rng(seed)
+    snapshots = Snapshots(1, n)
+    full_sums, full_norms = np.zeros(half, dtype=complex), np.zeros(half)
+    for rows in blocks:
+        sums, norms, _, _ = snapshots.partials(0, rows)
+        sums[:] = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
+        for real in {0, n // 2} & set(rows):  # s[0] and s[N/2] are real
+            sums[real - rows.start] = sums[real - rows.start].real
+        norms[:] = rng.random(len(rows))
+        full_sums[rows.start : rows.stop], full_norms[rows.start : rows.stop] = sums, norms
+    row_sums = np.empty(n, dtype=complex)
+    row_sums[:half] = full_sums
+    row_sums[half:] = row_sums[n - half : 0 : -1].conj()
+    want = np.fft.ifft(row_sums).real
+    got = snapshots.position_distribution(0)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    purity = float(full_norms[0] + full_norms[-1] + 2.0 * full_norms[1:-1].sum())
+    assert snapshots.purity(0) == purity
+    if len(set(blocks)) > 1:  # all the blocks' rows, which no one piece holds
+        with pytest.raises(ValueError, match="overlap"):
+            snapshots.partials(0, range(min(r.start for r in blocks), max(r.stop for r in blocks)))
 
 
 def reference_records(scenario):
@@ -1339,8 +1417,10 @@ def test_row_blocks_start_no_thread():
 
 def test_pointer_n1024_peak_is_one_block_at_a_time():
     """The pointer_n1024 workload holds one block's engine at a time, each
-    stepped in a one-row ufunc buffer: its run peaks at 0.566 MiB, below
-    0.6 MiB in each of three runs (0.574 when each block built its rows at
+    stepped in a one-row ufunc buffer, and its snapshots hold sums and
+    norms only for the rows each block recorded: its run peaks at 0.533 to
+    0.536 MiB, below 0.55 MiB in each of three runs (0.566 when every
+    snapshot held all 513 rows, 0.574 when each block built its rows at
     its start and built conj u on every leg, 0.684 with numpy's 128 KiB
     buffer on every leg and pointer step; two blocks stepped at once
     peaked at 1.09-1.33)."""
@@ -1352,7 +1432,7 @@ def test_pointer_n1024_peak_is_one_block_at_a_time():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.6 * 2**20
+        assert peak < 0.55 * 2**20
 
 
 def allocated_beyond(action):
@@ -1509,36 +1589,70 @@ def row_l1(engine):
     ids=["pvm6", "pvm16", "linear1", "compact_kernel_block"],
 )
 def test_chunked_records_and_band_kernels_match_whole_arrays(measurement, rows):
-    """A narrowed engine takes N columns one chunk of rows at a time. Its
-    records, on and off the grid, and its K after legs of 0.001, 0.00037 and
-    0.0123 equal the same built whole in one (rows, N) array, bit for bit;
-    so do those of a block of rows 7..99, whose chunks hold no row 0."""
+    """A narrowed engine takes N columns one chunk of rows at a time, in its
+    band's zero padding. Its records, on and off the grid, and its K after
+    legs of 0.001, 0.00037 and 0.0123 equal the same built whole in one
+    (rows, N) array, bit for bit; so do those of a block of rows 7..99,
+    whose chunks hold no row 0, and those of the same engine given each
+    chunk apart from its band, as one whose padding is too small or not
+    contiguous is given it."""
     n = 256
     state = build_initial_state(GaussianPacketSpec(8, 8.0, 31), n)
-    engine = Propagator(state, ChannelPlan(measurement), rows)
-    for leg, record_at in ((0.001, 0.0), (0.00037, 0.5), (0.0123, 0.25), (0.001, 0.6)):
-        engine.advance(record_at * leg)
-        if engine._narrowed:
-            got, want = Snapshots(1, n), Snapshots(1, n)
-            engine.record(got, 0)
-            g = widened(engine)
-            sums, norms, momentum, imag = want.partials(0)
-            part = slice(engine._rows.start, engine._rows.stop)
-            g.sum(axis=1, out=sums[part])
-            np.einsum("ij,ij->i", g.view(np.float64), g.view(np.float64), out=norms[part])
-            read = 2  # p(k) and its imaginary part only from the block of row 0
-            if part.start == 0:
-                momentum[:], imag[0], read = g[0].real, np.max(np.abs(g[0].imag)), 4
-            for a, b in list(zip(got.partials(0), want.partials(0)))[:read]:
-                np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
-        engine.advance((1 - record_at) * leg)
-        engine.measure()
-        assert engine._narrowed
-        if engine._table is None:  # the first leg is the pure stage's: no K yet
-            continue
-        want = whole_band_kernel(engine, engine._table_t)
-        got = np.ascontiguousarray(engine._table)
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    for apart in (False, True):
+        log, spy = spy_scratch(apart)
+        with spy:
+            engine = Propagator(state, ChannelPlan(measurement), rows)
+            for leg, record_at in ((0.001, 0.0), (0.00037, 0.5), (0.0123, 0.25), (0.001, 0.6)):
+                engine.advance(record_at * leg)
+                if engine._narrowed:
+                    assert_record_matches_widened(engine)
+                engine.advance((1 - record_at) * leg)
+                engine.measure()
+                assert engine._narrowed
+                if engine._table is None:  # the first leg is the pure stage's: no K yet
+                    continue
+                want = whole_band_kernel(engine, engine._table_t)
+                got = np.ascontiguousarray(engine._table)
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert log and all(inside != apart and zero for inside, zero in log)
+
+
+def assert_record_matches_widened(engine):
+    """engine's record equals, bit for bit, the partials read off G rebuilt
+    whole (widened): row sums and squared norms, and p(k) and its
+    imaginary part from the block of row 0."""
+    n, rows = engine._n, engine._rows
+    got, want = Snapshots(1, n), Snapshots(1, n)
+    engine.record(got, 0)
+    g = widened(engine)
+    sums, norms, momentum, imag = want.partials(0, rows)
+    g.sum(axis=1, out=sums)
+    np.einsum("ij,ij->i", g.view(np.float64), g.view(np.float64), out=norms)
+    read = 2
+    if rows.start == 0:
+        momentum[:], imag[0], read = g[0].real, np.max(np.abs(g[0].imag)), 4
+    for a, b in list(zip(got.partials(0, rows), want.partials(0, rows)))[:read]:
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def spy_scratch(apart=False):
+    """Patches Propagator._scratch to log, for each N-wide scratch a
+    narrowed engine takes, whether the scratch it used lies in its band
+    and whether the band's padding, rows L..W - L, is all 0 once the
+    scratch is given back. With apart, the engine is given a fresh array
+    of the same shape instead, outside its band."""
+    log, inner = [], Propagator._scratch
+
+    @contextlib.contextmanager
+    def logged(self, band, rows):
+        with inner(self, band, rows) as scratch:
+            used = np.empty_like(scratch) if apart else scratch
+            yield used
+        plan = self._plan
+        padding = band[plan.band : plan.width - plan.band + 1]
+        log.append((np.shares_memory(used, band), bool(np.all(padding == 0.0))))
+
+    return log, mock.patch.object(Propagator, "_scratch", logged)
 
 
 @pytest.mark.parametrize(
@@ -1577,18 +1691,18 @@ def test_records_on_the_grid_read_the_band(measurement, rows, random_state):
         assert engine._narrowed and engine._pending == 0.0
         got, want = Snapshots(1, n), Snapshots(1, n)
         engine.record(got, 0)
-        sums, norms, momentum, imag = want.partials(0)
+        rows = engine._rows
+        sums, norms, momentum, imag = want.partials(0, rows)
         for part, g in engine._g_chunks():
             for delta, row in zip(part, g.view(np.float64)):
-                sums[delta] = complex(math.fsum(row[0::2]), math.fsum(row[1::2]))
-                norms[delta] = math.fsum(row * row)
+                sums[delta - rows.start] = complex(math.fsum(row[0::2]), math.fsum(row[1::2]))
+                norms[delta - rows.start] = math.fsum(row * row)
             if part.start == 0:
                 momentum[:], imag[0] = g[0].real, np.max(np.abs(g[0].imag))
-        block = slice(engine._rows.start, engine._rows.stop)
-        for a, b, tolerance in zip(got.partials(0), want.partials(0), (1e-15, 4e-15)):
-            np.testing.assert_allclose(a[block], b[block], rtol=0, atol=tolerance * np.abs(b).max())
-        if block.start == 0:
-            for a, b in zip(got.partials(0)[2:], want.partials(0)[2:]):
+        for a, b, tolerance in zip(got.partials(0, rows), want.partials(0, rows), (1e-15, 4e-15)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=tolerance * np.abs(b).max())
+        if rows.start == 0:
+            for a, b in zip(got.partials(0, rows)[2:], want.partials(0, rows)[2:]):
                 np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
@@ -1712,6 +1826,37 @@ def test_narrowed_window_buffer_lies_in_the_band_padding(measurement):
         assert np.all(band[keep : width - keep + 1] == 0.0)
         shapes = {v.shape for v in engine_arrays(engine).values()}
         assert (n, c) not in shapes and (half, n) not in shapes
+
+
+@pytest.mark.parametrize(
+    "measurement",
+    [make_regions(256, 6), make_regions(256, 16), pointer_kernel(PointerSpec(1.0, DistanceConvention.LINEAR), 256)],
+    ids=["pvm6", "pvm16", "linear1"],
+)
+def test_band_padding_is_zero_after_each_scratch(measurement):
+    """Every N-wide scratch of a narrowed engine lies in its band's zero
+    padding, and the padding is exactly 0 again once it is given back:
+    after narrowing, after the new K of each leg of a new length (before
+    the leg is applied), after a record on the grid (p(k)'s row) and after
+    one off it (G rebuilt a chunk at a time). A measure whose leg keeps
+    its length takes no scratch."""
+    n, t = 256, 0.001
+    engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), ChannelPlan(measurement))
+    log, spy = spy_scratch()
+    steps = [
+        (lambda: (engine.advance(t), engine.measure()), 1),  # narrows
+        (lambda: (engine.advance(t), engine.measure()), 1),  # the K of t
+        (lambda: (engine.advance(t), engine.measure()), 0),  # keeps it
+        (lambda: engine.record(Snapshots(1, n), 0), 1),  # on the grid
+        (lambda: (engine.advance(0.5 * t), engine.record(Snapshots(1, n), 0)), 1),  # off it
+        (lambda: (engine.advance(0.2 * t), engine.measure()), 1),  # the K of 0.7 t
+    ]
+    with spy:
+        for step, scratches in steps:
+            before = len(log)
+            in_one_row_buffer(n, step)
+            assert log[before:] == [(True, True)] * scratches
+    assert engine._narrowed and engine._table_t == pytest.approx(0.7 * t)
 
 
 @st.composite

@@ -57,8 +57,10 @@ def test_step_cost_reports_every_operation():
 
         return mock.patch.object(Propagator, name, method)
 
+    script = runpy.run_path(str(SCRIPTS / "step_cost.py"))
     with logged("advance"), logged("measure"), logged("record"):
-        costs = runpy.run_path(str(SCRIPTS / "step_cost.py"))["costs"](64)
+        costs = script["costs"](64)
+        peaks = script["peaks_kib"](64)
     assert sizes == {64}
     assert sys.path == path
     assert not {"execution", "run", "tracing", "workloads"} & set(sys.modules)
@@ -69,12 +71,15 @@ def test_step_cost_reports_every_operation():
         "narrowed_snapshot",
         "off_grid_snapshot",
         "narrowing",
+        "band_kernel",
         "pointer_step",
         "pvm_step",
         "pvm16_step",
         "linear_step",
     }
     assert all(seconds > 0 for seconds in costs.values())
+    assert set(peaks) == {"narrowing_peak_kib", "band_kernel_peak_kib"}
+    assert all(kib > 0 for kib in peaks.values())
 
 
 def test_traced_benchmark_execution_finds_every_layer(tmp_path):
