@@ -12,15 +12,18 @@ engine (snapshot, read off psi(t) in its pure stage), of a 6-region engine
 after narrowing on the measurement grid (narrowed_snapshot, read off its
 band) and of the same with half a leg pending (off_grid_snapshot, which
 rebuilds G a chunk of rows at a time), through Propagator at N = 256, 512
-and 1024, and prints the medians as JSON, with the tracemalloc peaks of
-narrowing and of band_kernel in KiB beside them (narrowing_peak_kib and
-band_kernel_peak_kib, beyond what the engine held before). Each measured
-engine reads a ChannelPlan of its measurement, built once, as a run builds
-it, and not timed. Every engine is built and timed through
-in_one_row_buffer, as run_blocks steps a run's blocks, so numpy's ufunc
-buffer is one row of N, as in a run. Steps are timed after the engine's
-first measurement, which ends its pure stage and narrows a PVM engine to
-its band:
+and 1024; and a whole run_schedule of the pointer_n1024 benchmark
+workload's shape scaled with N (pointer_run: 40 pointer applications, at
+N = 1024 that workload, stepped in row blocks of BLOCK_ENTRIES). It prints
+the medians as JSON, with the tracemalloc peaks of narrowing and of
+band_kernel in KiB beside them (narrowing_peak_kib and
+band_kernel_peak_kib, beyond what the engine held before) and the run's
+(pointer_run_peak_kib). Each measured engine reads a ChannelPlan of its
+measurement, built once, as a run builds it, and not timed. Every engine
+is built and timed through in_one_row_buffer, as run_blocks steps a run's
+blocks, so numpy's ufunc buffer is one row of N, as in a run. Steps are
+timed after the engine's first measurement, which ends its pure stage and
+narrows a PVM engine to its band:
 
     PYTHONPATH=src python scripts/step_cost.py
 
@@ -42,8 +45,8 @@ from pathlib import Path
 
 import numpy as np
 
-from zenolattice import DistanceConvention, GaussianPacketSpec, PointerSpec
-from zenolattice import build_gaussian_packet, make_regions, pointer_kernel
+from zenolattice import DistanceConvention, GaussianPacketSpec, LatticeConfig, PointerSpec, Scenario
+from zenolattice import Schedule, build_gaussian_packet, make_regions, pointer_kernel, run_schedule
 from zenolattice.propagator import ChannelPlan, Propagator, Snapshots, in_one_row_buffer
 
 INTERVAL = 0.001  # one display unit of natural time
@@ -85,7 +88,8 @@ def peaks_kib(n):
     (narrowing_peak_kib) and of a narrowed one's measure after a leg of a
     new length, which builds its K (band_kernel_peak_kib), each traced
     after one untraced, in the one-row ufunc buffer that run_blocks gives a
-    run."""
+    run; and the peak of the pointer run (pointer_run_peak_kib), traced
+    after one untraced too."""
     state, measurements = _workload(n)
     plan = ChannelPlan(measurements["pvm_step"])
     narrowed = Propagator(state, plan)
@@ -103,7 +107,11 @@ def peaks_kib(n):
     def peaks():
         narrowed.advance(INTERVAL)
         narrowed.measure()  # narrows, so that each new_leg builds a K
-        return {"narrowing_peak_kib": _peak_kib(fresh), "band_kernel_peak_kib": _peak_kib(new_leg)}
+        return {
+            "narrowing_peak_kib": _peak_kib(fresh),
+            "band_kernel_peak_kib": _peak_kib(new_leg),
+            "pointer_run_peak_kib": _peak_kib(lambda: lambda: run_schedule(_pointer_run(n))),
+        }
 
     return in_one_row_buffer(n, peaks)
 
@@ -134,6 +142,18 @@ def _workload(n):
     }
 
 
+def _pointer_run(n):
+    """The pointer_n1024 benchmark workload's scenario, scaled with N as
+    _workload scales alpha: 40 applications at interval 10, records at 0,
+    200 and 400."""
+    return Scenario(
+        lattice=LatticeConfig(n),
+        state=GaussianPacketSpec(n // 2, n / 32, 0),
+        measurement=PointerSpec(0.2 * 256 / n),
+        schedule=Schedule(10.0, 400.0, (0.0, 200.0, 400.0)),
+    )
+
+
 def _costs(n):
     state, measurements = _workload(n)
     unmeasured = Propagator(state)
@@ -144,6 +164,7 @@ def _costs(n):
         engine.measure()
     off_grid.advance(INTERVAL / 2)
     snapshots = Snapshots(1, n)
+    pointer_run = _pointer_run(n)
 
     def snapshot(engine):
         engine.record(snapshots, 0)
@@ -158,6 +179,7 @@ def _costs(n):
         "off_grid_snapshot": median_s(lambda: snapshot(off_grid)),
         "narrowing": first_measure_s(state, ChannelPlan(measurements["pvm_step"])),
         "band_kernel": median_s(lambda: (kernel.advance(next(lengths)), kernel.measure())),
+        "pointer_run": median_s(lambda: run_schedule(pointer_run)),
     }
     for name, measurement in measurements.items():
         engine = Propagator(state, ChannelPlan(measurement))

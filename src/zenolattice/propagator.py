@@ -127,9 +127,14 @@ leg's phase table keeps conj u beside u, so a leg builds no conj u.
 run_blocks compiles the run's measurement once, into a ChannelPlan that
 every block's engine reads; a block of a per-site PVM or a compact kernel
 narrows on its own. It splits the rows of such a run into blocks of
-about BLOCK_ENTRIES entries, small enough that a block's G stays in a
-core's L2 cache, and takes each block through the whole schedule on its
-own, one after the other, so the run holds one block's engine at a time.
+about BLOCK_ENTRIES entries and takes each block through the whole
+schedule on its own, one after the other, so the run holds one block's
+engine at a time and peaks at one block's G, about 256 KiB, beside the
+state, the leg's phase table and the snapshots. Each block also builds
+its own pure record, phase table and G and makes its own measure calls:
+pointer_n1024 steps its 80 kept rows as 5 blocks of 16, and its warm run
+takes 5-8 % longer than in 3 blocks at 2**15 entries, for a G of 256 KiB,
+not 432; at 2**13 entries it took 19-28 % longer.
 A snapshot writes its rows' partials, the row sums s[delta], the squared
 norms of the rows and the real part of row 0 with its largest imaginary
 part, into a Snapshots object: the sums and norms as one piece per block,
@@ -197,9 +202,10 @@ dropped rows go with it: a copy of the kept rows would hold both arrays
 at once (pointer_n1024's blocks peak in a measure after the first one,
 with G, the leg's phase table and the FFT's row buffer alive). A block whose rows are all gone stops: its remaining
 operations would step and record no row.
-Rows the blocks of pointer_n1024 (3 blocks, 80 rows at the start) hold
-after 1, 5, 10, 20 and 40 applications: 78, 33, 14, 6 and 2, 13.2 on
-average. Propagator itself holds all rows by default and drops none.
+Rows the blocks of pointer_n1024 (5 blocks, 80 rows at the start) hold
+after 1, 5, 10, 20 and 40 applications: 78, 34, 14, 6 and 2, 13.2 on
+average; blocks 2 to 5 empty after measurements 10, 6, 4 and 3.
+Propagator itself holds all rows by default and drops none.
 
 The position-basis functions in lattice and channels compute the same
 steps one at a time; the tests use them as this engine's reference.
@@ -218,9 +224,10 @@ from .lattice import StateVector, dispersion_table
 
 __all__ = ["ChannelPlan", "Propagator", "Snapshots", "in_one_row_buffer", "row_cut", "run_blocks"]
 
-# Entries of G per row block: 2**15 complex128 values are 512 KiB, well
-# inside the reference machine's 4 MiB L2 per core.
-BLOCK_ENTRIES = 2**15
+# Entries of G per row block of a row-local run, which peaks at one
+# block's G: 2**14 complex128 values are 256 KiB. Only such a run splits;
+# an unmeasured run or one whose plan couples rows is one block.
+BLOCK_ENTRIES = 2**14
 # Entries of the chunk of rows, N columns wide, that a narrowed engine takes
 # where its band's padding cannot hold its scratch (_scratch): 16 rows at
 # N = 256.
@@ -661,7 +668,7 @@ class Propagator:
         built as G's row 0 is. The squared row norms, sum_k q(k) q(k - delta),
         do not depend on t; they are correlated directly, as row_cut
         correlates the l1 norms. The row sums are fft_N(p), for p(n) =
-        |psi(t)(n)|^2."""
+        |psi(t)(n)|^2; at t = 0 psi is ifft_N(phi), with no phases built."""
         n, phi, rows = self._n, self._phi, self._rows
         row = np.multiply(phi.conj(), phi / n)
         q = row.real
@@ -671,7 +678,7 @@ class Propagator:
         doubled = np.concatenate([q, q[: n // 2]])
         norms[:] = np.correlate(doubled[rows.start : rows.stop + n - 1], q)
         del row, q, doubled  # before psi's arrays come
-        psi = np.fft.ifft(phi * _pure_phases(n, self._pending))
+        psi = np.fft.ifft(phi * _pure_phases(n, self._pending) if self._pending else phi)
         pairs = psi.view(np.float64).reshape(n, 2)
         sums[:] = np.fft.fft(np.einsum("ij,ij->i", pairs, pairs))[rows.start : rows.stop]
 

@@ -61,7 +61,6 @@ from zenolattice import (
 )
 from zenolattice import harness, propagator
 from zenolattice.propagator import (
-    CHUNK_ENTRIES,
     ChannelPlan,
     Propagator,
     Snapshots,
@@ -860,8 +859,8 @@ def test_each_block_engine_builds_one_leg_table(workload):
     workload starts on the measurement grid, so each block engine builds
     one phase table over the whole run, at its second leg, the first being
     the pure stage's, and the PVM, which narrows, one band kernel K from
-    it. The pointer run steps only the 80 rows its row cut keeps, in 3
-    blocks, which hold 78 of them after the first measurement."""
+    it. The pointer run steps only the 80 rows its row cut keeps, in 5
+    blocks of 16, which hold 78 of them after the first measurement."""
     scenario = named_scenario(workload)
     blocks, built = [], Propagator.__init__
 
@@ -887,7 +886,7 @@ def test_each_block_engine_builds_one_leg_table(workload):
 def test_a_run_builds_its_channel_plan_once(workload):
     """run_blocks compiles the measurement into one read-only plan, read by
     every block engine: one build for pvm_packet's single block and one for
-    the 3 blocks of the pointer_n1024 benchmark workload."""
+    the 5 blocks of the pointer_n1024 benchmark workload."""
     scenario = named_scenario(workload)
     builds, compile_plan = [], ChannelPlan.__init__
 
@@ -1033,9 +1032,9 @@ def test_snapshots_are_allocated_when_first_recorded():
 
 
 def test_snapshots_hold_only_the_rows_each_block_recorded():
-    """pointer_stationary is one block of the 82 rows its row cut keeps,
-    which its re-cut drops to 68, 44, 29 and 9 by its later records: each
-    snapshot holds sums and norms only for the rows the block held when it
+    """pointer_stationary is 2 blocks of the 82 rows its row cut keeps,
+    which their re-cuts drop to 68, 43, 27 and 8 by its later records: each
+    snapshot holds sums and norms only for the rows each block held when it
     recorded it, one piece of 3 float64 entries a row, and none for the
     other rows of the 129."""
     scenario = load_scenario(SCENARIOS / "pointer_stationary.ini")
@@ -1054,7 +1053,7 @@ def test_snapshots_hold_only_the_rows_each_block_recorded():
         assert [rows for rows, _ in pieces] == [rows for _, k, rows in recorded if k == j]
         assert all(piece.size == 3 * len(rows) for rows, piece in pieces)
         held.append(sum(len(rows) for rows, _ in pieces))
-    assert held == [82, 68, 44, 29, 9]
+    assert held == [82, 68, 43, 27, 8]
 
 
 @st.composite
@@ -1382,11 +1381,11 @@ def assert_emptied_blocks_stop(scenario):
 
 
 def test_pointer_n1024_emptied_blocks_stop():
-    """Blocks 2 and 3 of the pointer_n1024 workload drop their last rows
-    after measurements 7 and 4: they skip the rest of the run, 142 of the
-    249 engine calls that replay makes."""
+    """Blocks 2 to 5 of the pointer_n1024 workload drop their last rows
+    after measurements 10, 6, 4 and 3: they skip the rest of the run, 282
+    of the 415 engine calls that replay makes."""
     skipped = assert_emptied_blocks_stop(named_scenario("pointer_n1024"))
-    assert skipped == {"advance": 69, "measure": 69, "record": 4}
+    assert skipped == {"advance": 137, "measure": 137, "record": 8}
 
 
 @settings(max_examples=10, deadline=None)
@@ -1398,9 +1397,9 @@ def test_emptied_blocks_stop_on_damped_runs(scenario):
 def test_row_blocks_start_no_thread():
     """run_blocks steps every block on the calling thread: with the host
     said to have two cores and every thread start refused, the
-    pointer_n1024 workload (3 blocks) runs, and so does a position
+    pointer_n1024 workload (5 blocks) runs, and so does a position
     eigenstate at N = 1024 under its pointer, whose row cut keeps all 513
-    rows, in 17 blocks that each take their rows once."""
+    rows, in 33 blocks that each take their rows once."""
     n = 1024
     state = build_initial_state(PositionEigenstateSpec(512), n)
     taken = []
@@ -1411,17 +1410,18 @@ def test_row_blocks_start_no_thread():
         records = run_schedule(named_scenario("pointer_n1024"))
         run_blocks(state, pointer, [(lambda engine: taken.append(engine._rows),)])
     assert len(records) == 3
-    assert len(taken) == 17
+    assert len(taken) == 33
     assert sorted(row for rows in taken for row in rows) == list(range(n // 2 + 1))
 
 
 def test_pointer_n1024_peak_is_one_block_at_a_time():
     """The pointer_n1024 workload holds one block's engine at a time, each
     stepped in a one-row ufunc buffer, and its snapshots hold sums and
-    norms only for the rows each block recorded: its run peaks at 0.533 to
-    0.536 MiB, below 0.55 MiB in each of three runs (0.566 when every
-    snapshot held all 513 rows, 0.574 when each block built its rows at
-    its start and built conj u on every leg, 0.684 with numpy's 128 KiB
+    norms only for the rows each block recorded: in 5 blocks of 16 rows, a
+    G of 256 KiB each, its run peaks at 0.362 to 0.364 MiB, below 0.38 MiB
+    in each of three runs (0.534 in 3 blocks of 26 and 27 rows, 0.566 when
+    every snapshot held all 513 rows, 0.574 when each block built its rows
+    at its start and built conj u on every leg, 0.684 with numpy's 128 KiB
     buffer on every leg and pointer step; two blocks stepped at once
     peaked at 1.09-1.33)."""
     scenario = named_scenario("pointer_n1024")
@@ -1432,7 +1432,7 @@ def test_pointer_n1024_peak_is_one_block_at_a_time():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.55 * 2**20
+        assert peak < 0.38 * 2**20
 
 
 def allocated_beyond(action):
@@ -1803,9 +1803,10 @@ def test_narrowed_window_buffer_lies_in_the_band_padding(measurement):
     buffer is a view of the band's zero padding, rows L..W - L, which is
     exactly 0 after every measure, through legs of two lengths and records
     on and off the grid. Stepped as run_blocks steps it, its first
-    measure, which narrows, allocates at most the band and one chunk of
-    CHUNK_ENTRIES entries: 12 KiB beside the band at N = 256, for G's rows
-    are built in the band's padding and K waits for the second leg."""
+    measure, which narrows, allocates at most the band and 16 KiB: 11.8 to
+    12.8 KiB beside the band at N = 256, for G's rows are built in the
+    band's padding and K waits for the second leg (one chunk of
+    CHUNK_ENTRIES entries, 64 KiB, when they were built apart from it)."""
     n, t = 256, 0.001
     plan = ChannelPlan(measurement)
     keep, width, c, half = plan.band, plan.width, plan.window, n // 2 + 1
@@ -1813,7 +1814,7 @@ def test_narrowed_window_buffer_lies_in_the_band_padding(measurement):
     engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), plan)
     engine.advance(t)
     first = in_one_row_buffer(n, lambda: allocated_beyond(engine.measure))
-    assert first <= (width * half + CHUNK_ENTRIES) * 16
+    assert first <= width * half * 16 + 16 * 1024
     band = engine._g.T
     assert band.shape == (width, half) and band.flags.c_contiguous
     for leg, record_at in ((t, 0.0), (t, 0.5), (0.7 * t, 0.25), (t, 0.0)):
@@ -1956,7 +1957,7 @@ def assert_cut_matches_all_rows(scenario):
         pytest.param(name, kept, final, id=f"{name}-{kept}")
         for name, kept, final in [
             ("pointer_n1024", 80, 2),
-            ("pointer_stationary", 82, 9),
+            ("pointer_stationary", 82, 8),
             ("free_packet", 129, 129),  # unmeasured: one pure engine of all rows
             ("pvm_eigenstate", 129, 129),  # couples rows
             ("pvm_packet", 129, 129),  # couples rows
@@ -2078,6 +2079,28 @@ def test_run_blocks_builds_no_more_blocks_than_rows(monkeypatch):
     _, _, _, blocks = captured_run(scenario)
     assert [len(rows) for _, rows, _ in blocks] == [1] * 82
     assert assert_cut_matches_all_rows(scenario)[0] == 82
+
+
+@pytest.mark.parametrize("name", ["free_packet", "pvm_packet"])
+def test_unmeasured_and_coupled_runs_stay_one_block(name, monkeypatch):
+    """BLOCK_ENTRIES splits only row-local runs: an unmeasured run, which
+    stays pure, and a PVM, whose plan couples rows, each build one engine
+    of all 129 rows even with BLOCK_ENTRIES at 64, a quarter of a row."""
+    monkeypatch.setattr(propagator, "BLOCK_ENTRIES", 64)
+    _, _, _, blocks = captured_run(named_scenario(name))
+    assert [rows for _, rows, _ in blocks] == [range(129)]
+
+
+def test_pointer_n1024_steps_five_blocks_that_tile_its_rows():
+    """At the shipped BLOCK_ENTRIES = 2**14, a G of 256 KiB, the 80 rows that
+    the pointer_n1024 workload's cut keeps go to 5 block engines of 16
+    rows, one after the other, whose rows tile 0..79. Each block builds
+    phi(t)'s phases once, for the first measurement, and none for its
+    record at t = 0, which reads psi(0) off phi as it is."""
+    with mock.patch.object(propagator, "_pure_phases", wraps=propagator._pure_phases) as built:
+        _, _, _, blocks = captured_run(named_scenario("pointer_n1024"))
+    assert [rows for _, rows, _ in blocks] == [range(lo, lo + 16) for lo in range(0, 80, 16)]
+    assert [call.args[1] for call in built.call_args_list] == [0.01] * 5
 
 
 @settings(max_examples=15, deadline=None)
