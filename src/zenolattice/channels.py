@@ -193,8 +193,6 @@ def pointer_kernel(spec: PointerSpec, n_sites: int) -> DampingKernel:
     For alpha large enough that exp(-alpha^2/4) underflows the damping is
     numerically a sharp per-site position measurement.
     """
-    if n_sites < 2:
-        raise ValueError("n_sites must be at least 2")
     d = np.arange(n_sites, dtype=float)
     if spec.distance_convention is DistanceConvention.MINIMAL_IMAGE:
         d = np.minimum(d, n_sites - d)

@@ -8,15 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import (
-    DampingKernel,
-    PointerSpec,
-    RegionPartition,
-    kernel_channel,
-    make_regions,
-    pointer_kernel,
-    pvm_channel,
-)
+from .channels import PointerSpec, RegionPartition, kernel_channel, pvm_channel
 from .lattice import DensityMatrix, LatticeConfig
 from .observables import (
     ObservableRecord,
@@ -27,21 +19,15 @@ from .observables import (
     signed_momentum_values,
 )
 from .propagator import Propagator, Snapshots, run_blocks
-from .scenario import (
-    CustomKernelSpec,
-    MeasurementSpec,
-    NoMeasurement,
-    RegionPvmSpec,
-    Scenario,
-    ScenarioError,
-)
-from .states import GaussianPacketSpec, PositionEigenstateSpec, build_initial_state
+from .scenario import CustomKernelSpec, MeasurementSpec, Scenario, ScenarioError, measurement_operator
+from .states import GaussianPacketSpec, PositionEigenstateSpec
 
-# The position-basis layers run_schedule no longer calls stay bound here:
+# The layers run_schedule no longer calls stay bound here, the position-basis
+# ones and the state builder that Scenario calls:
 # bench/execution.py wraps each layer where this module sees it.
 from .lattice import density_to_momentum, density_to_position, evolve_density  # noqa: F401
 from .observables import position_distribution, purity  # noqa: F401
-from .states import density_from_pure  # noqa: F401
+from .states import build_initial_state, density_from_pure  # noqa: F401
 
 __all__ = [
     "ConvergenceReport",
@@ -55,22 +41,6 @@ __all__ = [
 Channel = Callable[[DensityMatrix], DensityMatrix]
 
 
-def _measurement_operator(
-    measurement: MeasurementSpec, n_sites: int
-) -> DampingKernel | RegionPartition | None:
-    """The damping kernel or region partition a measurement spec describes;
-    None for an unmeasured run."""
-    if isinstance(measurement, NoMeasurement):
-        return None
-    if isinstance(measurement, RegionPvmSpec):
-        return make_regions(n_sites, measurement.m_regions)
-    if isinstance(measurement, PointerSpec):
-        return pointer_kernel(measurement, n_sites)
-    if isinstance(measurement, CustomKernelSpec):
-        return DampingKernel(np.asarray(measurement.values), measurement.distance_convention)
-    raise TypeError(f"unknown measurement spec {type(measurement).__name__}")
-
-
 def build_channel(
     measurement: MeasurementSpec, n_sites: int
 ) -> tuple[Channel | None, RegionPartition | None]:
@@ -79,7 +49,7 @@ def build_channel(
     Returns (channel, partition); channel is None for an unmeasured run and
     partition is None unless the measurement is a region PVM.
     """
-    operator = _measurement_operator(measurement, n_sites)
+    operator = measurement_operator(measurement, n_sites)
     if operator is None:
         return None, None
     if isinstance(operator, RegionPartition):
@@ -168,12 +138,11 @@ def run_schedule(scenario: Scenario) -> list[ObservableRecord]:
     each block; the records are read off the combined snapshots afterwards.
     """
     lattice = scenario.lattice
-    n = lattice.n_sites
-    state = build_initial_state(scenario.state, n)
-    operator = _measurement_operator(scenario.measurement, n)
+    operator = scenario.operator
     record_times = scenario.schedule.record_times
-    snapshots = Snapshots(len(record_times), n)
-    run_blocks(state, operator, _Operations(scenario, operator is not None, snapshots))
+    snapshots = Snapshots(len(record_times), lattice.n_sites)
+    measured = operator is not None
+    run_blocks(scenario.initial_state, operator, _Operations(scenario, measured, snapshots))
 
     partition = operator if isinstance(operator, RegionPartition) else None
     return [

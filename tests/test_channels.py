@@ -151,6 +151,11 @@ class TestPointerKernel:
     def test_same_width_is_fine_under_linear_convention(self):
         pointer_kernel(PointerSpec(0.2, DistanceConvention.LINEAR), 64)
 
+    @pytest.mark.parametrize("convention", list(DistanceConvention))
+    def test_single_site_is_refused_by_the_kernel(self, convention):
+        with pytest.raises(ValueError, match="one entry per site"):
+            pointer_kernel(PointerSpec(0.2, convention), 1)
+
 
 class TestDampingKernel:
     def test_rejects_bad_diagonal(self):

@@ -98,6 +98,19 @@ def test_sweep_regions_on_pointer_scenario_fails(tmp_path, capsys):
     assert "region_pvm" in capsys.readouterr().err
 
 
+def test_sweep_of_a_kernel_that_is_not_psd_writes_nothing(tmp_path, capsys):
+    body = textwrap.dedent(TINY).format(out=tmp_path / "out")
+    body = body.replace("n_sites = 16", "n_sites = 8").replace("center = 4", "center = 2")
+    body = body.replace("kind = region_pvm", "kind = custom_kernel")
+    body = body.replace("regions = 4", "values = 1, 0, 1, 0, 0, 0, 1, 0")
+    path = tmp_path / "not_psd.ini"
+    path.write_text(body)
+    base = tmp_path / "sweep"
+    assert main(["sweep", str(path), "--interval", "none,1", "--out", str(base)]) == 2
+    assert "kernel DFT has negative components" in capsys.readouterr().err
+    assert not base.exists()
+
+
 def test_sweep_requires_exactly_one_axis(tiny_scenario):
     with pytest.raises(SystemExit):
         main(["sweep", str(tiny_scenario)])

@@ -233,17 +233,15 @@ class TestRunSchedule:
         complex entries: it never holds G, for the first measurement builds
         the band from G's rows a chunk at a time, in the band's zero
         padding, where the window buffer stays and where records on and off
-        the grid and band kernels take their N columns too. The
-        measurement is built before tracing starts: a LINEAR kernel's O(N^3)
-        PSD check alone peaks at 2.00 G."""
+        the grid and band kernels take their N columns too. The scenario,
+        and so its measurement, is built before tracing starts: a LINEAR
+        kernel's O(N^3) PSD check alone peaks at 2.00 G."""
         n = 2048
         scenario = packet_scenario(n_sites=n, measurement=measurement, total=4.0,
                                    records=(0.0, 2.5, 4.0), state=GaussianPacketSpec(64, 64.0, 248))
-        operator = harness._measurement_operator(measurement, n)
         tracemalloc.start()
         try:
-            with mock.patch.object(harness, "_measurement_operator", lambda *_: operator):
-                run_schedule(scenario)
+            run_schedule(scenario)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1261,6 +1259,20 @@ def captured_run(scenario):
     return records, args, certificate, blocks
 
 
+@pytest.mark.parametrize(
+    "measurement", [NoMeasurement(), RegionPvmSpec(4), PointerSpec(2.0)], ids=["none", "pvm4", "pointer"]
+)
+def test_run_schedule_steps_the_inputs_its_scenario_built(measurement):
+    """run_schedule builds neither the state nor the measurement operator:
+    it hands run_blocks the ones its scenario built, and so checked, at
+    construction."""
+    scenario = packet_scenario(n_sites=32, measurement=measurement, total=4.0, records=(0.0, 4.0),
+                               state=GaussianPacketSpec(8, 3.0, 5))
+    _, (state, operator, _), _, _ = captured_run(scenario)
+    assert state is scenario.initial_state
+    assert operator is scenario.operator
+
+
 def replay(state, plan, ops, count, blocks):
     """ops stepped on one Propagator per (rows, share) of blocks, one block
     after the other, into snapshots of their own, every op on every block,
@@ -1418,12 +1430,13 @@ def test_pointer_n1024_peak_is_one_block_at_a_time():
     """The pointer_n1024 workload holds one block's engine at a time, each
     stepped in a one-row ufunc buffer, and its snapshots hold sums and
     norms only for the rows each block recorded: in 5 blocks of 16 rows, a
-    G of 256 KiB each, its run peaks at 0.362 to 0.364 MiB, below 0.38 MiB
-    in each of three runs (0.534 in 3 blocks of 26 and 27 rows, 0.566 when
-    every snapshot held all 513 rows, 0.574 when each block built its rows
-    at its start and built conj u on every leg, 0.684 with numpy's 128 KiB
-    buffer on every leg and pointer step; two blocks stepped at once
-    peaked at 1.09-1.33)."""
+    G of 256 KiB each, its run peaks at 0.338 to 0.340 MiB, below 0.355 MiB
+    in each of three runs, as its scenario holds the state and the kernel
+    (0.362 to 0.364 when the run built them, 0.534 in 3 blocks of 26 and 27
+    rows, 0.566 when every snapshot held all 513 rows, 0.574 when each
+    block built its rows at its start and built conj u on every leg, 0.684
+    with numpy's 128 KiB buffer on every leg and pointer step; two blocks
+    stepped at once peaked at 1.09-1.33)."""
     scenario = named_scenario("pointer_n1024")
     for _ in range(3):
         tracemalloc.start()
@@ -1432,7 +1445,7 @@ def test_pointer_n1024_peak_is_one_block_at_a_time():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.38 * 2**20
+        assert peak < 0.355 * 2**20
 
 
 def allocated_beyond(action):

@@ -1,5 +1,6 @@
 """Scenario file parsing and validation."""
 
+import dataclasses
 import textwrap
 
 import pytest
@@ -250,6 +251,30 @@ def test_custom_kernel_length_must_match_lattice(tmp_path):
         )
 
 
+# Symmetric under n -> 8 - n, so a minimal-image kernel, but its DFT has
+# negative components: the Schur matrix is not PSD.
+NOT_PSD = """
+    [lattice]
+    n_sites = 8
+
+    [state]
+    kind = position_eigenstate
+
+    [measurement]
+    kind = custom_kernel
+    values = 1, 0, 1, 0, 0, 0, 1, 0
+
+    [schedule]
+    interval = 1
+    total_time = 5
+"""
+
+
+def test_kernel_that_is_not_psd_is_refused_at_load(tmp_path):
+    with pytest.raises(ScenarioError, match="kernel DFT has negative components"):
+        load_scenario(write(tmp_path, NOT_PSD))
+
+
 def test_schedule_validation_direct():
     with pytest.raises(ValueError):
         Schedule(1.0, 0.0, (0.0,))
@@ -278,6 +303,18 @@ def test_with_interval_strips_measurement_when_none():
     assert retimed.schedule.measurement_interval == 2.5
     # the original is untouched
     assert scenario.schedule.measurement_interval == 1.0
+
+
+def test_scenario_is_frozen_and_derived_with_its_own_inputs():
+    scenario = _tiny_scenario()
+    assert scenario.initial_state.n_sites == 64
+    assert scenario.operator.n_regions == 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scenario.measurement = NoMeasurement()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scenario.operator = None
+    assert with_interval(scenario, None).operator is None
+    assert with_regions(scenario, 8).operator.n_regions == 8
 
 
 def test_with_regions_requires_pvm_scenario():
