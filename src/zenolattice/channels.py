@@ -193,10 +193,13 @@ def pointer_kernel(spec: PointerSpec, n_sites: int) -> DampingKernel:
     For alpha large enough that exp(-alpha^2/4) underflows the damping is
     numerically a sharp per-site position measurement.
     """
+    # exp(-alpha^2/4) is already 0.0 for alpha > 55, so capping alpha at 64
+    # changes no value and keeps alpha^2 d^2 finite for every finite alpha.
+    alpha = min(spec.alpha, 64.0)
     d = np.arange(n_sites, dtype=float)
     if spec.distance_convention is DistanceConvention.MINIMAL_IMAGE:
         d = np.minimum(d, n_sites - d)
-    return DampingKernel(np.exp(-(spec.alpha**2) * d**2 / 4.0), spec.distance_convention)
+    return DampingKernel(np.exp(-(alpha**2) * d**2 / 4.0), spec.distance_convention)
 
 
 def kernel_channel(rho: DensityMatrix, kernel: DampingKernel) -> DensityMatrix:

@@ -92,12 +92,12 @@ def _cmd_sweep(args) -> int:
     values = [tok.strip().lower() for tok in getattr(args, name).split(",") if tok.strip()]
     if not values:
         raise ScenarioError(f"--{name} needs at least one value")
-    for token in values:
-        if name == "interval":
-            derived = with_interval(scenario, _interval(token))
-        else:
-            derived = with_regions(scenario, int(token))
-        records, _ = run_and_emit(derived, f"{base}/{name}_{token}")
+    # Every value is derived, and so checked, before any run writes output.
+    derive = with_interval if name == "interval" else with_regions
+    parse = _interval if name == "interval" else int
+    derived = [derive(scenario, parse(token)) for token in values]
+    for token, variant in zip(values, derived):
+        records, _ = run_and_emit(variant, f"{base}/{name}_{token}")
         print(f"{name}={token}: {_summary_line(records)}")
     return 0
 

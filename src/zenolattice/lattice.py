@@ -82,7 +82,8 @@ class StateVector:
         if amplitudes.ndim != 1:
             raise ValueError("amplitudes must be one-dimensional")
         norm2 = float(np.sum(np.abs(amplitudes) ** 2))
-        if abs(norm2 - 1.0) > 1e-12:
+        # Written so that NaN fails it too.
+        if not abs(norm2 - 1.0) <= 1e-12:
             raise ValueError(f"state is not normalized: |amplitudes|^2 = {norm2}")
         amplitudes.flags.writeable = False
         object.__setattr__(self, "amplitudes", amplitudes)

@@ -1,211 +1,118 @@
 """The stepping engine: one run's density matrix in half chord coordinates.
 
-Pure stage. Until its first measurement a run's state is pure, rho =
-|psi(t)><psi(t)|, so an engine holds only the state's momentum amplitudes
-phi = fft(psi) and the time t since t = 0: a free leg adds to t, and a
-record reads psi(t) off phi (the snapshots below). An unmeasured run never
-leaves this stage, nor does a run whose channel is the identity. The first
-measurement builds the chord rows below from phi(t) = phi exp(-i t E), or,
-for a plan that narrows, its band from them.
+Chord rows. The engine stores the momentum-basis matrix R of
+lattice.density_to_momentum in chord (difference) coordinates,
+G[delta, k] = R[k, k - delta] with indices mod N and k on the contiguous
+axis (Ozorio de Almeida, Phys. Rep. 295 (1998) 265). rho is Hermitian, so
+G[-delta, k] = conj G[delta, k + delta], and the engine keeps only rows
+delta = 0..N/2: Hermiticity holds by construction and cannot drift.
+Round-off can still put imaginary parts on the distributions, which the
+snapshots check. In these coordinates:
 
-The engine stores the momentum-basis matrix R of lattice.density_to_momentum
-in chord (difference) coordinates, G[delta, k] = R[k, k - delta] with indices
-mod N and k on the contiguous axis (Ozorio de Almeida, Phys. Rep. 295 (1998)
-265). rho is Hermitian, so
-
-    G[-delta, k] = conj G[delta, k + delta],
-
-and the engine keeps only rows delta = 0..N/2, an (N/2 + 1) x N array. The
-other rows are read off these ones, so Hermiticity holds by construction
-and cannot drift. Round-off can still leave row 0 not quite real and
-row N/2 not quite its own mirror; the snapshots check the imaginary parts
-that this puts on the distributions. In these coordinates:
-
-- free evolution is an elementwise phase exp(i t (E(k - delta) - E(k)))
-  = u[k - delta] conj u[k], with u = exp(i t E) one N-site vector: two
-  multiplies by views of u, on every row but row delta = 0, the momentum
-  distribution, whose phase is exactly 1: 0 FFT passes;
+- a free leg is the elementwise phase exp(i t (E(k - delta) - E(k))) =
+  u[k - delta] conj u[k], with u = exp(i t E): two multiplies by views of
+  one phase table, on every row but row 0, whose phase is exactly 1, and
+  0 FFT passes;
 - an inverse FFT along k gives H[delta, d], where d = m - n is the site
-  separation of the position-basis entry rho(m, n). A further inverse FFT
-  along delta gives rho((n + d) mod N, n) up to a factor N, and every
-  channel is a fixed mask on that. Column d of the mask is either one
-  value at every n (constant) or not (cut). A constant column is a multiply
-  of column d of H by that value, with no transform along delta; a PVM's
-  are 1 or 0, so its step only fills the 0 ones with zeros. A
-  minimal-image damping kernel has no cut columns: its step is an inverse
-  FFT along k, a multiply by values[d] and an FFT back, one pass in all;
+  separation of rho(m, n), and a further inverse FFT along delta gives
+  rho((n + d) mod N, n) up to a factor N. Every channel is a fixed mask on
+  that. Column d of the mask is either one value at every n (constant),
+  a multiply of column d of H with no transform along delta, or not (cut).
+  A minimal-image kernel cuts no column: its step is an inverse FFT along
+  k, a multiply by values[d] and an FFT back, one pass in all;
 - a region PVM of two regions or more, the largest with L sites, cuts the
-  columns with 0 < min(d, N - d) < L. A LINEAR kernel cuts the columns with
-  values[d] != values[N - d]. The mask is symmetric, so the cut columns
-  lie in a window of the columns d = 1..c and their mirrors N - d, with
+  columns with 0 < min(d, N - d) < L, and a LINEAR kernel the columns with
+  values[d] != values[N - d]. The mask is symmetric, so these lie in a
+  window of the columns d = 1..c and their mirrors N - d, with
   c = min(L - 1, N/2) for a PVM and the largest cut min(d, N - d) for a
-  LINEAR kernel; a constant column inside the window is masked by its
-  value. The identity above becomes
-
-      H[N - delta, d] = exp(-2 pi i delta d / N) conj H[delta, N - d].
-
-  The step reads H d-major, as h[d, delta]: a narrowed engine's band is
-  stored so, and an engine of N columns passes the transposed view of G.
-  It copies rows d = 1..c, entries delta = 0..N/2, into a (c, N) buffer
-  and builds its entries N - delta from rows N - d by that identity, all
-  through basic slices. It transforms that buffer along delta, masks it,
-  transforms it back, copies entries 0..N/2 back to rows d and builds
-  those of rows N - d by the identity again: 1 + 2c/N passes;
+  LINEAR kernel. By H[N - delta, d] = exp(-2 pi i delta d / N)
+  conj H[delta, N - d], the window step (_mask) transforms along delta
+  only a (c, N) buffer that basic slices fill and empty: 1 + 2c/N passes;
 - a snapshot costs O(N^2) and no transform: p(k) is row 0, p(n) is the
-  inverse FFT of the row sums s[delta], with s[N - delta] = conj s[delta]
-  filling in the rest, and the purity is
-  |row 0|^2 + 2 sum_{delta=1}^{N/2-1} |row delta|^2 + |row N/2|^2. In the
-  pure stage p(k) = |phi|^2 / N is row 0 built as G builds it, bit for
-  bit; the row sums are fft_N of p(n) = |psi(t)(n)|^2; and the squared row
-  norms, sum_k p(k) p(k - delta), do not depend on t and are correlated
-  directly, as row_cut correlates the l1 norms: O(N) memory and no G.
+  inverse FFT of the row sums s[delta], with s[N - delta] = conj s[delta],
+  and the purity is the sum of |G|^2 over all N rows (Snapshots).
 
-Band-limited stepping. Every column with min(d, N - d) >= L is 0 at
-every n, for L = 1 + the largest min(d, N - d) that the channel leaves
-nonzero: the largest region for a region PVM, 1 for a per-site PVM, the
-support of a compact kernel. After one measurement H holds only the
-2L - 1 band columns |d| < L. An engine whose width W, the smallest
-integer >= 4L - 3 with no prime factor above 7, is below N narrows at its
-first measurement, and never holds G: G's rows of psi(t) are built from
-phi(t) one chunk at a time, each chunk is transformed by ifft_N along k,
-and its band columns are kept. The band is stored d-major, a (W, rows)
-array read as a (rows, W) view, with column -d at W - d. Its zero
-padding, rows L..W - L, is then one contiguous block of at least
-(2L - 2)(N/2 + 1) entries, more than the (L - 1) N of L - 1 rows of N
-columns. Every N-wide scratch of a narrowed engine, these chunks of G
-included, lies in that padding and is zeroed again after use; it is one
-fresh chunk of CHUNK_ENTRIES entries instead when the padding holds less
-than one row of N, or is not contiguous: a re-cut's prefix view of the
-band leaves a gap after each padding row. G's rows are built each
-on its own, so no row takes round-off from another, which the row cut
-below needs: a transform along delta would spread each column's
-round-off over every row. Multiplying row delta of G by its phases is a
-cyclic convolution of row delta of H with ifft_N(phases) along d. On the
-band only the lags |l| <= 2L - 2 of that kernel reach the band, and with
-W >= 4L - 3 a cyclic product of length W wraps none of its terms onto
-the band. So a narrowed leg is exact: fft_W, a multiply by K = fft_W of
-the kernel cut to those lags, ifft_W, on every row but row 0, whose phase
-is exactly 1. K is built for the first leg after narrowing, d-major as
-the band, one chunk of rows at a time in the band's padding: the leg
-applied to a chunk of ones, ifft_N, and that chunk's lags written into
-K. Then:
+Pure stage. Until its first measurement a run's state is pure, so an
+engine holds only phi = fft(psi) and the time t since t = 0: a free leg
+adds to t, and a record reads psi(t) off phi (_pure_record). An unmeasured
+run never leaves this stage, nor does a run whose channel is the identity.
+The first measurement builds G of psi(t), or for a plan that narrows the
+band below (_pure_chunks).
 
-- advance(t) only adds t to a pending time;
-- measure applies the pending leg with the K of the last leg length, or
-  with a K built the same way for another pending time, which replaces
-  it; then the channel: the window step above runs in a (c, N) view of
-  the band's padding, with the mirror column N - d held at W - d, and the
-  step then zeroes columns L..W - L, the padding, for the next leg. Two
-  transforms of length W replace two of length N: for pvm_packet
-  (N = 256, L = 42) W = 168;
-- record on the grid, with no pending leg, reads the partials off the
-  band: G = fft_N of H along d, so the row sums are N H[:, 0] and, by
-  Parseval, the squared row norms are N sum_d |H|^2; p(k), row 0 of G, is
-  one length-N FFT of band row 0 laid out in N columns of the padding.
-  Off the grid it rebuilds G one chunk of rows at a time in the padding,
-  as fft_N of the band in N columns times the pending leg's phases, and
-  reads each chunk as above into that chunk's rows of the snapshot's
-  partials: that reads the pending leg without applying it to the band
-  or building its K.
+Band. After one measurement H holds only the 2L - 1 band columns |d| < L,
+for L = 1 + the largest min(d, N - d) that the channel leaves nonzero: the
+largest region of a PVM, 1 for a per-site PVM, the support of a compact
+kernel. A leg multiplies row delta of G by its phases, which is a cyclic
+convolution of row delta of H with ifft_N(phases) along d, and only the
+lags |l| <= 2L - 2 of that kernel reach the band. A cyclic product of
+length W >= 4L - 3 wraps none of them onto the band. So an engine whose W,
+the smallest such integer with no prime factor above 7, is below N narrows
+at its first measurement, and its legs are exact: fft_W, a multiply by
+K = fft_W of the kernel cut to those lags, and ifft_W, on every row but
+row 0. It stores the band d-major, a (W, rows) array read as a (rows, W)
+view with column -d at W - d. A leg only adds to a pending time, which the
+next measurement applies before the channel, with the K of the last leg
+length or a new one (_band_kernel). A narrowed engine never holds G:
+narrowing builds G's rows a chunk at a time and keeps their band columns
+(_pure_band), each row on its own, since a transform along delta would
+spread each column's round-off over every row, which the row cut below
+cannot allow. A record on the grid reads the band (_band_record); one off
+it rebuilds G a chunk of rows at a time (_g_chunks).
 
-So a narrowed engine holds its band and K and no array N columns wide:
-narrowing, a new K and records on and off the grid take their N columns
-in the band's padding, and so does the window buffer: for pvm_packet
-85 x 129 = 10,965 padding entries hold the 41 x 256 = 10,496 of the
-buffer, or 42 rows of N for the other scratch. The d-major layout is
-kept for that memory, not for speed: the transposed buffer alone was no
-faster (ROADMAP, Retired), and a narrowed step's strided passes cost it a
-few percent. An engine of N columns builds its own (c, N) buffer in its
-first measurement, and its copies to and from G.T transpose.
+Scratch. The band's zero padding, rows L..W - L of the d-major array, is
+one contiguous block of at least (2L - 2)(N/2 + 1) entries, more than the
+(L - 1) N of L - 1 rows of N columns. Every N-wide scratch of a narrowed
+engine lies there and is set back to 0 after use (_scratch): narrowing's
+chunks of G, a new K's chunks, records on and off the grid, and the window
+step's (c, N) buffer, with the mirror column N - d held at W - d. Only where
+the padding holds less than one row of N, or is not contiguous (a re-cut's
+prefix view), is it one fresh chunk of CHUNK_ENTRIES entries. The d-major
+layout is kept for that memory, not for speed. An engine of N columns
+holds G, the leg's phase table (_phase_vector) and, for a window step, its
+own (c, N) buffer, and no other array of N columns per row.
 
-Free legs, channels without cut columns and snapshots all act on each row
-delta alone, so a Propagator may hold any range of rows, built from
-phi(t) with G[delta, k] = conj phi(t)[k - delta] phi(t)[k] / N, and a
-leg's phases on those rows are u[k - delta] conj u[k]: both are read off
-strided views of conj phi(t) and of u doubled, with no index table. The
-leg's phase table keeps conj u beside u, so a leg builds no conj u.
-run_blocks compiles the run's measurement once, into a ChannelPlan that
-every block's engine reads; a block of a per-site PVM or a compact kernel
-narrows on its own. It splits the rows of such a run into blocks of
-about BLOCK_ENTRIES entries and takes each block through the whole
-schedule on its own, one after the other, so the run holds one block's
-engine at a time and peaks at one block's G, about 256 KiB, beside the
-state, the leg's phase table and the snapshots. Each block also builds
-its own pure record, phase table and G and makes its own measure calls:
-pointer_n1024 steps its 80 kept rows as 5 blocks of 16, and its warm run
-takes 5-8 % longer than in 3 blocks at 2**15 entries, for a G of 256 KiB,
-not 432; at 2**13 entries it took 19-28 % longer.
-A snapshot writes its rows' partials, the row sums s[delta], the squared
-norms of the rows and the real part of row 0 with its largest imaginary
-part, into a Snapshots object: the sums and norms as one piece per block,
-over the rows that block holds at that record, so no row that row_cut
-cut or a block re-cut before the record takes an entry, and p(k) when
-the first block records the snapshot. The observables lay the pieces
-into N/2 + 1 rows, zeros elsewhere, and read them in a fixed order, so
-no result depends on how the rows were split. A channel that cuts a
-column (a PVM of two regions or more, most LINEAR kernels) couples rows
-through its transform along delta, so such a run takes one block of all
-rows, and so does an unmeasured run, which stays pure.
+Row blocks. Free legs, channels without cut columns and snapshots act on
+each row delta alone, so a Propagator may hold any range of rows, and
+run_blocks steps such a run in blocks of about BLOCK_ENTRIES entries, one
+after the other. A channel that cuts a column couples rows through its
+transform along delta, so such a run is one block of all rows, and so is
+an unmeasured run. Snapshots reads the blocks' partials in a fixed order,
+so no result depends on how the rows were split.
 
-Ufunc buffer. numpy copies an operand that is broadcast or not
-contiguous with the output through an iterator buffer, which it allocates
-on each such call: G's build, a free leg's multiply by the lagged view of
-u, a kernel's scale multiply, and every multiply over a strided 2-D view
-of a d-major band or buffer. At numpy's default of 8192 elements that is
-128 KiB of complex128 per operand a call, on every leg and step.
-run_blocks steps its blocks through in_one_row_buffer, where the buffer
-is one row of N elements: at N = 1024 a pointer block's advance
-allocates 1.3 KiB beyond the engine's arrays and its measure 17.3 KiB,
-16 of them the FFT's row buffer, not 145 KiB. The size sets only how many
-elements numpy copies at a time, so no result changes. A caller that
-steps a Propagator itself does so inside in_one_row_buffer too: at
-numpy's default a narrowed or window measure allocates 256-390 KiB.
+Ufunc buffer. numpy copies an operand that is broadcast or not contiguous
+with the output through an iterator buffer, which it allocates on each
+such call: G's build, a leg's lagged view of u, a kernel's scale multiply,
+and every multiply over a strided view of a d-major array. At numpy's
+default of 8192 elements that is 128 KiB of complex128 per operand a call,
+so engines step in in_one_row_buffer: one row of N, and the same results.
 
-Row cut. In a measured run whose plan does not couple rows (a
-minimal-image kernel, an identity or per-site PVM, narrowed or not) no
-step moves weight from one row to another. A free leg multiplies row
-delta by unit-modulus phases; a channel step convolves it along k with
-w = DFT(v) / N, for v[d] the plan's multiplier on column d. So a row's
-l1 norm grows by at most rho = sum |w| per measurement, and rho is 1 for
-a PVM and for a PSD kernel, whose w >= 0 sums to values[0] = 1. The rows
-start at ||G[delta]||_1 = (1/N) sum_k |phi(k)| |phi(k - delta)|, which
-row_cut correlates directly, in O(N) memory: an FFT's round-off floor
-would swamp these sums of 1e-15 and below. p(n) is the inverse FFT of the
-row sums, and |s[delta]| <= ||G[delta]||_1, so dropping rows moves no
-entry of p(n) by more than
-C = (1/N) sum over the dropped rows of ||G[delta]||_1 rho^m,
-with m the run's measurements and each row but N/2 counted with its
-mirror. run_blocks starts from the rows 0..K - 1, for the smallest K with
-C0 = C <= 2**-52, and splits those into its blocks; the other rows of
-every snapshot stay 0. Row 0 is always kept, so p(k) and its moments are
-exact. The purity loses at most the dropped rows' squared norms, at most
-(N C)^2, below half an ulp of a purity >= 1/N for N up to 2**16. A plan
-that couples rows keeps all N/2 + 1, and so does a state whose rows are
-all above the cut: a position eigenstate, whose rows all have l1 norm 1.
-An unmeasured run cuts no row: its one engine stays pure, with no rows to
-step.
+Row cut. In a measured run whose plan does not couple rows no step moves
+weight from one row to another: a free leg multiplies row delta by
+unit-modulus phases, and a channel step convolves it along k with
+w = DFT(v) / N, for v[d] the plan's multiplier on column d. So a row's l1
+norm grows by at most rho = sum |w| per measurement, which is 1 for a PVM
+and for a PSD kernel. The rows start at ||G[delta]||_1 = (1/N) sum_k
+|phi(k)| |phi(k - delta)|, which row_cut correlates directly, in O(N)
+memory. p(n) is the inverse FFT of the row sums, and |s[delta]| <=
+||G[delta]||_1, so dropping rows moves no entry of p(n) by more than
+C = (1/N) sum over the dropped rows of ||G[delta]||_1 rho^m, with m the
+run's measurements and each row but N/2 counted with its mirror.
+run_blocks keeps the rows 0..K - 1 for the smallest K with C0 = C <=
+2**-52. Row 0 is always kept, so p(k) and its moments are exact. The
+purity loses at most (N C)^2, below half an ulp of a purity >= 1/N for N
+up to 2**16. A plan that couples rows keeps all N/2 + 1 rows.
 
-Re-cut. A pointer damps every row delta > 0 as the run goes on: over the
-40 applications of the pointer_n1024 benchmark workload row 10's l1 norm
-falls from 0.62 to 4.9e-28. So run_blocks gives each block an equal share
-of the budget 2**-52 - C0, fixed before any block starts, and after each
-measurement a block drops the longest suffix of its rows whose current
-l1 norms, counted as in C with rho raised to the measurements still to
-come, fit in what is left of its share. The bound holds from the drop on:
-no later step lets a row's l1 norm grow by more than rho per measurement.
-The run's certificate C is C0 plus every row a block dropped, still at
-most 2**-52, and no decision depends on another block.
-A block drops rows through a prefix view of the one G (once narrowed,
-band) array it built, and of its K, and steps the kept rows there: no
-copy, no resize. The run holds one block's engine at a time, and the
-dropped rows go with it: a copy of the kept rows would hold both arrays
-at once (pointer_n1024's blocks peak in a measure after the first one,
-with G, the leg's phase table and the FFT's row buffer alive). A block whose rows are all gone stops: its remaining
-operations would step and record no row.
-Rows the blocks of pointer_n1024 (5 blocks, 80 rows at the start) hold
-after 1, 5, 10, 20 and 40 applications: 78, 34, 14, 6 and 2, 13.2 on
-average; blocks 2 to 5 empty after measurements 10, 6, 4 and 3.
-Propagator itself holds all rows by default and drops none.
+Re-cut. A pointer damps every row delta > 0 as the run goes on. So
+run_blocks gives each block an equal share of the budget 2**-52 - C0,
+fixed before any block starts, and after each measurement a block drops
+the longest suffix of its rows whose current l1 norms, counted as in C
+with rho raised to the measurements still to come, fit in what is left of
+its share; a narrowed block charges N sum_d |H[delta, d]| >= ||G[delta]||_1.
+No later step lets a row's l1 norm grow by more than rho per measurement,
+so the run's certificate C, C0 plus every row a block dropped, is still at
+most 2**-52, and no decision depends on another block. A block keeps its
+rows as a prefix view of the arrays it built, with no copy, and stops once
+they are all gone. Propagator itself holds all rows and drops none.
 
 The position-basis functions in lattice and channels compute the same
 steps one at a time; the tests use them as this engine's reference.
@@ -311,37 +218,22 @@ class Propagator:
     """Exact free evolution and repeated measurement of one state, in place.
 
     plan is the run's compiled measurement, shared with every other block
-    of the run, or None for a run that is never measured. Until its first
-    measurement the engine is in its pure stage: it holds the state's
-    momentum amplitudes phi and the time since t = 0, and records read
-    psi(t) off them; an engine without a plan never leaves it. The first
-    measurement builds G of psi(t) on the engine's rows or, when the plan
-    narrows, the band of H from G's rows a chunk at a time, d-major, in
-    its own zero padding, where the window step's buffer then stays. The
-    engine then keeps the phase table of the last leg length t it applied,
-    exp(i t E) and its conjugate (_phase_vector), or once narrowed that
-    length's band kernel, d-major too, so a run of equal legs builds it
-    once; a leg of another length builds its own in its place. Besides G,
-    the plan and, for a channel that couples rows, the window step's (c, N)
-    buffer, an engine that keeps all N columns holds no array of N columns
-    per row; a narrowed one holds its band and K, never G, and takes the N
-    columns it builds the band, a new K or a record in as a view of the
-    band's zero padding (_scratch), or as one fresh chunk of CHUNK_ENTRIES
-    entries where that padding is not contiguous or too small. Step an
-    engine inside in_one_row_buffer, as run_blocks, the tests and
-    scripts/step_cost.py do: at numpy's default ufunc buffer each narrowed
-    or window measure allocates 256-390 KiB more. rows is the range of
-    rows delta the engine holds, all of 0..N/2 by default; a plan that
-    couples rows needs all of them. share, if given, is the part of the
-    run's certificate budget that the engine may spend on rows it drops
-    after each measurement (the module docstring's re-cut), and
-    measurements the number of measurements the run makes; spent is what
-    it has spent. A narrowed engine re-cuts too, charging each row
-    N sum_d |H[delta, d]| >= ||G[delta]||_1. It steps its kept rows as a
-    prefix view of the arrays it built and frees none of them before it
-    goes: a run holds one engine at a time. Without a share the engine
-    keeps its rows. The state's amplitudes were checked to be normalized
-    when it was built; its ring must have a power-of-two size.
+    of the run, or None for a run that is never measured, whose engine
+    stays in its pure stage. The engine keeps the phase table of the last
+    leg length it applied (_phase_vector), or once narrowed that length's
+    band kernel, so a run of equal legs builds it once; a leg of another
+    length builds its own in its place. Step an engine inside
+    in_one_row_buffer, as run_blocks, the tests and scripts/step_cost.py
+    do: at numpy's default ufunc buffer each narrowed or window measure
+    allocates numpy's iterator buffers. rows is the range of rows delta the
+    engine holds, all of 0..N/2 by default; a plan that couples rows needs
+    all of them. share, if given, is the part of the run's certificate
+    budget that the engine may spend on rows it drops after each
+    measurement (the module docstring's re-cut), and measurements the
+    number of measurements the run makes; spent is what it has spent.
+    Without a share the engine keeps its rows. The state's amplitudes were
+    checked to be normalized when it was built; its ring must have a
+    power-of-two size.
     """
 
     def __init__(
@@ -835,8 +727,8 @@ def in_one_row_buffer(n: int, action: Callable[[], T]) -> T:
     caller's size comes back on return, also when action raises: the scope
     is numpy's errstate, local to the context. run_blocks steps its blocks
     in it; a caller that steps a Propagator directly wraps those steps in
-    it too, or each narrowed or window measure allocates 256-390 KiB of
-    numpy's iterator buffers."""
+    it too, or each narrowed or window measure allocates numpy's iterator
+    buffers of the default size."""
     with np.errstate():
         np.setbufsize(min(-(-n // 16) * 16, np.getbufsize()))
         return action()

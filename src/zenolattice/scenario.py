@@ -38,8 +38,8 @@ initial state and the measurement operator once, which checks them against
 the lattice: the packet's centre and momentum or the site, the region count,
 a custom kernel's length, a kernel's values in [0, 1] with values[0] = 1, and
 the PSD property of its Schur matrix. That last check is a DFT for a
-minimal-image kernel but an O(N^3) eigenvalue computation for a LINEAR one
-(0.12 s at N = 1024), and it runs at load, not when the scenario runs.
+minimal-image kernel but an O(N^3) eigenvalue computation for a LINEAR one,
+and it runs at load, not when the scenario runs.
 """
 
 from __future__ import annotations

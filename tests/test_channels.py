@@ -139,6 +139,13 @@ class TestPointerKernel:
         kernel = pointer_kernel(PointerSpec(12.0), 256)
         assert kernel.values[1:].max() < 1e-15
 
+    @pytest.mark.parametrize("convention", list(DistanceConvention))
+    @pytest.mark.parametrize("alpha", [1e154, 1e200, np.finfo(float).max])
+    def test_any_finite_alpha_gives_the_per_site_limit(self, alpha, convention):
+        # The suite turns numpy's overflow RuntimeWarning into an error.
+        kernel = pointer_kernel(PointerSpec(alpha, convention), 16)
+        np.testing.assert_array_equal(kernel.values, np.eye(16)[0])
+
     def test_minimal_image_is_symmetric(self):
         kernel = pointer_kernel(PointerSpec(0.3), 64)
         np.testing.assert_allclose(kernel.values[1:], kernel.values[1:][::-1])

@@ -64,6 +64,17 @@ def test_missing_scenario_fails_cleanly(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the Gaussian's 0/0 normalization
+def test_run_of_a_state_that_normalizes_to_nan_writes_nothing(tmp_path, capsys):
+    body = textwrap.dedent(TINY).format(out=tmp_path / "out")
+    body = body.replace("width = 2", "width = 1e-300")
+    path = tmp_path / "nan.ini"
+    path.write_text(body)
+    assert main(["run", str(path)]) == 2
+    assert "not normalized" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_scenario_fails_cleanly(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text(textwrap.dedent(TINY).format(out=tmp_path).replace("n_sites = 16", "n_sites = 17"))
@@ -108,6 +119,14 @@ def test_sweep_of_a_kernel_that_is_not_psd_writes_nothing(tmp_path, capsys):
     base = tmp_path / "sweep"
     assert main(["sweep", str(path), "--interval", "none,1", "--out", str(base)]) == 2
     assert "kernel DFT has negative components" in capsys.readouterr().err
+    assert not base.exists()
+
+
+@pytest.mark.parametrize("axis, values", [("--interval", "4,-1"), ("--regions", "2,abc")])
+def test_sweep_with_an_invalid_value_writes_nothing(tiny_scenario, tmp_path, capsys, axis, values):
+    base = tmp_path / "sweep"
+    assert main(["sweep", str(tiny_scenario), axis, values, "--out", str(base)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
     assert not base.exists()
 
 

@@ -199,6 +199,11 @@ def test_state_vector_rejects_unnormalized():
         StateVector(np.ones(8, dtype=complex))
 
 
+def test_state_vector_rejects_nan_amplitudes():
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector(np.full(8, np.nan))
+
+
 def test_state_vector_amplitudes_are_a_read_only_copy():
     """The normalization check holds for the state's life: its amplitudes
     can be neither written nor replaced after it, and the caller's array

@@ -1,6 +1,9 @@
 """Smoke runs of the experiment scripts on small inputs, and of one traced
-benchmark execution: each runs to the end against the current API."""
+benchmark execution: each runs to the end against the current API. Also a
+guard that keeps the names of benchmark workloads and shipped scenarios
+out of the package."""
 
+import ast
 import json
 import os
 import runpy
@@ -106,3 +109,25 @@ def test_traced_benchmark_execution_finds_every_layer(tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["errors"] == []
     assert "layers" in result
+
+
+def test_no_line_in_the_package_names_a_workload_or_scenario():
+    """Figures of single runs live in README's table of measured figures,
+    not in the package, so no line under src/zenolattice names a benchmark
+    workload or a shipped scenario. bench/workloads.py is read, not imported."""
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    workloads = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["NAMES"]
+    )
+    names = {*workloads, *(path.stem for path in (ROOT / "scenarios").glob("*.ini"))}
+    assert {"pvm_packet", "pointer_n1024", "free_packet"} <= names
+    hits = [
+        f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+        for path in sorted((ROOT / "src" / "zenolattice").rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if any(name in line for name in names)
+    ]
+    assert hits == []
