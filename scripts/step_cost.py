@@ -14,11 +14,13 @@ band) and of the same with half a leg pending (off_grid_snapshot, which
 rebuilds G a chunk of rows at a time), through Propagator at N = 256, 512
 and 1024; and a whole run_schedule of the pointer_n1024 benchmark
 workload's shape scaled with N (pointer_run: 40 pointer applications, at
-N = 1024 that workload, stepped in row blocks of BLOCK_ENTRIES). It prints
-the medians as JSON, with the tracemalloc peaks of narrowing and of
-band_kernel in KiB beside them (narrowing_peak_kib and
-band_kernel_peak_kib, beyond what the engine held before) and the run's
-(pointer_run_peak_kib). Each measured engine reads a ChannelPlan of its
+N = 1024 that workload, stepped in row blocks of BLOCK_ENTRIES), and the
+same run at alpha = 256 / N (wide_pointer_run), whose plan narrows to
+W = 224 / 441 / 875 columns at N = 256 / 512 / 1024. It prints the medians
+as JSON, with the tracemalloc peaks of narrowing and of band_kernel in KiB
+beside them (narrowing_peak_kib and band_kernel_peak_kib, beyond what the
+engine held before) and the two runs' (pointer_run_peak_kib and
+wide_pointer_run_peak_kib). Each measured engine reads a ChannelPlan of its
 measurement, built once, as a run builds it, and not timed. Every engine
 is built and timed through in_one_row_buffer, as run_blocks steps a run's
 blocks, so numpy's ufunc buffer is one row of N, as in a run. Steps are
@@ -88,8 +90,8 @@ def peaks_kib(n):
     (narrowing_peak_kib) and of a narrowed one's measure after a leg of a
     new length, which builds its K (band_kernel_peak_kib), each traced
     after one untraced, in the one-row ufunc buffer that run_blocks gives a
-    run; and the peak of the pointer run (pointer_run_peak_kib), traced
-    after one untraced too."""
+    run; and the peaks of the two pointer runs (pointer_run_peak_kib and
+    wide_pointer_run_peak_kib), each traced after one untraced too."""
     state, measurements = _workload(n)
     plan = ChannelPlan(measurements["pvm_step"])
     narrowed = Propagator(state, plan)
@@ -111,6 +113,7 @@ def peaks_kib(n):
             "narrowing_peak_kib": _peak_kib(fresh),
             "band_kernel_peak_kib": _peak_kib(new_leg),
             "pointer_run_peak_kib": _peak_kib(lambda: lambda: run_schedule(_pointer_run(n))),
+            "wide_pointer_run_peak_kib": _peak_kib(lambda: lambda: run_schedule(_pointer_run(n, 256 / n))),
         }
 
     return in_one_row_buffer(n, peaks)
@@ -142,14 +145,14 @@ def _workload(n):
     }
 
 
-def _pointer_run(n):
+def _pointer_run(n, alpha=None):
     """The pointer_n1024 benchmark workload's scenario, scaled with N as
-    _workload scales alpha: 40 applications at interval 10, records at 0,
-    200 and 400."""
+    _workload scales alpha unless alpha is given: 40 applications at
+    interval 10, records at 0, 200 and 400."""
     return Scenario(
         lattice=LatticeConfig(n),
         state=GaussianPacketSpec(n // 2, n / 32, 0),
-        measurement=PointerSpec(0.2 * 256 / n),
+        measurement=PointerSpec(0.2 * 256 / n if alpha is None else alpha),
         schedule=Schedule(10.0, 400.0, (0.0, 200.0, 400.0)),
     )
 
@@ -164,7 +167,7 @@ def _costs(n):
         engine.measure()
     off_grid.advance(INTERVAL / 2)
     snapshots = Snapshots(1, n)
-    pointer_run = _pointer_run(n)
+    pointer_run, wide_pointer_run = _pointer_run(n), _pointer_run(n, 256 / n)
 
     def snapshot(engine):
         engine.record(snapshots, 0)
@@ -180,6 +183,7 @@ def _costs(n):
         "narrowing": first_measure_s(state, ChannelPlan(measurements["pvm_step"])),
         "band_kernel": median_s(lambda: (kernel.advance(next(lengths)), kernel.measure())),
         "pointer_run": median_s(lambda: run_schedule(pointer_run)),
+        "wide_pointer_run": median_s(lambda: run_schedule(wide_pointer_run)),
     }
     for name, measurement in measurements.items():
         engine = Propagator(state, ChannelPlan(measurement))

@@ -18,7 +18,7 @@ from .observables import (
     region_masses,
     signed_momentum_values,
 )
-from .propagator import Propagator, Snapshots, run_blocks
+from .propagator import ChannelPlan, Propagator, Snapshots, run_blocks
 from .scenario import CustomKernelSpec, MeasurementSpec, Scenario, ScenarioError, measurement_operator
 from .states import GaussianPacketSpec, PositionEigenstateSpec
 
@@ -92,29 +92,32 @@ class _Operations:
     a run holds one operation at a time, not two per measurement.
 
     Measurements fall at interval, 2*interval, ... up to total_time; nothing
-    is applied at time zero. Record times may fall anywhere (evolution is
-    exact for arbitrary sub-interval durations) and recording is passive.
-    When a record time coincides with a measurement time the measurement is
-    applied first. Every pass computes the same legs, bit for bit.
+    is applied at time zero, and nothing at all when interval is None.
+    Record times may fall anywhere (evolution is exact for arbitrary
+    sub-interval durations) and recording is passive. When a record time
+    coincides with a measurement time the measurement is applied first.
+    Every pass computes the same legs, bit for bit.
     """
 
-    def __init__(self, scenario: Scenario, measured: bool, snapshots: Snapshots) -> None:
+    def __init__(self, scenario: Scenario, interval: float | None, snapshots: Snapshots) -> None:
         self._lattice = scenario.lattice
-        self._schedule = scenario.schedule
-        self._interval = self._schedule.measurement_interval if measured else None
+        self._record_times = scenario.schedule.record_times
+        self._interval = interval
         self._snapshots = snapshots
 
     def __iter__(self):
-        lattice, schedule, interval = self._lattice, self._schedule, self._interval
+        lattice, interval = self._lattice, self._interval
         step = lattice.to_natural_time(interval) if interval is not None else None
         snap = 1e-9 * (interval if interval is not None else 1.0)
         now = 0.0
         applied = 0
-        for j, target in enumerate(schedule.record_times):
+        for j, target in enumerate(self._record_times):
             if interval is not None:
                 while True:
+                    # Every record time lies in [0, total_time], so no
+                    # measurement past total_time is due either.
                     due = (applied + 1) * interval
-                    if due > schedule.total_time + snap or due > target + snap:
+                    if due > target + snap:
                         break
                     # A leg that starts at a measurement is one whole interval,
                     # the same float every time, so the engine keeps its phases.
@@ -132,6 +135,10 @@ class _Operations:
 def run_schedule(scenario: Scenario) -> list[ObservableRecord]:
     """Run one scenario and return a record per scheduled record time.
 
+    The scenario's operator is compiled here into the run's one ChannelPlan,
+    and here alone the run decides whether it measures: only with a
+    measurement interval and a plan that is not the identity. Otherwise it
+    is the unmeasured run, with no plan and no measurement, bit for bit.
     The schedule becomes operations on a Propagator (_Operations): free
     legs are elementwise phases and each measurement is applied in place.
     run_blocks takes each block of rows through them, generated afresh for
@@ -139,10 +146,14 @@ def run_schedule(scenario: Scenario) -> list[ObservableRecord]:
     """
     lattice = scenario.lattice
     operator = scenario.operator
+    interval = scenario.schedule.measurement_interval
     record_times = scenario.schedule.record_times
     snapshots = Snapshots(len(record_times), lattice.n_sites)
-    measured = operator is not None
-    run_blocks(scenario.initial_state, operator, _Operations(scenario, measured, snapshots))
+    plan = ChannelPlan(operator) if operator is not None and interval is not None else None
+    if plan is not None and plan.identity:
+        plan = None
+    ops = _Operations(scenario, interval if plan is not None else None, snapshots)
+    run_blocks(scenario.initial_state, plan, ops)
 
     partition = operator if isinstance(operator, RegionPartition) else None
     return [

@@ -35,9 +35,11 @@ snapshots check. In these coordinates:
 Pure stage. Until its first measurement a run's state is pure, so an
 engine holds only phi = fft(psi) and the time t since t = 0: a free leg
 adds to t, and a record reads psi(t) off phi (_pure_record). An unmeasured
-run never leaves this stage, nor does a run whose channel is the identity.
-The first measurement builds G of psi(t), or for a plan that narrows the
-band below (_pure_chunks).
+run never leaves this stage. A run whose channel is the identity, or that
+has no measurement interval, is the unmeasured run: harness.run_schedule
+gives it no plan, and no engine checks for the identity. The first
+measurement builds G of psi(t), or for a plan that narrows the band below
+(_pure_chunks).
 
 Band. After one measurement H holds only the 2L - 1 band columns |d| < L,
 for L = 1 + the largest min(d, N - d) that the channel leaves nonzero: the
@@ -163,7 +165,10 @@ class ChannelPlan:
     built here is complex, which numpy would otherwise cast on every step.
     growth is rho = sum |w| of the module docstring, for w = DFT(values) / N
     of a kernel, 1 for a PVM; it bounds a row's l1 growth per measurement
-    only in a plan that does not couple rows.
+    only in a plan that does not couple rows. identity says that the
+    channel cuts no column and scales each by 1, as a 1-region PVM or an
+    all-ones kernel does; an engine applies such a plan like any other,
+    and harness.run_schedule runs it as the unmeasured run instead.
     """
 
     def __init__(self, measurement: DampingKernel | RegionPartition) -> None:
@@ -200,7 +205,6 @@ class ChannelPlan:
             band = c + 1
         self.band, self.window, self.couples, self.growth = band, c, c > 0, growth
         self.width = min(_smooth_width(4 * band - 3), n)
-        # No cut column and a scale of 1 everywhere: the channel is the identity.
         ones = scale is None or bool(np.all(scale == 1.0))
         self.identity = not c and 2 * band > n and ones
         if scale is not None and self.width < n:
@@ -368,8 +372,6 @@ class Propagator:
         stage."""
         if self._plan is None:
             raise ValueError("this run has no measurement")
-        if self._plan.identity:
-            return
         if self._g is None:
             self._g = self._pure_band() if self._plan.width < self._n else self._pure_rows()
         elif self._narrowed:
@@ -523,13 +525,12 @@ class Propagator:
         if not self._narrowed:
             yield self._rows, self._g
             return
-        turns = self._phase_vector(self._pending) if self._pending else None
+        turns = self._phase_vector(self._pending)
         with self._scratch(self._g.T, len(self._rows)) as scratch:
             for part, rows, g in _spans(self._rows, scratch):
                 _band_columns(self._g[part], self._plan.band, g)
                 np.fft.fft(g, axis=1, out=g)
-                if turns is not None:
-                    self._free_leg(g, turns, rows)
+                self._free_leg(g, turns, rows)
                 yield rows, g
 
     def record(self, snapshots: Snapshots, j: int) -> None:
@@ -668,17 +669,13 @@ class Snapshots:
         return float(norms[0] + norms[-1] + 2.0 * norms[1:-1].sum())
 
 
-def run_blocks(
-    state: StateVector,
-    measurement: DampingKernel | RegionPartition | None,
-    ops: Iterable[tuple],
-) -> float:
+def run_blocks(state: StateVector, plan: ChannelPlan | None, ops: Iterable[tuple]) -> float:
     """Take every block of the rows that row_cut keeps through ops, each
-    block on a Propagator of its own; all of them read the one ChannelPlan
-    built here. An unmeasured run is one engine of all rows, which stays in
-    its pure stage, with no cut. Returns the run's certificate C <= 2**-52:
-    row_cut's plus what every block spent on the rows it dropped, 0 for an
-    unmeasured run.
+    block on a Propagator of its own; all of them read plan, the run's one
+    ChannelPlan, which no block rebuilds. plan is None for an unmeasured
+    run: one engine of all rows, which stays in its pure stage, with no
+    cut. Returns the run's certificate C <= 2**-52: row_cut's plus what
+    every block spent on the rows it dropped, 0 for an unmeasured run.
 
     ops yields (method, *args), with method Propagator.advance,
     Propagator.measure or Propagator.record, and must yield the same ones
@@ -693,7 +690,6 @@ def run_blocks(
     to record, so it allocates every snapshot's partials.
     """
     n = state.n_sites
-    plan = None if measurement is None else ChannelPlan(measurement)
     measurements = sum(op[0] is Propagator.measure for op in ops)
     # An unmeasured run stays pure: one engine of all rows, none cut.
     whole = plan is None or plan.couples

@@ -331,9 +331,12 @@ def load_scenario(path: str | Path) -> Scenario:
         out_sec = section("output")
         output_dir = out_sec.take("directory", str, "out")
         out_sec.finish()
-
-        return Scenario(lattice, state, measurement, schedule, output_dir)
     except ScenarioError:
         raise
     except ValueError as err:
+        raise ScenarioError(f"{path}: {err}") from None
+    # Scenario builds the state and the operator; their errors name the file too.
+    try:
+        return Scenario(lattice, state, measurement, schedule, output_dir)
+    except ScenarioError as err:
         raise ScenarioError(f"{path}: {err}") from None

@@ -33,8 +33,9 @@ class GaussianPacketSpec:
     momentum_index: int = 0
 
     def __post_init__(self) -> None:
-        if not self.width > 0:
-            raise ValueError("width must be positive")
+        # The envelope divides by width^2, which is 0 below about 1e-162.
+        if not (self.width > 0 and self.width * self.width > 0):
+            raise ValueError(f"width must be positive, with a square above 0: got {self.width!r}")
 
 
 @dataclass
@@ -53,9 +54,11 @@ def build_gaussian_packet(spec: GaussianPacketSpec, n_sites: int) -> StateVector
     n = np.arange(n_sites)
     dist = np.abs(n - spec.center)
     dist = np.minimum(dist, n_sites - dist).astype(float)
-    amplitudes = np.exp(-(dist**2) / spec.width**2) * np.exp(
-        2j * np.pi * spec.momentum_index * n / n_sites
-    )
+    # A width below a site sends dist^2 / width^2 to inf off the centre,
+    # whose envelope is then exactly 0.
+    with np.errstate(over="ignore"):
+        envelope = np.exp(-(dist**2) / spec.width**2)
+    amplitudes = envelope * np.exp(2j * np.pi * spec.momentum_index * n / n_sites)
     amplitudes /= np.linalg.norm(amplitudes)
     return StateVector(amplitudes)
 

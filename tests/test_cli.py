@@ -64,14 +64,13 @@ def test_missing_scenario_fails_cleanly(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the Gaussian's 0/0 normalization
-def test_run_of_a_state_that_normalizes_to_nan_writes_nothing(tmp_path, capsys):
+def test_run_of_a_width_whose_square_is_zero_writes_nothing(tmp_path, capsys):
     body = textwrap.dedent(TINY).format(out=tmp_path / "out")
     body = body.replace("width = 2", "width = 1e-300")
-    path = tmp_path / "nan.ini"
+    path = tmp_path / "narrow.ini"
     path.write_text(body)
     assert main(["run", str(path)]) == 2
-    assert "not normalized" in capsys.readouterr().err
+    assert "width must be positive" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

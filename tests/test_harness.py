@@ -140,6 +140,27 @@ class TestRunSchedule:
         for later in records[1:]:
             np.testing.assert_array_equal(later.momentum_dist, records[0].momentum_dist)
 
+    @pytest.mark.parametrize(
+        "measurement", [RegionPvmSpec(1), CustomKernelSpec((1.0,) * 64)], ids=["pvm1", "ones"]
+    )
+    def test_identity_channel_leaves_the_state_alone(self, measurement):
+        """A channel that cuts no column and scales every one by 1 is the
+        identity, so run_schedule runs it as the unmeasured run: one pure
+        engine of all rows with no plan, no measurement and C = 0, whose
+        records equal that run's bit for bit, a record between two
+        measurement times too."""
+        scenario = packet_scenario(n_sites=64, measurement=measurement, total=4.0, records=(0.0, 2.5, 4.0),
+                                   state=GaussianPacketSpec(8, 3.0, 5))
+        records, (_, plan, ops), certificate, blocks = captured_run(scenario)
+        assert plan is None and measurements_in(ops) == 0 and certificate == 0.0
+        assert [(rows, share) for _, rows, share in blocks] == [(range(33), None)]
+        for got, want in zip(records, run_schedule(with_interval(scenario, None))):
+            for field in ("position_dist", "momentum_dist"):
+                np.testing.assert_array_equal(getattr(got, field).view(np.uint64),
+                                              getattr(want, field).view(np.uint64))
+            assert math.copysign(1.0, got.purity) == math.copysign(1.0, want.purity)
+            assert got.purity == want.purity
+
     def test_custom_kernel_measurement_runs(self):
         n = 16
         values = np.exp(-0.25 * np.minimum(np.arange(n), n - np.arange(n)).astype(float) ** 2)
@@ -296,8 +317,8 @@ def snapshot(engine, n):
 
 
 def plan_of(measurement):
-    """The run's channel plan, as run_blocks builds it; None for a run that
-    is never measured."""
+    """The run's channel plan, as run_schedule compiles it; None for a run
+    that is never measured."""
     return None if measurement is None else ChannelPlan(measurement)
 
 
@@ -405,23 +426,6 @@ class TestPropagator:
         expected = np.fft.fft(np.fft.ifft(engine._g, axis=1) * kernel.values, axis=1)
         engine.measure()
         np.testing.assert_array_equal(engine._g, expected)
-
-    @pytest.mark.parametrize(
-        "operator", [make_regions(64, 1), DampingKernel(np.ones(64))], ids=["pvm1", "ones"]
-    )
-    def test_identity_channel_leaves_the_state_alone(self, operator):
-        """A channel that cuts no column and scales every one by 1 is
-        skipped: the engine stays in its pure stage, with no G, and records
-        what an engine with no measurement records, bit for bit."""
-        state = build_initial_state(GaussianPacketSpec(8, 3.0, 5), 64)
-        engine, free = Propagator(state, ChannelPlan(operator)), Propagator(state)
-        for each in (engine, free):
-            each.advance(0.001)
-        engine.measure()
-        assert engine._g is None
-        rows = range(33)
-        for got, want in zip(snapshot(engine, 64).partials(0, rows), snapshot(free, 64).partials(0, rows)):
-            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("n, lo, hi", [(8, 0, 5), (64, 3, 33), (256, 0, 129), (256, 64, 129)])
     def test_tables_match_an_index_gather(self, n, lo, hi):
@@ -674,17 +678,14 @@ def check_snapshot(engine, rho):
 def test_width_after_the_first_measurement(measurement, width):
     """The first measurement narrows an engine to W columns, the smallest
     7-smooth width >= 4L - 3, when W < N; pointers at the shipped alphas
-    keep all N. A 1-region PVM is the identity: its engine stays in its
-    pure stage and builds no chord rows at all."""
+    keep all N, and so does a 1-region PVM, the identity, which an engine
+    applies as any other plan (run_schedule runs it unmeasured)."""
     n = measurement.n_sites
     engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), ChannelPlan(measurement))
     engine.advance(0.001)
     engine.measure()
     assert engine._plan.width == width == expected_width(measurement)
-    if engine._plan.identity:
-        assert engine._g is None
-    else:
-        assert engine._g.shape[1] == width
+    assert engine._g.shape[1] == width
 
 
 def test_narrowed_engine_holds_nothing_wider_than_w():
@@ -882,8 +883,8 @@ def test_each_block_engine_builds_one_leg_table(workload):
 
 @pytest.mark.parametrize("workload", ["pvm_packet", "pointer_n1024"])
 def test_a_run_builds_its_channel_plan_once(workload):
-    """run_blocks compiles the measurement into one read-only plan, read by
-    every block engine: one build for pvm_packet's single block and one for
+    """run_schedule compiles the measurement into one read-only plan, read
+    by every block engine: one build for pvm_packet's single block and one for
     the 5 blocks of the pointer_n1024 benchmark workload."""
     scenario = named_scenario(workload)
     builds, compile_plan = [], ChannelPlan.__init__
@@ -1240,8 +1241,8 @@ def assert_same_records(got, want):
 
 
 def captured_run(scenario):
-    """run_schedule's records; the state, measurement and operations it
-    hands run_blocks, and the certificate C that run_blocks returns; and
+    """run_schedule's records; the state, plan and operations it hands
+    run_blocks, and the certificate C that run_blocks returns; and
     the block engines that run_blocks builds, each with the rows and share
     it was built with."""
     calls, blocks, build = [], [], Propagator.__init__
@@ -1264,13 +1265,24 @@ def captured_run(scenario):
 )
 def test_run_schedule_steps_the_inputs_its_scenario_built(measurement):
     """run_schedule builds neither the state nor the measurement operator:
-    it hands run_blocks the ones its scenario built, and so checked, at
-    construction."""
+    it hands run_blocks the state its scenario built, and so checked, at
+    construction, and a plan compiled from the scenario's operator, or no
+    plan for an unmeasured run."""
     scenario = packet_scenario(n_sites=32, measurement=measurement, total=4.0, records=(0.0, 4.0),
                                state=GaussianPacketSpec(8, 3.0, 5))
-    _, (state, operator, _), _, _ = captured_run(scenario)
+    compiled, compile_plan = [], ChannelPlan.__init__
+
+    def logged(self, operator):
+        compile_plan(self, operator)
+        compiled.append((self, operator))
+
+    with mock.patch.object(ChannelPlan, "__init__", logged):
+        _, (state, plan, _), _, _ = captured_run(scenario)
     assert state is scenario.initial_state
-    assert operator is scenario.operator
+    if scenario.operator is None:
+        assert plan is None and compiled == []
+    else:
+        assert compiled == [(plan, scenario.operator)]
 
 
 def replay(state, plan, ops, count, blocks):
@@ -1328,9 +1340,8 @@ def test_row_blocks_match_one_block_of_all_rows(scenario):
     compares the cut with all rows."""
     drops, spy = spy_drops()
     with spy:
-        records, (state, operator, ops), certificate, blocks = captured_run(scenario)
+        records, (state, plan, ops), certificate, blocks = captured_run(scenario)
 
-    plan = plan_of(operator)
     assert list(ops) == list(ops)  # generated afresh on each pass, the same each time
     measurements = measurements_in(ops)
     kept, cut = cut_of(state, plan, measurements)
@@ -1377,8 +1388,8 @@ def assert_emptied_blocks_stop(scenario):
     those calls. Returns how many calls of each method run_schedule skips."""
     calls, spies = spy_engine_calls()
     with spies[0], spies[1], spies[2]:
-        records, (state, operator, ops), certificate, blocks = captured_run(scenario)
-        run, plan = len(calls), plan_of(operator)
+        records, (state, plan, ops), certificate, blocks = captured_run(scenario)
+        run = len(calls)
         whole, spent = replay(state, plan, ops, len(records), [(rows, share) for _, rows, share in blocks])
         _, cut = cut_of(state, plan, measurements_in(ops))  # ops hold the spies
     replayed = calls[run:]
@@ -1420,7 +1431,7 @@ def test_row_blocks_start_no_thread():
     with mock.patch.object(os, "cpu_count", return_value=2), \
             mock.patch.object(threading.Thread, "start", refused):
         records = run_schedule(named_scenario("pointer_n1024"))
-        run_blocks(state, pointer, [(lambda engine: taken.append(engine._rows),)])
+        run_blocks(state, ChannelPlan(pointer), [(lambda engine: taken.append(engine._rows),)])
     assert len(records) == 3
     assert len(taken) == 33
     assert sorted(row for rows in taken for row in rows) == list(range(n // 2 + 1))
@@ -1941,14 +1952,14 @@ def assert_cut_matches_all_rows(scenario):
     C (plus 1e-17 of round-off), nor by more than 1e-15. C is row_cut's C0
     plus every row a block dropped, at most 2**-52. Returns the number of
     rows the cut keeps and the number the blocks hold at the end."""
-    records, (state, operator, ops), certificate, blocks = captured_run(scenario)
-    plan = plan_of(operator)
+    records, (state, plan, ops), certificate, blocks = captured_run(scenario)
     kept, cut = cut_of(state, plan, measurements_in(ops))
     half = state.n_sites // 2 + 1
     assert cut <= certificate <= 2.0**-52
     if plan is not None and plan.couples:
         assert (kept, certificate) == (half, 0.0)
     whole, _ = replay(state, plan, ops, len(records), [(range(half), None)])
+    operator = scenario.operator
     partition = operator if isinstance(operator, RegionPartition) else None
     for j, rec in enumerate(records):
         want = harness._snapshot(whole, j, scenario.lattice, rec.time_display, partition)
@@ -1979,6 +1990,39 @@ def assert_cut_matches_all_rows(scenario):
 )
 def test_row_cut_moves_only_position_entries_within_its_certificate(name, kept, final):
     assert assert_cut_matches_all_rows(named_scenario(name)) == (kept, final)
+
+
+@pytest.mark.parametrize(
+    "derive",
+    [
+        lambda s: replace(s, schedule=replace(s.schedule, measurement_interval=None)),
+        lambda s: replace(s, measurement=RegionPvmSpec(1)),
+        lambda s: replace(s, measurement=CustomKernelSpec((1.0,) * 256)),
+        lambda s: replace(s, measurement=CustomKernelSpec((1.0,) * 256, DistanceConvention.LINEAR)),
+    ],
+    ids=["no_interval", "pvm1", "ones_minimal_image", "ones_linear"],
+)
+def test_runs_without_a_channel_are_the_unmeasured_run(derive, tmp_path):
+    """pointer_stationary with no measurement interval, or measured by an
+    identity channel (a 1-region PVM, an all-ones kernel under either
+    distance convention), is the unmeasured run: one Propagator of rows
+    0..128 with no plan, no share and C = 0. It writes the CSVs of
+    with_interval(scenario, None) byte for byte, but for the 1-region PVM's
+    region_mass_0 column at the end of each summary line."""
+    scenario = named_scenario("pointer_stationary")
+    derived = derive(scenario)
+    _, (_, plan, ops), certificate, blocks = captured_run(derived)
+    assert plan is None and measurements_in(ops) == 0 and certificate == 0.0
+    assert [(rows, share) for _, rows, share in blocks] == [(range(129), None)]
+    _, want = run_and_emit(with_interval(scenario, None), tmp_path / "unmeasured")
+    _, got = run_and_emit(derived, tmp_path / "derived")
+    for got_path, want_path in zip(got[:2], want[:2]):
+        assert got_path.read_bytes() == want_path.read_bytes()
+    summary, expected = (path.read_bytes().split(b"\n") for path in (got[2], want[2]))
+    if isinstance(derived.measurement, RegionPvmSpec):
+        assert summary[0] == expected[0] + b",region_mass_0"
+        summary = [line.rsplit(b",", 1)[0] for line in summary[:-1]] + summary[-1:]
+    assert summary == expected
 
 
 @pytest.mark.parametrize(

@@ -275,6 +275,23 @@ def test_kernel_that_is_not_psd_is_refused_at_load(tmp_path):
         load_scenario(write(tmp_path, NOT_PSD))
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (FULL.replace("center = 8", "center = 300"), "center 300 outside [0, 256)"),
+        (NOT_PSD, "kernel DFT has negative components"),
+    ],
+    ids=["state", "kernel"],
+)
+def test_build_errors_name_the_file(tmp_path, body, message):
+    """A state or a measurement operator that the lattice cannot hold is
+    refused with the file's name in front, as every other load error is."""
+    path = write(tmp_path, body)
+    with pytest.raises(ScenarioError) as caught:
+        load_scenario(path)
+    assert str(caught.value).startswith(f"{path}: {message}")
+
+
 def test_schedule_validation_direct():
     with pytest.raises(ValueError):
         Schedule(1.0, 0.0, (0.0,))

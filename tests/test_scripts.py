@@ -76,13 +76,19 @@ def test_step_cost_reports_every_operation():
         "narrowing",
         "band_kernel",
         "pointer_run",
+        "wide_pointer_run",
         "pointer_step",
         "pvm_step",
         "pvm16_step",
         "linear_step",
     }
     assert all(seconds > 0 for seconds in costs.values())
-    assert set(peaks) == {"narrowing_peak_kib", "band_kernel_peak_kib", "pointer_run_peak_kib"}
+    assert set(peaks) == {
+        "narrowing_peak_kib",
+        "band_kernel_peak_kib",
+        "pointer_run_peak_kib",
+        "wide_pointer_run_peak_kib",
+    }
     assert all(kib > 0 for kib in peaks.values())
 
 

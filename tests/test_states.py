@@ -92,6 +92,20 @@ class TestGaussianPacket:
         with pytest.raises(ValueError):
             build_gaussian_packet(GaussianPacketSpec(8, 8.0, -128), 256)
 
+    def test_rejects_a_width_whose_square_is_zero(self):
+        """The envelope divides by width^2, so a width whose square is 0 is
+        refused, not built into a state of NaNs."""
+        with pytest.raises(ValueError, match="width must be positive"):
+            GaussianPacketSpec(8, 1e-300, 31)
+
+    def test_sub_site_width_leaves_only_the_centre(self):
+        """A width far below one site sends every other site's envelope to
+        exactly 0, with no overflow warning on the way."""
+        state = build_gaussian_packet(GaussianPacketSpec(8, 1e-160, 0), 64)
+        expected = np.zeros(64, dtype=complex)
+        expected[8] = 1.0
+        np.testing.assert_array_equal(state.amplitudes, expected)
+
 
 class TestPositionEigenstate:
     def test_delta_distribution(self):
