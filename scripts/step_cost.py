@@ -1,18 +1,18 @@
 """Median cost in reference milliseconds of each stepping-engine operation.
 
-Times a free leg of the length the engine applied last (free_leg) and of a
-length it has not applied yet (new_leg, which builds the leg's phase
-table), on a pointer engine that holds G; a pointer step, a 6-region and a
-16-region PVM step, a LINEAR-kernel step (a step is one leg and one
-measurement); the first measurement of a 6-region engine (narrowing, which
-builds its band from G's rows a chunk at a time, with no G); the measure
-of a narrowed 6-region engine after a leg of a new length (band_kernel,
-which builds the leg's band kernel K); and snapshots: of an unmeasured
-engine (snapshot, read off psi(t) in its pure stage), of a 6-region engine
-after narrowing on the measurement grid (narrowed_snapshot, read off its
-band) and of the same with half a leg pending (off_grid_snapshot, which
-rebuilds G a chunk of rows at a time), through Propagator at N = 256, 512
-and 1024; and a whole run_schedule of the pointer_n1024 benchmark
+Times a pointer step, a 6-region and a 16-region PVM step, a LINEAR-kernel
+step (a step is one measure: a leg of the interval, then the channel); the
+first measurement of a 6-region engine (narrowing, which builds its band
+from G's rows a chunk at a time, with no G); a measure of a narrowed
+6-region engine whose leg has a new length (band_kernel, which builds the
+leg's band kernel K); and snapshots: of an unmeasured engine (snapshot,
+read off psi(t) in its pure stage), of a 6-region engine after narrowing
+on the measurement grid (narrowed_snapshot, read off its band) and half an
+interval after it (off_grid_snapshot, which rebuilds G a chunk of rows at
+a time), and of a pointer engine, which holds G, half an interval after
+its measurement (off_grid_pointer_snapshot, which sums G's rows times the
+leg's phases), through Propagator at N = 256, 512 and 1024; and a whole
+run_schedule of the pointer_n1024 benchmark
 workload's shape scaled with N (pointer_run: 40 pointer applications, at
 N = 1024 that workload, stepped in row blocks of BLOCK_ENTRIES), and the
 same run at alpha = 256 / N (wide_pointer_run), whose plan narrows to
@@ -66,14 +66,14 @@ def median_s(action):
 
 
 def first_measure_s(state, plan):
-    """Median wall seconds of the first measure of a fresh engine after one
-    leg; the first of REPEATS + 1 engines sets up FFT plans untimed."""
+    """Median wall seconds of the first measure of a fresh engine, a leg of
+    one interval; the first of REPEATS + 1 engines sets up FFT plans
+    untimed."""
     times = []
     for _ in range(REPEATS + 1):
         engine = Propagator(state, plan)
-        engine.advance(INTERVAL)
         start = time.perf_counter()
-        engine.measure()
+        engine.measure(INTERVAL)
         times.append(time.perf_counter() - start)
     return float(np.median(times[1:]))
 
@@ -86,8 +86,8 @@ def costs(n):
 
 def peaks_kib(n):
     """The tracemalloc peaks, in KiB beyond what the engine held before, of
-    a fresh 6-region engine's first measure after one leg
-    (narrowing_peak_kib) and of a narrowed one's measure after a leg of a
+    a fresh 6-region engine's first measure, a leg of one interval
+    (narrowing_peak_kib), and of a narrowed one's measure whose leg has a
     new length, which builds its K (band_kernel_peak_kib), each traced
     after one untraced, in the one-row ufunc buffer that run_blocks gives a
     run; and the peaks of the two pointer runs (pointer_run_peak_kib and
@@ -99,16 +99,14 @@ def peaks_kib(n):
 
     def fresh():
         engine = Propagator(state, plan)
-        engine.advance(INTERVAL)
-        return engine.measure
+        return lambda: engine.measure(INTERVAL)
 
     def new_leg():
-        narrowed.advance(next(lengths))
-        return narrowed.measure
+        t = next(lengths)
+        return lambda: narrowed.measure(t)
 
     def peaks():
-        narrowed.advance(INTERVAL)
-        narrowed.measure()  # narrows, so that each new_leg builds a K
+        narrowed.measure(INTERVAL)  # narrows, so that each new_leg builds a K
         return {
             "narrowing_peak_kib": _peak_kib(fresh),
             "band_kernel_peak_kib": _peak_kib(new_leg),
@@ -160,34 +158,31 @@ def _pointer_run(n, alpha=None):
 def _costs(n):
     state, measurements = _workload(n)
     unmeasured = Propagator(state)
-    free = Propagator(state, ChannelPlan(measurements["pointer_step"]))
-    narrowed, off_grid, kernel = (Propagator(state, ChannelPlan(measurements["pvm_step"])) for _ in range(3))
-    for engine in (free, narrowed, off_grid, kernel):
-        engine.advance(INTERVAL)
-        engine.measure()
-    off_grid.advance(INTERVAL / 2)
+    pointer = Propagator(state, ChannelPlan(measurements["pointer_step"]))
+    narrowed, kernel = (Propagator(state, ChannelPlan(measurements["pvm_step"])) for _ in range(2))
+    for engine in (pointer, narrowed, kernel):
+        engine.measure(INTERVAL)
     snapshots = Snapshots(1, n)
     pointer_run, wide_pointer_run = _pointer_run(n), _pointer_run(n, 256 / n)
 
-    def snapshot(engine):
-        engine.record(snapshots, 0)
+    def snapshot(engine, t):
+        engine.record(snapshots, 0, t)
         snapshots.position_distribution(0), snapshots.momentum_distribution(0), snapshots.purity(0)
 
     lengths = (INTERVAL * (1 + j / 1000) for j in itertools.count(1))
     row = {
-        "free_leg": median_s(lambda: free.advance(INTERVAL)),
-        "new_leg": median_s(lambda: free.advance(next(lengths))),
-        "snapshot": median_s(lambda: snapshot(unmeasured)),
-        "narrowed_snapshot": median_s(lambda: snapshot(narrowed)),
-        "off_grid_snapshot": median_s(lambda: snapshot(off_grid)),
+        "snapshot": median_s(lambda: snapshot(unmeasured, 0.0)),
+        "narrowed_snapshot": median_s(lambda: snapshot(narrowed, 0.0)),
+        "off_grid_snapshot": median_s(lambda: snapshot(narrowed, INTERVAL / 2)),
+        "off_grid_pointer_snapshot": median_s(lambda: snapshot(pointer, INTERVAL / 2)),
         "narrowing": first_measure_s(state, ChannelPlan(measurements["pvm_step"])),
-        "band_kernel": median_s(lambda: (kernel.advance(next(lengths)), kernel.measure())),
+        "band_kernel": median_s(lambda: kernel.measure(next(lengths))),
         "pointer_run": median_s(lambda: run_schedule(pointer_run)),
         "wide_pointer_run": median_s(lambda: run_schedule(wide_pointer_run)),
     }
     for name, measurement in measurements.items():
         engine = Propagator(state, ChannelPlan(measurement))
-        row[name] = median_s(lambda: (engine.advance(INTERVAL), engine.measure()))
+        row[name] = median_s(lambda: engine.measure(INTERVAL))
     return row
 
 

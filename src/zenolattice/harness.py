@@ -68,9 +68,9 @@ def _snapshot(
     mom = snapshots.momentum_distribution(j)
     for name, dist in (("position", pos), ("momentum", mom)):
         total = float(dist.sum())
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:  # NaN fails too
             raise ValueError(f"{name} distribution sums to {total!r} at t={display_time}")
-        if float(dist.min()) < -1e-12:
+        if not float(dist.min()) >= -1e-12:
             raise ValueError(f"{name} distribution has entry {dist.min():.3e} at t={display_time}")
     masses = region_masses(pos, partition) if partition is not None else np.empty(0)
     return ObservableRecord(
@@ -87,16 +87,19 @@ def _snapshot(
 
 
 class _Operations:
-    """A schedule's operations on a Propagator, (method, *args) with method
-    Propagator.advance, measure or record, generated afresh on each pass:
-    a run holds one operation at a time, not two per measurement.
+    """A schedule's operations on a Propagator, generated afresh on each
+    pass: a run holds one operation at a time, not one per measurement.
 
     Measurements fall at interval, 2*interval, ... up to total_time; nothing
-    is applied at time zero, and nothing at all when interval is None.
-    Record times may fall anywhere (evolution is exact for arbitrary
-    sub-interval durations) and recording is passive. When a record time
-    coincides with a measurement time the measurement is applied first.
-    Every pass computes the same legs, bit for bit.
+    is applied at time zero, and nothing at all when interval is None. Each
+    is (Propagator.measure, step), its leg one whole interval, the same float
+    every time, so the engine keeps its phases. Record times may fall
+    anywhere (evolution is exact for arbitrary sub-interval durations); each
+    is (Propagator.record, snapshots, j, elapsed), for elapsed the natural
+    time since the last measurement, or since time zero, and a record writes
+    nothing to the state. When a record time coincides with a measurement
+    time the measurement is applied first. Every pass yields the same
+    operations, bit for bit.
     """
 
     def __init__(self, scenario: Scenario, interval: float | None, snapshots: Snapshots) -> None:
@@ -109,27 +112,16 @@ class _Operations:
         lattice, interval = self._lattice, self._interval
         step = lattice.to_natural_time(interval) if interval is not None else None
         snap = 1e-9 * (interval if interval is not None else 1.0)
-        now = 0.0
         applied = 0
         for j, target in enumerate(self._record_times):
-            if interval is not None:
-                while True:
-                    # Every record time lies in [0, total_time], so no
-                    # measurement past total_time is due either.
-                    due = (applied + 1) * interval
-                    if due > target + snap:
-                        break
-                    # A leg that starts at a measurement is one whole interval,
-                    # the same float every time, so the engine keeps its phases.
-                    on_grid = now == applied * interval
-                    yield Propagator.advance, step if on_grid else lattice.to_natural_time(due - now)
-                    yield (Propagator.measure,)
-                    now = due
-                    applied += 1
-            if target - now > snap:
-                yield Propagator.advance, lattice.to_natural_time(target - now)
-                now = target
-            yield Propagator.record, self._snapshots, j
+            # Every record time lies in [0, total_time], so no measurement
+            # past total_time is due either.
+            while interval is not None and (applied + 1) * interval <= target + snap:
+                yield Propagator.measure, step
+                applied += 1
+            elapsed = target - applied * interval if applied else target
+            t = lattice.to_natural_time(elapsed) if elapsed > snap else 0.0
+            yield Propagator.record, self._snapshots, j, t
 
 
 def run_schedule(scenario: Scenario) -> list[ObservableRecord]:
@@ -139,8 +131,9 @@ def run_schedule(scenario: Scenario) -> list[ObservableRecord]:
     and here alone the run decides whether it measures: only with a
     measurement interval and a plan that is not the identity. Otherwise it
     is the unmeasured run, with no plan and no measurement, bit for bit.
-    The schedule becomes operations on a Propagator (_Operations): free
-    legs are elementwise phases and each measurement is applied in place.
+    The schedule becomes operations on a Propagator (_Operations): one
+    measure per measurement, its leg one whole interval, and one record,
+    which reads the state and leaves it be, per record time.
     run_blocks takes each block of rows through them, generated afresh for
     each block; the records are read off the combined snapshots afterwards.
     """

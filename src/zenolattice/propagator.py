@@ -32,14 +32,20 @@ snapshots check. In these coordinates:
   inverse FFT of the row sums s[delta], with s[N - delta] = conj s[delta],
   and the purity is the sum of |G|^2 over all N rows (Snapshots).
 
+Steps. An engine is stepped by two calls. measure(t) applies free
+evolution for natural time t since its last measurement, or since t = 0 in
+its pure stage, and then the channel. record(snapshots, j, t) reads the
+state t after its last measurement, or after t = 0, and writes nothing to
+it, so adding record times moves no other record.
+
 Pure stage. Until its first measurement a run's state is pure, so an
-engine holds only phi = fft(psi) and the time t since t = 0: a free leg
-adds to t, and a record reads psi(t) off phi (_pure_record). An unmeasured
-run never leaves this stage. A run whose channel is the identity, or that
-has no measurement interval, is the unmeasured run: harness.run_schedule
-gives it no plan, and no engine checks for the identity. The first
-measurement builds G of psi(t), or for a plan that narrows the band below
-(_pure_chunks).
+engine holds only phi = fft(psi): a record at t reads psi(t) off phi
+(_pure_record), and the first measurement builds G of psi(t), or for a plan
+that narrows the band below (_pure_chunks). An unmeasured run never leaves
+this stage, and each of its records reads psi at its own time. A run whose
+channel is the identity, or that has no measurement interval, is the
+unmeasured run: harness.run_schedule gives it no plan, and no engine checks
+for the identity.
 
 Band. After one measurement H holds only the 2L - 1 band columns |d| < L,
 for L = 1 + the largest min(d, N - d) that the channel leaves nonzero: the
@@ -52,14 +58,16 @@ the smallest such integer with no prime factor above 7, is below N narrows
 at its first measurement, and its legs are exact: fft_W, a multiply by
 K = fft_W of the kernel cut to those lags, and ifft_W, on every row but
 row 0. It stores the band d-major, a (W, rows) array read as a (rows, W)
-view with column -d at W - d. A leg only adds to a pending time, which the
-next measurement applies before the channel, with the K of the last leg
-length or a new one (_band_kernel). A narrowed engine never holds G:
-narrowing builds G's rows a chunk at a time and keeps their band columns
-(_pure_band), each row on its own, since a transform along delta would
-spread each column's round-off over every row, which the row cut below
-cannot allow. A record on the grid reads the band (_band_record); one off
-it rebuilds G a chunk of rows at a time (_g_chunks).
+view with column -d at W - d. A measurement applies its leg before the
+channel, with the K of the last leg length or a new one (_band_kernel). A
+narrowed engine never holds G: narrowing builds G's rows a chunk at a time
+and keeps their band columns (_pure_band), each row on its own, since a
+transform along delta would spread each column's round-off over every row,
+which the row cut below cannot allow. A record on the grid reads the band
+(_band_record); one off it rebuilds G of its time a chunk of rows at a time
+(_g_chunks). An engine of N columns records off the grid with no leg
+applied: its squared row norms and p(k), which no leg changes, are read off
+G, and its row sums are those of G times the leg's phases.
 
 Scratch. The band's zero padding, rows L..W - L of the d-major array, is
 one contiguous block of at least (2L - 2)(N/2 + 1) entries, more than the
@@ -223,9 +231,11 @@ class Propagator:
 
     plan is the run's compiled measurement, shared with every other block
     of the run, or None for a run that is never measured, whose engine
-    stays in its pure stage. The engine keeps the phase table of the last
-    leg length it applied (_phase_vector), or once narrowed that length's
-    band kernel, so a run of equal legs builds it once; a leg of another
+    stays in its pure stage. It is stepped by measure(t) and read by
+    record(snapshots, j, t), both timed from its last measurement. The
+    engine keeps the phase table of the last leg length it applied or
+    recorded at (_phase_vector), or once narrowed the band kernel of its
+    last leg, so a run of equal legs builds it once; a leg of another
     length builds its own in its place. Step an engine inside
     in_one_row_buffer, as run_blocks, the tests and scripts/step_cost.py
     do: at numpy's default ufunc buffer each narrowed or window measure
@@ -261,12 +271,10 @@ class Propagator:
         self._n = n
         # Row 0's phase is exactly 1 on every leg, so a leg skips it.
         self._moving = 1 if rows.start == 0 else 0
-        # The pure stage: phi, and in _pending the time since t = 0. Once
-        # measured, G (rows, N) or the band as a (rows, W) view of a d-major
-        # array, and in _pending a narrowed engine's leg still to apply.
+        # The pure stage holds phi; once measured, G (rows, N) or the band
+        # as a (rows, W) view of a d-major array.
         self._phi = np.fft.fft(state.amplitudes)
         self._g = None
-        self._pending = 0.0
 
         self._share = share
         self._to_come = measurements
@@ -357,25 +365,17 @@ class Propagator:
             self._table_t = t
         return self._table
 
-    def advance(self, t: float) -> None:
-        """Free evolution for natural time t; no transform. An engine in its
-        pure stage, or narrowed, only adds t to the time it applies at the
-        next measurement."""
-        if self._g is None or self._narrowed:
-            self._pending += t
-            return
-        self._free_leg(self._g, self._leg_table(t), self._rows)
-
-    def measure(self) -> None:
-        """Apply the measurement channel once; an engine with a share then
-        drops the rows it can (_recut). The first measurement ends the pure
-        stage."""
+    def measure(self, t: float) -> None:
+        """Free evolution for natural time t since the last measurement, or
+        since t = 0 in the pure stage, then the measurement channel once; an
+        engine with a share then drops the rows it can (_recut). The first
+        measurement ends the pure stage."""
         if self._plan is None:
             raise ValueError("this run has no measurement")
         if self._g is None:
-            self._g = self._pure_band() if self._plan.width < self._n else self._pure_rows()
-        elif self._narrowed:
-            self._leg()
+            self._g = self._pure_band(t) if self._plan.width < self._n else self._pure_rows(t)
+        else:
+            self._leg(t)
         narrowed = self._narrowed
         if not narrowed:
             np.fft.ifft(self._g, axis=1, out=self._g)
@@ -411,20 +411,18 @@ class Propagator:
         if self._narrowed and self._table is not None:
             self._table = self._table[: kept - self._moving]
 
-    def _pure_chunks(self, buffer: np.ndarray):
+    def _pure_chunks(self, buffer: np.ndarray, t: float):
         """Leave the pure stage: (slice, rows in it, G of psi(t) on those
         rows) for each chunk of len(buffer) of the engine's rows, written
         into buffer in turn: G[delta, k] = conj phi(t)[k - delta] phi(t)[k] / N,
-        for phi(t) = phi exp(-i t E) and t the pending time, read off
-        strided views of conj phi(t) doubled. Row 0 is built from phi, its
-        phase being exactly 1, so p(k) keeps every bit. No leg's phase table
-        is held meanwhile."""
+        for phi(t) = phi exp(-i t E), read off strided views of conj phi(t)
+        doubled. Row 0 is built from phi, its phase being exactly 1, so p(k)
+        keeps every bit. No leg's phase table is held meanwhile."""
         n, rows, phi, skip = self._n, self._rows, self._phi, self._moving
         self._phi = None
         if skip:  # row 0 of the first chunk
             np.multiply(phi.conj(), phi / n, out=buffer[0])
-        phi *= _pure_phases(n, self._pending)  # phi(t), then phi(t) / N, in place
-        self._pending = 0.0
+        phi *= _pure_phases(n, t)  # phi(t), then phi(t) / N, in place
         doubled = np.empty(2 * n, dtype=complex)
         np.conjugate(phi, out=doubled[:n])
         doubled[n:] = doubled[:n]
@@ -434,14 +432,14 @@ class Propagator:
             np.multiply(_lagged(doubled, chunk[built:]), phi, out=g[built:])
             yield part, chunk, g
 
-    def _pure_rows(self) -> np.ndarray:
+    def _pure_rows(self, t: float) -> np.ndarray:
         """G of psi(t) on the engine's rows, built whole."""
         g = np.empty((len(self._rows), self._n), dtype=complex)
-        for _ in self._pure_chunks(g):
+        for _ in self._pure_chunks(g, t):
             pass
         return g
 
-    def _pure_band(self) -> np.ndarray:
+    def _pure_band(self, t: float) -> np.ndarray:
         """The band of H of psi(t), with no G: G's rows are built one chunk
         at a time, transformed by ifft_N along k, and their band columns
         kept. The chunks lie in the band's own zero padding, rows L..W - L
@@ -453,7 +451,7 @@ class Propagator:
         band = np.zeros((width, len(rows)), dtype=complex)
         h = band.T
         with self._scratch(band, len(rows)) as scratch:
-            for part, _, g in self._pure_chunks(scratch):
+            for part, _, g in self._pure_chunks(scratch, t):
                 np.fft.ifft(g, axis=1, out=g)
                 h[part, :keep] = g[:, :keep]
                 h[part, width - keep + 1 :] = g[:, n - keep + 1 :]
@@ -461,14 +459,17 @@ class Propagator:
             self._buffer = scratch[: plan.window]
         return h
 
-    def _leg(self) -> None:
-        """The pending free leg of a narrowed engine: an exact cyclic product
-        of length W >= 4L - 3 with the leg's band kernel, which wraps
-        nothing onto the band."""
-        t, self._pending = self._pending, 0.0
+    def _leg(self, t: float) -> None:
+        """Free evolution for natural time t of a measured engine: G times
+        the leg's phases, or once narrowed an exact cyclic product of length
+        W >= 4L - 3 with the leg's band kernel, which wraps nothing onto the
+        band."""
         if t == 0.0:
             return
         kernel = self._leg_table(t)
+        if not self._narrowed:
+            self._free_leg(self._g, kernel, self._rows)
+            return
         h = self._g[self._moving :]
         np.fft.fft(h, axis=1, out=h)
         np.multiply(h, kernel, out=h)
@@ -515,17 +516,13 @@ class Propagator:
         # zero padding, where the window step's buffer was.
         h[plan.band : width - plan.band + 1] = 0.0
 
-    def _g_chunks(self):
-        """(rows, G on those rows) over the engine's rows: G itself, or once
-        narrowed G rebuilt one chunk of rows at a time in the band's padding
-        (_scratch), as fft_N of the band in N columns times the pending
-        leg's phases; a chunk is valid until the next. record takes this path
-        off the grid, where no G is held and the pending leg must not be
-        applied to the band."""
-        if not self._narrowed:
-            yield self._rows, self._g
-            return
-        turns = self._phase_vector(self._pending)
+    def _g_chunks(self, t: float):
+        """(rows, G on those rows) t after a narrowed engine's last
+        measurement, over its rows: G rebuilt one chunk of rows at a time in
+        the band's padding (_scratch), as fft_N of the band in N columns
+        times the phases of a leg of t; a chunk is valid until the next.
+        The band itself is not written."""
+        turns = self._phase_vector(t)
         with self._scratch(self._g.T, len(self._rows)) as scratch:
             for part, rows, g in _spans(self._rows, scratch):
                 _band_columns(self._g[part], self._plan.band, g)
@@ -533,30 +530,40 @@ class Propagator:
                 self._free_leg(g, turns, rows)
                 yield rows, g
 
-    def record(self, snapshots: Snapshots, j: int) -> None:
-        """Write this engine's rows of snapshot j: row sums, squared row
-        norms and, if it holds row 0, the real part of row 0 and the
-        largest imaginary part on it. An engine in its pure stage reads
-        them off psi(t) (_pure_record), a narrowed engine with no pending
-        leg off its band (_band_record)."""
+    def record(self, snapshots: Snapshots, j: int, t: float) -> None:
+        """Write this engine's rows of snapshot j, natural time t after its
+        last measurement or, in the pure stage, after t = 0, without writing
+        to the state: row sums, squared row norms and, if it holds row 0,
+        the real part of row 0 and the largest imaginary part on it. An
+        engine in its pure stage reads them off psi(t) (_pure_record), a
+        narrowed one at t = 0 off its band (_band_record) and otherwise off
+        G rebuilt a chunk at a time (_g_chunks). An engine of N columns
+        reads its squared row norms and row 0 off G, which no leg changes,
+        and at t > 0 sums its rows times the leg's phases."""
         sums, norms, momentum, imag = snapshots.partials(j, self._rows)
         if self._g is None:
-            self._pure_record(sums, norms, momentum, imag)
+            self._pure_record(sums, norms, momentum, imag, t)
             return
-        if self._narrowed and not self._pending:
+        if self._narrowed and not t:
             self._band_record(sums, norms, momentum, imag)
             return
-        start = self._rows.start
-        for rows, g in self._g_chunks():
+        start, n, skip = self._rows.start, self._n, self._moving
+        for rows, g in self._g_chunks(t) if self._narrowed else [(self._rows, self._g)]:
             part = slice(rows.start - start, rows.stop - start)
-            g.sum(axis=1, out=sums[part])
+            if t and not self._narrowed:  # row 0's phase is exactly 1
+                turns = self._leg_table(t)
+                g[:skip].sum(axis=1, out=sums[:skip])
+                phases = _lagged(turns[n // 2 :], rows[skip:])
+                np.einsum("ij,ij,j->i", g[skip:], phases, turns[:n], out=sums[skip:])
+            else:
+                g.sum(axis=1, out=sums[part])
             pairs = g.view(np.float64)  # |G|^2 is the sum of squares of re and im
             np.einsum("ij,ij->i", pairs, pairs, out=norms[part])
             if rows.start == 0:
                 momentum[:] = g[0].real
                 imag[0] = np.max(np.abs(g[0].imag))
 
-    def _pure_record(self, sums, norms, momentum, imag) -> None:
+    def _pure_record(self, sums, norms, momentum, imag, t: float) -> None:
         """record in the pure stage, with no G. Row 0 is q = |phi|^2 / N,
         built as G's row 0 is. The squared row norms, sum_k q(k) q(k - delta),
         do not depend on t; they are correlated directly, as row_cut
@@ -571,7 +578,7 @@ class Propagator:
         doubled = np.concatenate([q, q[: n // 2]])
         norms[:] = np.correlate(doubled[rows.start : rows.stop + n - 1], q)
         del row, q, doubled  # before psi's arrays come
-        psi = np.fft.ifft(phi * _pure_phases(n, self._pending) if self._pending else phi)
+        psi = np.fft.ifft(phi * _pure_phases(n, t) if t else phi)
         pairs = psi.view(np.float64).reshape(n, 2)
         sums[:] = np.fft.fft(np.einsum("ij,ij->i", pairs, pairs))[rows.start : rows.stop]
 
@@ -638,7 +645,7 @@ class Snapshots:
         copy, so a run holds each momentum distribution once."""
         momentum = self._partials[j][0]
         worst = float(momentum[-1])
-        if worst > 1e-12:
+        if not worst <= 1e-12:  # NaN fails too
             raise ValueError(f"momentum distribution has imaginary parts up to {worst:.3e}")
         return momentum[:-1]
 
@@ -658,7 +665,7 @@ class Snapshots:
         sums[half:] = sums[n - half : 0 : -1].conj()  # s[N - delta] = conj s[delta]
         diag = np.fft.ifft(sums)
         worst = float(np.max(np.abs(diag.imag)))
-        if worst > 1e-12:
+        if not worst <= 1e-12:
             raise ValueError(f"diagonal has imaginary parts up to {worst:.3e}")
         return diag.real.copy()
 
@@ -677,8 +684,8 @@ def run_blocks(state: StateVector, plan: ChannelPlan | None, ops: Iterable[tuple
     cut. Returns the run's certificate C <= 2**-52: row_cut's plus what
     every block spent on the rows it dropped, 0 for an unmeasured run.
 
-    ops yields (method, *args), with method Propagator.advance,
-    Propagator.measure or Propagator.record, and must yield the same ones
+    ops yields (method, *args), with method Propagator.measure or
+    Propagator.record, and must yield the same ones
     on every pass, as a list does: one pass counts the measurements and
     each block makes one more, running them in order. In a run whose plan
     does not couple rows, every block gets an equal share of the budget

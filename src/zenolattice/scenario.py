@@ -120,7 +120,7 @@ class Schedule:
         interval = self.measurement_interval
         if interval is not None and not 0 < interval < math.inf:
             raise ValueError("measurement interval must be positive and finite")
-        times = tuple(float(t) for t in self.record_times)
+        times = tuple(float(t) + 0.0 for t in self.record_times)  # -0.0 + 0.0 is +0.0
         if not times:
             raise ValueError("at least one record time is required")
         if not all(map(math.isfinite, times)):
@@ -168,6 +168,10 @@ class Scenario:
 
     def __post_init__(self) -> None:
         n = self.lattice.n_sites
+        # The largest phase a run builds is t E_max, for t the natural total
+        # time and E_max = (N/2)^2 / 2; past the float range the records are NaN.
+        if not math.isfinite(self.lattice.to_natural_time(self.schedule.total_time) * (n // 2) ** 2 / 2):
+            raise ScenarioError("the largest phase, natural total_time times (N/2)^2 / 2, is not finite")
         try:
             object.__setattr__(self, "initial_state", build_initial_state(self.state, n))
             object.__setattr__(self, "operator", measurement_operator(self.measurement, n))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +34,10 @@ class GaussianPacketSpec:
     momentum_index: int = 0
 
     def __post_init__(self) -> None:
-        # The envelope divides by width^2, which is 0 below about 1e-162.
-        if not (self.width > 0 and self.width * self.width > 0):
-            raise ValueError(f"width must be positive, with a square above 0: got {self.width!r}")
+        # The envelope divides by width^2, which is 0 below about 1e-162 and
+        # overflows above about 1e154.
+        if not (self.width > 0 and 0 < self.width * self.width < math.inf):
+            raise ValueError(f"width must be positive, with a finite square above 0: got {self.width!r}")
 
 
 @dataclass

@@ -64,14 +64,45 @@ def test_missing_scenario_fails_cleanly(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_run_of_a_width_whose_square_is_zero_writes_nothing(tmp_path, capsys):
-    body = textwrap.dedent(TINY).format(out=tmp_path / "out")
-    body = body.replace("width = 2", "width = 1e-300")
-    path = tmp_path / "narrow.ini"
+def one_line_refusal(tmp_path, capsys, body):
+    """main(["run", ...]) on body: its exit code and stderr lines, and
+    whether it wrote the output directory."""
+    path = tmp_path / "bad.ini"
     path.write_text(body)
-    assert main(["run", str(path)]) == 2
-    assert "width must be positive" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    code = main(["run", str(path)])
+    return code, capsys.readouterr().err.strip().splitlines(), (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("width", ["1e-300", "1e200"])
+def test_run_of_a_width_whose_square_leaves_the_floats_writes_nothing(tmp_path, capsys, width):
+    """A width whose square is 0 or overflows is refused at load in one
+    line, not built into NaNs or squared into an OverflowError."""
+    body = textwrap.dedent(TINY).format(out=tmp_path / "out").replace("width = 2", f"width = {width}")
+    code, err, wrote = one_line_refusal(tmp_path, capsys, body)
+    assert (code, len(err), wrote) == (2, 1, False)
+    assert "bad.ini" in err[0] and "width must be positive, with a finite square" in err[0]
+
+
+def test_run_whose_phases_overflow_writes_nothing(tmp_path, capsys):
+    """An unmeasured 16-site run at display_time_factor 1e-307 has a natural
+    total time of 4e307, whose phases t E(k) pass the float range: refused
+    at load, not written as NaN."""
+    body = textwrap.dedent(TINY).format(out=tmp_path / "out")
+    body = body.replace("n_sites = 16", "n_sites = 16\ndisplay_time_factor = 1e-307")
+    body = body.replace("kind = region_pvm\nregions = 4", "kind = none").replace("interval = 1", "interval = none")
+    code, err, wrote = one_line_refusal(tmp_path, capsys, body)
+    assert (code, len(err), wrote) == (2, 1, False)
+    assert "bad.ini" in err[0] and "largest phase" in err[0]
+
+
+def test_negative_zero_record_time_is_written_as_zero(tmp_path):
+    body = textwrap.dedent(TINY).format(out=tmp_path / "out").replace("record_times = 0, 4", "record_times = -0, 4")
+    path = tmp_path / "negative_zero.ini"
+    path.write_text(body)
+    assert main(["run", str(path)]) == 0
+    for name in ("positions.csv", "momenta.csv", "summary.csv"):
+        first = (tmp_path / "out" / name).read_text().splitlines()[1]
+        assert first.startswith("0,")
 
 
 def test_invalid_scenario_fails_cleanly(tmp_path, capsys):

@@ -98,13 +98,36 @@ class TestRunSchedule:
         one_shot = np.diagonal(direct.entries).real
         assert np.max(np.abs(final.position_dist - one_shot)) < 1e-10
 
-    def test_extra_record_times_do_not_perturb(self):
-        sparse = packet_scenario(records=(50.0, 100.0))
-        dense = packet_scenario(records=(13.0, 50.0, 77.3, 100.0))
-        sparse_recs = run_schedule(sparse)
-        dense_recs = run_schedule(dense)
-        assert np.max(np.abs(sparse_recs[0].position_dist - dense_recs[1].position_dist)) < 1e-12
-        assert np.max(np.abs(sparse_recs[1].position_dist - dense_recs[3].position_dist)) < 1e-12
+    @pytest.mark.parametrize(
+        "measurement",
+        [
+            NoMeasurement(),
+            PointerSpec(0.2),
+            RegionPvmSpec(2),
+            RegionPvmSpec(6),
+            PointerSpec(0.2, DistanceConvention.LINEAR),
+        ],
+        ids=["unmeasured", "pointer0.2", "pvm2", "pvm6_narrowed", "linear0.2"],
+    )
+    def test_extra_record_times_do_not_perturb(self, measurement):
+        """A record reads the state and writes nothing to it, so records
+        between measurements leave the shared records' p(n), p(k) and purity
+        bit for bit, on every engine stage: pure (unmeasured), N columns (a
+        pointer, a 2-region PVM, a LINEAR window) and narrowed (6 regions)."""
+        interval = None if isinstance(measurement, NoMeasurement) else 1.0
+        sparse, dense = (
+            packet_scenario(measurement=measurement, interval=interval, total=40.0, records=records)
+            for records in ((0.0, 20.0, 40.0), (0.0, 3.3, 10.5, 17.25, 20.0, 33.7, 40.0))
+        )
+        shared = [rec for rec in run_schedule(dense) if rec.time_display in (0.0, 20.0, 40.0)]
+        want = run_schedule(sparse)
+        assert len(shared) == len(want) == 3
+        for got, rec in zip(shared, want):
+            for field in ("position_dist", "momentum_dist"):
+                np.testing.assert_array_equal(
+                    getattr(got, field).view(np.uint64), getattr(rec, field).view(np.uint64)
+                )
+            assert got.purity == rec.purity
 
     def test_nothing_applied_at_time_zero(self):
         records = run_schedule(packet_scenario(records=(0.0, 1.0)))
@@ -309,10 +332,11 @@ class TestRunSchedule:
             assert abs(rec.momentum_dist.sum() - 1.0) <= allowed
 
 
-def snapshot(engine, n):
-    """The one snapshot of an engine that holds every row."""
+def snapshot(engine, n, t=0.0):
+    """The one snapshot of an engine that holds every row, t after its last
+    measurement."""
     snapshots = Snapshots(1, n)
-    engine.record(snapshots, 0)
+    engine.record(snapshots, 0, t)
     return snapshots
 
 
@@ -353,8 +377,7 @@ class TestPropagator:
             (pointer_kernel(PointerSpec(1.0, DistanceConvention.LINEAR), n), n),
         ):
             engine = Propagator(state, ChannelPlan(operator))
-            engine.advance(0.002)
-            engine.measure()
+            engine.measure(0.002)
             assert engine._g.shape == (n // 2 + 1, width)
             arrays = engine_arrays(engine).values()
             assert max(a.size for a in arrays) == (n // 2 + 1) * width
@@ -396,8 +419,7 @@ class TestPropagator:
         n, t = 256, 0.004
         state = build_initial_state(GaussianPacketSpec(8, 8.0, 31), n)
         engine = Propagator(state, ChannelPlan(operator))
-        engine.advance(t)
-        engine.measure()
+        engine.measure(t)
         rho = density_to_position(evolve_density(density_to_momentum(density_from_pure(state)), t))
         if isinstance(operator, RegionPartition):
             rho = pvm_channel(rho, operator)
@@ -411,7 +433,7 @@ class TestPropagator:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert abs(snapshots.purity(0) - purity(rho)) <= 1e-12
         if isinstance(operator, RegionPartition):
-            engine.measure()
+            engine.measure(0.0)
             again = snapshot(engine, n)
             for got, want in zip(again.partials(0, engine._rows), snapshots.partials(0, engine._rows)):
                 assert np.max(np.abs(got - want)) <= 1e-14
@@ -420,11 +442,10 @@ class TestPropagator:
         n, t = 256, 0.004
         kernel = pointer_kernel(PointerSpec(0.2), n)
         engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), ChannelPlan(kernel))
-        engine.advance(t)
-        engine.measure()  # builds G, ending the pure stage
-        engine.advance(t)
-        expected = np.fft.fft(np.fft.ifft(engine._g, axis=1) * kernel.values, axis=1)
-        engine.measure()
+        engine.measure(t)  # builds G, ending the pure stage
+        leg = engine._free_leg(engine._g.copy(), engine._phase_vector(t), engine._rows)
+        expected = np.fft.fft(np.fft.ifft(leg, axis=1) * kernel.values, axis=1)
+        engine.measure(t)
         np.testing.assert_array_equal(engine._g, expected)
 
     @pytest.mark.parametrize("n, lo, hi", [(8, 0, 5), (64, 3, 33), (256, 0, 129), (256, 64, 129)])
@@ -436,10 +457,9 @@ class TestPropagator:
         t0, t = 0.0021, 0.0037
         state = build_initial_state(GaussianPacketSpec(n // 3, n / 8, 1), n)
         engine = Propagator(state, None, range(lo, hi))
-        engine.advance(t0)
-        engine._g = engine._pure_rows()  # as the first measurement builds it
+        engine._g = engine._pure_rows(t0)  # as the first measurement builds it
         g = engine._g.copy()
-        engine.advance(t)
+        engine._leg(t)  # as the next measurement applies it
         phi = np.fft.fft(state.amplitudes)
         sites = np.arange(n)
         behind = (sites[None, :] - sites[lo:hi, None]) % n  # (k - delta) mod N
@@ -471,11 +491,31 @@ class TestPropagator:
     def test_momentum_snapshot_rejects_imaginary_diagonal(self):
         state = build_initial_state(GaussianPacketSpec(8, 3.0, 5), 32)
         engine = Propagator(state, ChannelPlan(pointer_kernel(PointerSpec(1.5), 32)))
-        engine.advance(0.001)
-        engine.measure()  # builds G, whose row 0 is p(k)
+        engine.measure(0.001)  # builds G, whose row 0 is p(k)
         engine._g[0, 3] += 1e-9j
         with pytest.raises(ValueError, match="imaginary parts"):
             snapshot(engine, 32).momentum_distribution(0)
+
+    def test_record_checks_refuse_nan(self):
+        """NaN fails every check a record makes, as a value out of bounds
+        does: the imaginary parts of p(k) and p(n) that Snapshots reads, and
+        the sum of each distribution that harness._snapshot checks."""
+        n = 32
+        snapshots = snapshot(Propagator(build_initial_state(GaussianPacketSpec(8, 3.0, 5), n)), n)
+        sums, _, _, imag = snapshots.partials(0, range(n // 2 + 1))
+        imag[0] = np.nan
+        with pytest.raises(ValueError, match="momentum distribution has imaginary parts up to nan"):
+            snapshots.momentum_distribution(0)
+        sums[3] = np.nan
+        with pytest.raises(ValueError, match="diagonal has imaginary parts up to nan"):
+            snapshots.position_distribution(0)
+        for name in ("position", "momentum"):
+            dists = {"position": np.full(n, 1 / n), "momentum": np.full(n, 1 / n)}
+            dists[name][3] = np.nan
+            read = mock.Mock(position_distribution=lambda j: dists["position"],
+                             momentum_distribution=lambda j: dists["momentum"])
+            with pytest.raises(ValueError, match=f"{name} distribution sums to nan"):
+                harness._snapshot(read, 0, LatticeConfig(n), 0.0, None)
 
 
 def constant_column_kernel(n):
@@ -494,8 +534,7 @@ def assert_window_steps_match_oracle(state, measurement, legs):
     channel = pvm_channel if isinstance(measurement, RegionPartition) else kernel_channel
     rho = density_from_pure(state)
     for t in legs:
-        engine.advance(t)
-        engine.measure()
+        engine.measure(t)
         rho = channel(density_to_position(evolve_density(density_to_momentum(rho), t)), measurement)
     snapshots = snapshot(engine, n)
     np.testing.assert_allclose(snapshots.position_distribution(0), position_distribution(rho),
@@ -640,21 +679,17 @@ def test_narrowed_steps_match_dense_oracle(case):
 
     for leg, record_at in steps:
         if record_at:  # a record part of the way through the leg
-            engine.advance(record_at * leg)
-            check_snapshot(engine, evolve(rho, record_at * leg))
-            engine.advance((1 - record_at) * leg)
-        else:
-            engine.advance(leg)
+            check_snapshot(engine, evolve(rho, record_at * leg), record_at * leg)
         rho = channel(evolve(rho, leg), measurement)
-        engine.measure()
+        engine.measure(leg)
         assert engine._g.shape == (n // 2 + 1, expected_width(measurement))
         if record_at == 0.0:
             check_snapshot(engine, rho)
     check_snapshot(engine, rho)
 
 
-def check_snapshot(engine, rho):
-    snapshots = snapshot(engine, rho.n_sites)
+def check_snapshot(engine, rho, t=0.0):
+    snapshots = snapshot(engine, rho.n_sites, t)
     np.testing.assert_allclose(snapshots.position_distribution(0), position_distribution(rho),
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(snapshots.momentum_distribution(0), momentum_distribution(rho),
@@ -682,32 +717,28 @@ def test_width_after_the_first_measurement(measurement, width):
     applies as any other plan (run_schedule runs it unmeasured)."""
     n = measurement.n_sites
     engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), ChannelPlan(measurement))
-    engine.advance(0.001)
-    engine.measure()
+    engine.measure(0.001)
     assert engine._plan.width == width == expected_width(measurement)
     assert engine._g.shape[1] == width
 
 
 def test_narrowed_engine_holds_nothing_wider_than_w():
-    """Until its first measurement the engine holds phi and no phase table.
-    Narrowing builds the band straight from psi(t), with no G, and each new
-    leg length its band kernel: the engine then holds no array with more
-    than W columns but the window's: its buffer, which lies in the band's
-    zero padding, and the plan's c-row tables, through legs of other
-    lengths and records on and off the grid, which take their N columns in
-    that padding too."""
+    """Until its first measurement the engine holds phi and no phase table,
+    also after a record. Narrowing builds the band straight from psi(t),
+    with no G, and each new leg length its band kernel: the engine then
+    holds no array with more than W columns but the window's: its buffer,
+    which lies in the band's zero padding, and the plan's c-row tables,
+    through legs of other lengths and records on and off the grid, which
+    take their N columns in that padding too."""
     n, t, width = 256, 0.001, 168
     state = build_initial_state(GaussianPacketSpec(8, 8.0, 31), n)
     engine = Propagator(state, ChannelPlan(make_regions(n, 6)))
-    engine.advance(0.4 * t)
-    engine.advance(0.6 * t)
+    engine.record(Snapshots(1, n), 0, 0.4 * t)
     assert engine._table is None and engine._g is None and engine._phi.shape == (n,)
-    engine.measure()
+    engine.measure(t)
     for leg, record_at in ((t, 0.0), (t, 0.5), (0.7 * t, 0.0), (t, 0.25)):
-        engine.advance(record_at * leg)
-        engine.record(Snapshots(1, n), 0)
-        engine.advance((1 - record_at) * leg)
-        engine.measure()
+        engine.record(Snapshots(1, n), 0, record_at * leg)
+        engine.measure(leg)
         arrays = engine_arrays(engine)
         assert np.shares_memory(arrays.pop("_buffer"), engine._g)
         for name in ("plan.cut", "plan.twiddle"):  # the window's c rows, d-major
@@ -721,29 +752,26 @@ def test_narrowed_engine_holds_nothing_wider_than_w():
     [pointer_kernel(PointerSpec(0.2), 256), make_regions(256, 6)],
     ids=["pointer", "pvm6_narrowed"],
 )
-def test_row_zero_stays_bit_identical_across_every_advance(measurement):
-    """Row 0, p(k), has phase exactly 1 on every free leg. Across every
-    advance of a measured engine, row 0 of G, or of a narrowed engine's
-    band, keeps every bit, and a record off the grid reads the p(k) of the
-    record at the measurement before it."""
+def test_row_zero_stays_bit_identical_across_every_leg(measurement):
+    """Row 0, p(k), has phase exactly 1 on every free leg. Across every leg
+    of a measured engine, row 0 of G, or of a narrowed engine's band, keeps
+    every bit, and a record off the grid, in the pure stage too, reads the
+    p(k) of the record at the measurement before it."""
     n = 256
     engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), ChannelPlan(measurement))
     on_grid = snapshot(engine, n).momentum_distribution(0)  # the pure stage's
     for leg, record_at in ((0.001, 0.0), (0.001, 0.5), (0.00037, 0.25), (0.001, 0.7)):
-        for part in (record_at * leg, (1 - record_at) * leg):
-            if engine._g is None:  # the pure stage: |phi|^2 / N at every t
-                engine.advance(part)
-                off_grid = snapshot(engine, n).momentum_distribution(0)
-                np.testing.assert_array_equal(off_grid.view(np.uint64), on_grid.view(np.uint64))
-                continue
+        for part in (record_at * leg, 0.3 * leg):
+            off_grid = snapshot(engine, n, part).momentum_distribution(0)
+            np.testing.assert_array_equal(off_grid.view(np.uint64), on_grid.view(np.uint64))
+        if engine._g is None:  # the pure stage: |phi|^2 / N at every t
+            engine.measure(leg)
+        else:
             before = np.ascontiguousarray(engine._g[0])
-            engine.advance(part)
+            engine._leg(leg)  # as measure(leg) applies it, before the channel
             np.testing.assert_array_equal(np.ascontiguousarray(engine._g[0]).view(np.uint64),
                                           before.view(np.uint64))
-            if 0 < part < leg:
-                off_grid = snapshot(engine, n).momentum_distribution(0)
-                np.testing.assert_array_equal(off_grid.view(np.uint64), on_grid.view(np.uint64))
-        engine.measure()
+            engine.measure(0.0)
         on_grid = snapshot(engine, n).momentum_distribution(0)
     assert engine._narrowed == isinstance(measurement, RegionPartition)
 
@@ -754,8 +782,8 @@ def test_narrowed_records_and_new_leg_take_their_rows_in_the_padding():
     allocates beyond the arrays it keeps, in a record on the grid, at most
     one row of N for p(k)'s FFT and 1 KiB more: 5 KiB at N = 256 (3.9 KiB
     seen; 7.5 KiB when p(k) took a row of its own). In a record off the
-    grid, and in a measure whose pending leg has a new length and builds a
-    new K, it allocates a leg's 3N phase table and 8 KiB more: 20 KiB
+    grid, and in a measure whose leg has a new length and builds a new K,
+    it allocates a leg's 3N phase table and 8 KiB more: 20 KiB
     (15.0 and 13.0 KiB seen; 80 KiB with a chunk of CHUNK_ENTRIES entries
     of their own)."""
     n, t = 256, 0.001
@@ -763,17 +791,15 @@ def test_narrowed_records_and_new_leg_take_their_rows_in_the_padding():
     snapshots = Snapshots(1, n)
     leg = 3 * n * 16 + 8 * 1024
     actions = [
-        (lambda: engine.record(snapshots, 0), n * 16 + 1024),
-        (lambda: (engine.advance(0.4 * t), engine.record(snapshots, 0)), leg),
-        (lambda: (engine.advance(0.3 * t), engine.measure()), leg),  # a leg of 0.7 t
+        (lambda: engine.record(snapshots, 0, 0.0), n * 16 + 1024),
+        (lambda: engine.record(snapshots, 0, 0.4 * t), leg),
+        (lambda: engine.measure(0.7 * t), leg),
     ]
 
     def transients():
-        engine.advance(t)
-        engine.measure()  # narrows
-        engine.advance(t)
-        engine.measure()  # warm-up: the K of a leg of t, FFT plans of length W
-        engine.record(snapshots, 0)  # warm-up: the snapshot's partials, FFT plans
+        engine.measure(t)  # narrows
+        engine.measure(t)  # warm-up: the K of a leg of t, FFT plans of length W
+        engine.record(snapshots, 0, 0.0)  # warm-up: the snapshot's partials, FFT plans
         peaks = []
         for action, _ in actions:
             tracemalloc.start()
@@ -802,16 +828,16 @@ def test_narrowed_records_and_new_leg_take_their_rows_in_the_padding():
 def test_engine_keeps_one_phase_vector_beside_g(measurement):
     """An engine that keeps all N columns holds a leg's phases as one N-site
     vector, doubled and followed by its conjugate: after legs of three
-    lengths, each followed by a measurement, it holds no array of more than
-    3N entries besides G and, for a LINEAR kernel, the c-row d-major
-    arrays of its window step. An engine that is never measured holds phi
-    alone."""
+    lengths, each followed by a measurement and a record off the grid, it
+    holds no array of more than 3N entries besides G and, for a LINEAR
+    kernel, the c-row d-major arrays of its window step. An engine that is
+    never measured holds phi alone after its records."""
     n = 256
     engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), plan_of(measurement))
     for t in (0.001, 0.0015, 0.0012):
-        engine.advance(t)
         if measurement is not None:
-            engine.measure()
+            engine.measure(t)
+        engine.record(Snapshots(1, n), 0, 0.5 * t)
     arrays = engine_arrays(engine)
     if measurement is None:
         assert engine._g is None and {name: v.shape for name, v in arrays.items()} == {"_phi": (n,)}
@@ -909,14 +935,16 @@ def test_leg_table_is_rebuilt_only_when_the_leg_length_changes(measurement, vect
     """Legs a, a, b, b, a, each followed by a measurement: the first leg is
     the pure stage's and builds nothing, the others build three phase
     tables, for a, b and a; a narrowed engine builds a K with each. An
-    engine that is never measured stays pure and builds none."""
+    engine that is never measured stays pure and builds none for records
+    at those times."""
     engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), 256), plan_of(measurement))
     calls, tables, kernel_spy = spy_leg_tables()
     with tables, kernel_spy:
         for t in (0.001, 0.001, 0.0015, 0.0015, 0.001):
-            engine.advance(t)
-            if measurement is not None:
-                engine.measure()
+            if measurement is None:
+                engine.record(Snapshots(1, 256), 0, t)
+            else:
+                engine.measure(t)
     assert len(calls["_phase_vector"]) == vectors
     assert len(calls["_band_kernel"]) == kernels
 
@@ -934,12 +962,10 @@ def test_measurement_allocates_nothing_before_or_after_narrowing():
 
     def peak_of_a_measure(engine):
         for _ in range(2):  # warm-up: FFT plans, narrowing and the leg's table
-            engine.advance(t)
-            engine.measure()
-        engine.advance(t)
+            engine.measure(t)
         tracemalloc.start()
         try:
-            engine.measure()
+            engine.measure(t)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -962,24 +988,21 @@ def test_a_recutting_measure_reads_row_norms_one_row_at_a_time():
     state = build_initial_state(scenario.state, n)
     plan = ChannelPlan(pointer_kernel(scenario.measurement, n))
     warm = Propagator(state, plan, range(27, 54))
-    warm.advance(t)
-    warm.measure()  # warm-up: FFT plans
+    warm.measure(t)  # warm-up: FFT plans
     plain = Propagator(state, plan, range(27, 54))
     recut = Propagator(state, plan, range(27, 54), 1.0, 1)  # a share that fits every row
     peaks = []
     for engine in (plain, recut):
-        engine.advance(t)
         tracemalloc.start()
         try:
-            engine.measure()
+            engine.measure(t)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert len(plain._rows) == 27 and len(recut._rows) == 0
     assert peaks[1] <= peaks[0] + 12 * 1024
     first = Propagator(state, plan, range(27), 1.0, 1)
-    first.advance(t)
-    first.measure()
+    first.measure(t)
     assert first._rows == range(1)  # row 0, p(k), stays whatever the share
 
 
@@ -1000,10 +1023,9 @@ def test_engine_conserves_trace_and_never_gains_purity_over_thousand_steps(measu
     snapshots = Snapshots(2, n)  # just before and just after a measurement
     worst_trace, gains = 0.0, 0
     for _ in range(1000):
-        engine.advance(dt)
-        engine.record(snapshots, 0)
-        engine.measure()
-        engine.record(snapshots, 1)
+        engine.record(snapshots, 0, dt)
+        engine.measure(dt)
+        engine.record(snapshots, 1, 0.0)
         gains += snapshots.purity(1) > snapshots.purity(0)
         for dist in (snapshots.position_distribution(1), snapshots.momentum_distribution(1)):
             worst_trace = max(worst_trace, abs(float(dist.sum()) - 1.0))
@@ -1022,7 +1044,7 @@ def test_snapshots_are_allocated_when_first_recorded():
     tracemalloc.start()
     try:
         snapshots = Snapshots(1000, n)
-        engine.record(snapshots, 500)
+        engine.record(snapshots, 500, 0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1039,9 +1061,9 @@ def test_snapshots_hold_only_the_rows_each_block_recorded():
     scenario = load_scenario(SCENARIOS / "pointer_stationary.ini")
     recorded, inner = [], Propagator.record
 
-    def logged(self, snapshots, j):
+    def logged(self, snapshots, j, t):
         recorded.append((snapshots, j, self._rows))
-        inner(self, snapshots, j)
+        inner(self, snapshots, j, t)
 
     with mock.patch.object(Propagator, "record", logged):
         run_schedule(scenario)
@@ -1294,7 +1316,7 @@ def replay(state, plan, ops, count, blocks):
         engine = Propagator(state, plan, rows, share, measurements_in(ops))
         for method, *args in ops:
             if method is Propagator.record:
-                args = (whole, args[1])
+                args = (whole, *args[1:])
             method(engine, *args)
         spent.append(engine.spent)
     return whole, spent
@@ -1365,8 +1387,8 @@ def test_row_blocks_match_one_block_of_all_rows(scenario):
 
 
 def spy_engine_calls():
-    """Patches Propagator.advance, measure and record to log (method name,
-    rows the engine holds) for every call."""
+    """Patches Propagator.measure and record to log (method name, rows the
+    engine holds) for every call."""
     calls = []
 
     def spy(name):
@@ -1378,16 +1400,16 @@ def spy_engine_calls():
 
         return mock.patch.object(Propagator, name, logged)
 
-    return calls, [spy(name) for name in ("advance", "measure", "record")]
+    return calls, [spy(name) for name in ("measure", "record")]
 
 
 def assert_emptied_blocks_stop(scenario):
-    """No advance, measure or record of run_schedule runs on an engine that
+    """No measure or record of run_schedule runs on an engine that
     holds no rows, and its certificate C and records equal, bit for bit,
     the same blocks stepped through every op by replay, which does run
     those calls. Returns how many calls of each method run_schedule skips."""
     calls, spies = spy_engine_calls()
-    with spies[0], spies[1], spies[2]:
+    with spies[0], spies[1]:
         records, (state, plan, ops), certificate, blocks = captured_run(scenario)
         run = len(calls)
         whole, spent = replay(state, plan, ops, len(records), [(rows, share) for _, rows, share in blocks])
@@ -1400,15 +1422,15 @@ def assert_emptied_blocks_stop(scenario):
         np.testing.assert_array_equal(rec.position_dist, whole.position_distribution(j))
         np.testing.assert_array_equal(rec.momentum_dist, whole.momentum_distribution(j))
         assert rec.purity == whole.purity(j)
-    return {name: replayed.count((name, 0)) for name in ("advance", "measure", "record")}
+    return {name: replayed.count((name, 0)) for name in ("measure", "record")}
 
 
 def test_pointer_n1024_emptied_blocks_stop():
     """Blocks 2 to 5 of the pointer_n1024 workload drop their last rows
-    after measurements 10, 6, 4 and 3: they skip the rest of the run, 282
-    of the 415 engine calls that replay makes."""
+    after measurements 10, 6, 4 and 3: they skip the rest of the run, 145
+    of the 215 engine calls that replay makes."""
     skipped = assert_emptied_blocks_stop(named_scenario("pointer_n1024"))
-    assert skipped == {"advance": 137, "measure": 137, "record": 8}
+    assert skipped == {"measure": 137, "record": 8}
 
 
 @settings(max_examples=10, deadline=None)
@@ -1473,29 +1495,27 @@ def allocated_beyond(action):
 def test_pointer_block_steps_take_one_row_of_buffer():
     """Inside a run's in_one_row_buffer, each pointer_n1024 block's measure
     allocates at most one row (16 KiB at N = 1024, the FFT's row buffer)
-    and 4 KiB more beyond the engine's arrays (17.3 KiB), 145 KiB with
-    numpy's default buffer. Its advance multiplies by the conj u its phase
-    table holds and allocates at most 4 KiB (1.3 KiB; 17.3 with conj u
-    built on every leg), and so does an unmeasured engine's, which only
-    adds to its pending time. The leg has the length of the last one, as
-    every leg of the workload but its first, which the pure stage takes,
-    and its second."""
+    and 4 KiB more beyond the engine's arrays, 145 KiB with numpy's
+    default buffer. Its leg multiplies by the conj u its phase table holds
+    (_leg) and allocates at most 4 KiB (1.3 KiB; 17.3 with conj u built on
+    every leg). The leg has the length of the last one, as every leg of
+    the workload but its first, which the pure stage takes, and its
+    second."""
     n = 1024
     state = build_initial_state(GaussianPacketSpec(512, 32.0, 0), n)
     plan = ChannelPlan(pointer_kernel(PointerSpec(0.05), n))
     t = LatticeConfig(n).to_natural_time(10.0)
 
     def transients(rows):
-        measured, free = Propagator(state, plan, rows), Propagator(state, None, rows)
+        measured = Propagator(state, plan, rows)
         for _ in range(2):
-            measured.advance(t)
-            measured.measure()
-        steps = (lambda: measured.advance(t), measured.measure, lambda: free.advance(t))
+            measured.measure(t)
+        steps = (lambda: measured._leg(t), lambda: measured.measure(t))
         return [allocated_beyond(step) for step in steps]
 
     for rows in (range(26), range(26, 53), range(53, 80)):  # the workload's blocks
-        leg, measure, free = in_one_row_buffer(n, lambda: transients(rows))
-        assert max(leg, free) <= 4096 and measure <= 16 * n + 4096
+        leg, measure = in_one_row_buffer(n, lambda: transients(rows))
+        assert leg <= 4096 and measure <= 16 * n + 4096
 
 
 def raise_on_call(calls):
@@ -1527,7 +1547,7 @@ def test_runs_step_in_one_row_buffer_and_restore_the_callers(caller):
         size = np.getbufsize()
         for n, inside in ((1024, 1024), (8, 16)):
             state = build_initial_state(GaussianPacketSpec(n // 2, n / 32, 0), n)
-            steps = [(log,), (Propagator.advance, 0.1)]
+            steps = [(log,), (Propagator.record, Snapshots(1, n), 0, 0.1)]
             seen.clear()
             run_blocks(state, None, [*steps, (log,)])
             assert set(seen) == {inside} and np.getbufsize() == size
@@ -1558,16 +1578,17 @@ def leg_by_index(g, rows, t):
     return g
 
 
-def widened(engine):
-    """G now, rebuilt from a narrowed engine's band in one (rows, N) array:
-    fft_N of the band in N columns, times the pending leg's phases."""
+def widened(engine, t=0.0):
+    """G t after a narrowed engine's last measurement, rebuilt from its band
+    in one (rows, N) array: fft_N of the band in N columns, times the
+    phases of a leg of t."""
     plan, n = engine._plan, engine._n
     keep, width = plan.band, plan.width
     g = np.zeros((len(engine._rows), n), dtype=complex)
     g[:, :keep] = engine._g[:, :keep]
     g[:, n - keep + 1 :] = engine._g[:, width - keep + 1 :]
     np.fft.fft(g, axis=1, out=g)
-    return leg_by_index(g, engine._rows, engine._pending) if engine._pending else g
+    return leg_by_index(g, engine._rows, t) if t else g
 
 
 def whole_band_kernel(engine, t):
@@ -1584,21 +1605,24 @@ def whole_band_kernel(engine, t):
     return np.fft.fft(kernel, axis=1)
 
 
-def pure_rows(engine):
+def pure_rows(engine, t):
     """G of psi(t) of an engine in its pure stage, through an index table:
     conj phi(t)[k - delta] phi(t)[k] / N on its rows."""
     n = engine._n
-    phi = engine._phi * np.exp(-1j * engine._pending * dispersion_table(n))
+    phi = engine._phi * np.exp(-1j * t * dispersion_table(n))
     behind = (np.arange(n)[None, :] - np.asarray(engine._rows)[:, None]) % n
     return phi.conj()[behind] * (phi / n)
 
 
-def row_l1(engine):
-    """The l1 norm of each of an engine's chord rows of G."""
+def row_l1(engine, t=0.0):
+    """The l1 norm of each of an engine's chord rows of G, t after its last
+    measurement."""
     if engine._g is None:
-        g = pure_rows(engine)
+        g = pure_rows(engine, t)
+    elif engine._narrowed:
+        g = widened(engine, t)
     else:
-        g = widened(engine) if engine._narrowed else engine._g
+        g = leg_by_index(engine._g.copy(), engine._rows, t)
     return np.abs(g).sum(axis=1)
 
 
@@ -1627,11 +1651,9 @@ def test_chunked_records_and_band_kernels_match_whole_arrays(measurement, rows):
         with spy:
             engine = Propagator(state, ChannelPlan(measurement), rows)
             for leg, record_at in ((0.001, 0.0), (0.00037, 0.5), (0.0123, 0.25), (0.001, 0.6)):
-                engine.advance(record_at * leg)
                 if engine._narrowed:
-                    assert_record_matches_widened(engine)
-                engine.advance((1 - record_at) * leg)
-                engine.measure()
+                    assert_record_matches_widened(engine, record_at * leg)
+                engine.measure(leg)
                 assert engine._narrowed
                 if engine._table is None:  # the first leg is the pure stage's: no K yet
                     continue
@@ -1641,14 +1663,14 @@ def test_chunked_records_and_band_kernels_match_whole_arrays(measurement, rows):
         assert log and all(inside != apart and zero for inside, zero in log)
 
 
-def assert_record_matches_widened(engine):
-    """engine's record equals, bit for bit, the partials read off G rebuilt
-    whole (widened): row sums and squared norms, and p(k) and its
-    imaginary part from the block of row 0."""
+def assert_record_matches_widened(engine, t):
+    """engine's record t after its last measurement equals, bit for bit,
+    the partials read off G rebuilt whole (widened): row sums and squared
+    norms, and p(k) and its imaginary part from the block of row 0."""
     n, rows = engine._n, engine._rows
     got, want = Snapshots(1, n), Snapshots(1, n)
-    engine.record(got, 0)
-    g = widened(engine)
+    engine.record(got, 0, t)
+    g = widened(engine, t)
     sums, norms, momentum, imag = want.partials(0, rows)
     g.sum(axis=1, out=sums)
     np.einsum("ij,ij->i", g.view(np.float64), g.view(np.float64), out=norms)
@@ -1692,7 +1714,7 @@ def spy_scratch(apart=False):
 )
 @pytest.mark.parametrize("random_state", [False, True], ids=["packet", "random"])
 def test_records_on_the_grid_read_the_band(measurement, rows, random_state):
-    """A narrowed engine with no pending leg records off its band: row sums
+    """A narrowed engine records on the grid off its band: row sums
     N H[:, 0], squared row norms N sum_d |H|^2 and p(k) from band row 0.
     They match what the chunk path reads off G rebuilt on the same engine:
     p(k) and its imaginary part bit for bit, the sums within 1e-15 of the
@@ -1710,14 +1732,13 @@ def test_records_on_the_grid_read_the_band(measurement, rows, random_state):
         state = build_initial_state(GaussianPacketSpec(8, 8.0, 31), n)
     engine = Propagator(state, ChannelPlan(measurement), rows)
     for leg in (0.001, 0.001, 0.00037, 0.0123):
-        engine.advance(leg)
-        engine.measure()
-        assert engine._narrowed and engine._pending == 0.0
+        engine.measure(leg)
+        assert engine._narrowed
         got, want = Snapshots(1, n), Snapshots(1, n)
-        engine.record(got, 0)
+        engine.record(got, 0, 0.0)
         rows = engine._rows
         sums, norms, momentum, imag = want.partials(0, rows)
-        for part, g in engine._g_chunks():
+        for part, g in engine._g_chunks(0.0):
             for delta, row in zip(part, g.view(np.float64)):
                 sums[delta - rows.start] = complex(math.fsum(row[0::2]), math.fsum(row[1::2]))
                 norms[delta - rows.start] = math.fsum(row * row)
@@ -1775,14 +1796,12 @@ def test_first_measurement_builds_what_the_legs_built(case):
     bound *= 1 + math.log2(n) + (len(legs) + 1) * sum(legs) * dispersion_table(n).max()
     plan = ChannelPlan(measurement)
     engine = Propagator(state, plan)
-    for t in legs:
-        engine.advance(t)
     if plan.width < n:
-        got, keep, width = engine._pure_band(), plan.band, plan.width
+        got, keep, width = engine._pure_band(sum(legs)), plan.band, plan.width
         want, h = np.zeros_like(got), np.fft.ifft(g, axis=1)
         want[:, :keep], want[:, width - keep + 1 :] = h[:, :keep], h[:, n - keep + 1 :]
     else:
-        got, want = engine._pure_rows(), g
+        got, want = engine._pure_rows(sum(legs)), g
     assert np.all(np.abs(got - want) <= bound)
 
 
@@ -1801,13 +1820,14 @@ def test_pure_stage_records_match_the_g_path(case):
     n = state.n_sites
     partition = measurement if isinstance(measurement, RegionPartition) else None
     pure, stepped = Propagator(state), Propagator(state)
-    stepped._g = stepped._pure_rows()  # G of phi, at t = 0
+    stepped._g = stepped._pure_rows(0.0)  # G of phi, at t = 0
+    for t in legs:
+        stepped._leg(t)
     records = []
     for engine in (pure, stepped):
-        for t in legs:
-            engine.advance(t)
         assert (engine._g is None) == (engine is pure)
-        records.append(harness._snapshot(snapshot(engine, n), 0, LatticeConfig(n), 0.0, partition))
+        t = sum(legs) if engine is pure else 0.0
+        records.append(harness._snapshot(snapshot(engine, n, t), 0, LatticeConfig(n), 0.0, partition))
     got, want = records
     np.testing.assert_array_equal(got.momentum_dist.view(np.uint64), want.momentum_dist.view(np.uint64))
     for field in ("expected_momentum_signed", "momentum_variance", "negative_momentum_fraction"):
@@ -1836,16 +1856,13 @@ def test_narrowed_window_buffer_lies_in_the_band_padding(measurement):
     keep, width, c, half = plan.band, plan.width, plan.window, n // 2 + 1
     assert width < n and c > 0
     engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), plan)
-    engine.advance(t)
-    first = in_one_row_buffer(n, lambda: allocated_beyond(engine.measure))
+    first = in_one_row_buffer(n, lambda: allocated_beyond(lambda: engine.measure(t)))
     assert first <= width * half * 16 + 16 * 1024
     band = engine._g.T
     assert band.shape == (width, half) and band.flags.c_contiguous
     for leg, record_at in ((t, 0.0), (t, 0.5), (0.7 * t, 0.25), (t, 0.0)):
-        engine.advance(record_at * leg)
-        engine.record(Snapshots(1, n), 0)
-        engine.advance((1 - record_at) * leg)
-        engine.measure()
+        engine.record(Snapshots(1, n), 0, record_at * leg)
+        engine.measure(leg)
         assert engine._g.T.ctypes.data == band.ctypes.data
         assert engine._buffer.shape == (c, n) and np.shares_memory(engine._buffer, band)
         assert np.all(band[keep : width - keep + 1] == 0.0)
@@ -1869,12 +1886,12 @@ def test_band_padding_is_zero_after_each_scratch(measurement):
     engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), ChannelPlan(measurement))
     log, spy = spy_scratch()
     steps = [
-        (lambda: (engine.advance(t), engine.measure()), 1),  # narrows
-        (lambda: (engine.advance(t), engine.measure()), 1),  # the K of t
-        (lambda: (engine.advance(t), engine.measure()), 0),  # keeps it
-        (lambda: engine.record(Snapshots(1, n), 0), 1),  # on the grid
-        (lambda: (engine.advance(0.5 * t), engine.record(Snapshots(1, n), 0)), 1),  # off it
-        (lambda: (engine.advance(0.2 * t), engine.measure()), 1),  # the K of 0.7 t
+        (lambda: engine.measure(t), 1),  # narrows
+        (lambda: engine.measure(t), 1),  # the K of t
+        (lambda: engine.measure(t), 0),  # keeps it
+        (lambda: engine.record(Snapshots(1, n), 0, 0.0), 1),  # on the grid
+        (lambda: engine.record(Snapshots(1, n), 0, 0.5 * t), 1),  # off it
+        (lambda: engine.measure(0.7 * t), 1),  # the K of 0.7 t
     ]
     with spy:
         for step, scratches in steps:
@@ -1935,13 +1952,13 @@ def test_row_l1_norms_never_grow_in_a_row_local_run(case):
         rho = float(np.abs(np.fft.fft(measurement.values)).sum()) / n
     engine = Propagator(state, plan)
     first = row_l1(engine)
-    applied = 0
+    applied, elapsed = 0, 0.0
     for leg in legs:
-        engine.advance(leg)
-        assert np.all(row_l1(engine) <= first * rho**applied * (1 + 1e-12))
+        elapsed += leg  # an unmeasured engine's legs all run from t = 0
+        assert np.all(row_l1(engine, elapsed) <= first * rho**applied * (1 + 1e-12))
         if plan is not None:
-            engine.measure()
-            applied += 1
+            engine.measure(leg)
+            applied, elapsed = applied + 1, 0.0
             assert np.all(row_l1(engine) <= first * rho**applied * (1 + 1e-12))
 
 
@@ -2063,8 +2080,7 @@ def test_a_block_charges_each_dropped_row_its_l1_norm_with_its_mirror():
     for to_come in range(measurements - 1, -1, -1):
         prior, kept = block.spent, len(block._rows)
         for engine in (block, whole):
-            engine.advance(0.05)
-            engine.measure()
+            engine.measure(0.05)
         dropped = kept - len(block._rows)
         drops += dropped > 0
         np.testing.assert_array_equal(block._g, whole._g[lo : lo + len(block._rows)])
@@ -2107,8 +2123,7 @@ def test_a_block_steps_its_kept_rows_as_a_prefix_view(state, measurement, rows, 
     engine = Propagator(state, ChannelPlan(measurement), rows, 2.0**-54, 40)
     built = None
     for j in range(40):
-        engine.advance(leg)
-        engine.measure()
+        engine.measure(leg)
         if j == 0:  # the first measurement builds G or the band; the second leg its table
             assert engine._table is None
             continue

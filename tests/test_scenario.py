@@ -1,6 +1,7 @@
 """Scenario file parsing and validation."""
 
 import dataclasses
+import math
 import textwrap
 
 import pytest
@@ -299,6 +300,31 @@ def test_schedule_validation_direct():
         Schedule(1.0, 10.0, ())
     with pytest.raises(ValueError):
         Schedule(1.0, 10.0, (-1.0, 5.0))
+
+
+def test_schedule_stores_a_negative_zero_record_time_as_zero():
+    times = Schedule(1.0, 4.0, (-0.0, 4.0)).record_times
+    assert times == (0.0, 4.0) and math.copysign(1.0, times[0]) == 1.0
+
+
+@pytest.mark.parametrize("factor, refused", [(1e-307, True), (1e-300, False)])
+def test_refuses_a_schedule_whose_largest_phase_is_not_finite(factor, refused):
+    """The natural total time times E_max = (N/2)^2 / 2 = 32 at N = 16: at a
+    display_time_factor of 1e-307 that is 4e307 * 32, past the float
+    range; at 1e-300 it is finite."""
+    def build():
+        return Scenario(
+            lattice=LatticeConfig(16, display_time_factor=factor),
+            state=GaussianPacketSpec(4, 2.0, 3),
+            measurement=NoMeasurement(),
+            schedule=Schedule(None, 4.0, (0.0, 4.0)),
+        )
+
+    if refused:
+        with pytest.raises(ScenarioError, match="largest phase"):
+            build()
+    else:
+        build()
 
 
 def _tiny_scenario():

@@ -61,18 +61,17 @@ def test_step_cost_reports_every_operation():
         return mock.patch.object(Propagator, name, method)
 
     script = runpy.run_path(str(SCRIPTS / "step_cost.py"))
-    with logged("advance"), logged("measure"), logged("record"):
+    with logged("measure"), logged("record"):
         costs = script["costs"](64)
         peaks = script["peaks_kib"](64)
     assert sizes == {64}
     assert sys.path == path
     assert not {"execution", "run", "tracing", "workloads"} & set(sys.modules)
     assert set(costs) == {
-        "free_leg",
-        "new_leg",
         "snapshot",
         "narrowed_snapshot",
         "off_grid_snapshot",
+        "off_grid_pointer_snapshot",
         "narrowing",
         "band_kernel",
         "pointer_run",

@@ -1,5 +1,6 @@
 """Initial-state builders and their momentum content."""
 
+import math
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -92,11 +93,15 @@ class TestGaussianPacket:
         with pytest.raises(ValueError):
             build_gaussian_packet(GaussianPacketSpec(8, 8.0, -128), 256)
 
-    def test_rejects_a_width_whose_square_is_zero(self):
+    @pytest.mark.parametrize("width", [1e-300, 1e200, math.inf])
+    def test_rejects_a_width_whose_square_leaves_the_floats(self, width):
         """The envelope divides by width^2, so a width whose square is 0 is
-        refused, not built into a state of NaNs."""
-        with pytest.raises(ValueError, match="width must be positive"):
-            GaussianPacketSpec(8, 1e-300, 31)
+        refused, not built into a state of NaNs, and so is one whose square
+        overflows, not squared into an OverflowError or an envelope of 1 at
+        every site. A width of 1e150 still builds."""
+        with pytest.raises(ValueError, match="width must be positive, with a finite square above 0"):
+            GaussianPacketSpec(8, width, 31)
+        assert GaussianPacketSpec(8, 1e150, 31).width == 1e150
 
     def test_sub_site_width_leaves_only_the_centre(self):
         """A width far below one site sends every other site's envelope to
