@@ -14,8 +14,6 @@ from pathlib import Path
 from zenolattice import (
     Schedule,
     load_scenario,
-    make_regions,
-    region_masses,
     run_schedule,
     with_interval,
     with_regions,
@@ -42,11 +40,11 @@ def main() -> None:
 
     print(f"initial-region retention at display time {args.time:g} (N={n})")
     print(f"{'interval':>10} {'region0 mass':>14} {'neg momentum':>14} {'purity':>10}")
+    six = with_regions(base, 6)
     for token in args.intervals.split(","):
         token = token.strip().lower()
-        rec = run_schedule(with_interval(base, _interval(token)))[0]
-        partition = make_regions(n, 6)
-        mass = region_masses(rec.position_dist, partition)[0]
+        rec = run_schedule(with_interval(six, _interval(token)))[0]
+        mass = rec.region_masses[0]
         print(
             f"{token:>10} {mass:>14.6f} {rec.negative_momentum_fraction:>14.6f} "
             f"{rec.purity:>10.6f}"
@@ -57,11 +55,12 @@ def main() -> None:
     print(f"{'regions':>10} {'start-region mass':>18} {'region width':>14}")
     for token in args.regions.split(","):
         m = int(token)
-        rec = run_schedule(with_regions(base, m))[0]
-        partition = make_regions(n, m)
+        variant = with_regions(base, m)
+        rec = run_schedule(variant)[0]
+        partition = variant.operator
         region = partition.region_containing(8)
         lo, hi = partition.region_range(region)
-        mass = region_masses(rec.position_dist, partition)[region]
+        mass = rec.region_masses[region]
         print(f"{m:>10} {mass:>18.6f} {hi - lo:>14}")
 
 

@@ -48,7 +48,7 @@ class KernelNotPositiveError(ValueError):
     """Damping kernel whose Schur matrix is not PSD: an unphysical pointer."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegionPartition:
     """Contiguous, disjoint regions covering every site, by start index."""
 
@@ -64,10 +64,10 @@ class RegionPartition:
             raise ValueError("region boundaries must be strictly increasing")
         if bounds[-1] >= self.n_sites:
             raise ValueError("region start index beyond the lattice")
-        self.boundaries = bounds
-        starts = np.asarray(bounds)
-        self.region_of = np.searchsorted(starts, np.arange(self.n_sites), side="right") - 1
-        self.region_of.flags.writeable = False
+        object.__setattr__(self, "boundaries", bounds)
+        region_of = np.searchsorted(np.asarray(bounds), np.arange(self.n_sites), side="right") - 1
+        region_of.flags.writeable = False
+        object.__setattr__(self, "region_of", region_of)
 
     @property
     def n_regions(self) -> int:
@@ -117,7 +117,7 @@ def pvm_channel(rho: DensityMatrix, partition: RegionPartition) -> DensityMatrix
     return DensityMatrix(np.where(same, rho.entries, 0.0), Basis.POSITION)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PointerSpec:
     """Gaussian pointer of width 1/alpha coupled to position."""
 
@@ -129,7 +129,7 @@ class PointerSpec:
             raise ValueError("alpha must be positive and finite")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DampingKernel:
     """Off-diagonal damping factors indexed by site separation.
 
@@ -167,7 +167,7 @@ class DampingKernel:
             if eigenvalues[0] < -PSD_ATOL * max(1.0, eigenvalues[-1]):
                 raise KernelNotPositiveError("kernel Toeplitz matrix has negative eigenvalues")
         values.flags.writeable = False
-        self.values = values
+        object.__setattr__(self, "values", values)
 
     @property
     def n_sites(self) -> int:

@@ -92,10 +92,15 @@ def _cmd_sweep(args) -> int:
     values = [tok.strip().lower() for tok in getattr(args, name).split(",") if tok.strip()]
     if not values:
         raise ScenarioError(f"--{name} needs at least one value")
-    # Every value is derived, and so checked, before any run writes output.
+    # Every value is parsed and derived, and so checked, before any run
+    # writes output; a value equal to an earlier one would run it twice.
     derive = with_interval if name == "interval" else with_regions
     parse = _interval if name == "interval" else int
-    derived = [derive(scenario, parse(token)) for token in values]
+    parsed = [parse(token) for token in values]
+    for i, value in enumerate(parsed):
+        if value in parsed[:i]:
+            raise ScenarioError(f"--{name} value {values[i]!r} repeats {values[parsed.index(value)]!r}")
+    derived = [derive(scenario, value) for value in parsed]
     for token, variant in zip(values, derived):
         records, _ = run_and_emit(variant, f"{base}/{name}_{token}")
         print(f"{name}={token}: {_summary_line(records)}")

@@ -90,9 +90,13 @@ class _Operations:
     """A schedule's operations on a Propagator, generated afresh on each
     pass: a run holds one operation at a time, not one per measurement.
 
-    Measurements fall at interval, 2*interval, ... up to total_time; nothing
-    is applied at time zero, and nothing at all when interval is None. Each
-    is (Propagator.measure, step), its leg one whole interval, the same float
+    Measurements fall at interval, 2*interval, ... up to the last record
+    time, to within the snap of 1e-9 interval that is kept here alone: none
+    after it could change a record. Nothing is applied at time zero, and
+    nothing at all when interval is None or the first measurement falls
+    after the last record; run_schedule then runs these operations with
+    interval None, as the unmeasured run. Each measurement is
+    (Propagator.measure, step), its leg one whole interval, the same float
     every time, so the engine keeps its phases. Record times may fall
     anywhere (evolution is exact for arbitrary sub-interval durations); each
     is (Propagator.record, snapshots, j, elapsed), for elapsed the natural
@@ -127,25 +131,28 @@ class _Operations:
 def run_schedule(scenario: Scenario) -> list[ObservableRecord]:
     """Run one scenario and return a record per scheduled record time.
 
-    The scenario's operator is compiled here into the run's one ChannelPlan,
-    and here alone the run decides whether it measures: only with a
-    measurement interval and a plan that is not the identity. Otherwise it
-    is the unmeasured run, with no plan and no measurement, bit for bit.
-    The schedule becomes operations on a Propagator (_Operations): one
-    measure per measurement, its leg one whole interval, and one record,
-    which reads the state and leaves it be, per record time.
-    run_blocks takes each block of rows through them, generated afresh for
-    each block; the records are read off the combined snapshots afterwards.
+    Here alone the run decides whether it measures: only when its
+    operations apply at least one measurement and the scenario's operator,
+    compiled here into the run's one ChannelPlan, is not the identity.
+    Otherwise it is the unmeasured run, bit for bit: no plan, and the
+    operations of no measurement interval, so a schedule with no interval,
+    one whose first measurement falls after its last record and an identity
+    channel all take one path. The schedule becomes operations on a
+    Propagator (_Operations): one measure per measurement, its leg one
+    whole interval, and one record, which reads the state and leaves it be,
+    per record time. run_blocks takes each block of rows through them,
+    generated afresh for each block; the records are read off the combined
+    snapshots afterwards, a region PVM's region masses on its partition
+    whether the run measured or not.
     """
-    lattice = scenario.lattice
-    operator = scenario.operator
-    interval = scenario.schedule.measurement_interval
+    lattice, operator = scenario.lattice, scenario.operator
     record_times = scenario.schedule.record_times
     snapshots = Snapshots(len(record_times), lattice.n_sites)
-    plan = ChannelPlan(operator) if operator is not None and interval is not None else None
-    if plan is not None and plan.identity:
-        plan = None
-    ops = _Operations(scenario, interval if plan is not None else None, snapshots)
+    ops = _Operations(scenario, scenario.schedule.measurement_interval, snapshots)
+    measures = operator is not None and any(op[0] is Propagator.measure for op in ops)
+    plan = ChannelPlan(operator) if measures else None
+    if plan is None or plan.identity:
+        plan, ops = None, _Operations(scenario, None, snapshots)
     run_blocks(scenario.initial_state, plan, ops)
 
     partition = operator if isinstance(operator, RegionPartition) else None

@@ -39,7 +39,7 @@ class BasisError(ValueError):
     """An operation received a density matrix in the wrong basis."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatticeConfig:
     """Lattice size plus the factor mapping natural times to display times.
 

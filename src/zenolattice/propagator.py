@@ -43,9 +43,10 @@ engine holds only phi = fft(psi): a record at t reads psi(t) off phi
 (_pure_record), and the first measurement builds G of psi(t), or for a plan
 that narrows the band below (_pure_chunks). An unmeasured run never leaves
 this stage, and each of its records reads psi at its own time. A run whose
-channel is the identity, or that has no measurement interval, is the
-unmeasured run: harness.run_schedule gives it no plan, and no engine checks
-for the identity.
+channel is the identity, or whose schedule applies no measurement (no
+interval, or a first measurement after the last record), is the unmeasured
+run: harness.run_schedule gives it no plan, and no engine checks for the
+identity.
 
 Band. After one measurement H holds only the 2L - 1 band columns |d| < L,
 for L = 1 + the largest min(d, N - d) that the channel leaves nonzero: the

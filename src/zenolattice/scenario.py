@@ -80,19 +80,19 @@ class ScenarioError(ValueError):
     """Invalid scenario file or inconsistent combination of scenario fields."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoMeasurement:
     """Unmeasured run: free evolution only."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegionPvmSpec:
     """Project onto M contiguous position regions at each measurement."""
 
     m_regions: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class CustomKernelSpec:
     """Explicit damping values for a generic symmetric pointer."""
 
@@ -104,7 +104,7 @@ MeasurementSpec = NoMeasurement | RegionPvmSpec | PointerSpec | CustomKernelSpec
 StateSpec = GaussianPacketSpec | PositionEigenstateSpec
 
 
-@dataclass
+@dataclass(frozen=True)
 class Schedule:
     """Measurement cadence and recording times, in display units."""
 
@@ -129,7 +129,7 @@ class Schedule:
             raise ValueError("record times must be strictly increasing")
         if times[0] < 0 or times[-1] > self.total_time:
             raise ValueError("record times must lie in [0, total_time]")
-        self.record_times = times
+        object.__setattr__(self, "record_times", times)
 
 
 def measurement_operator(
@@ -155,8 +155,9 @@ def measurement_operator(
 class Scenario:
     """Everything one run needs: lattice, initial state, measurement,
     schedule and where the CSV output goes. The initial state and the
-    measurement operator are built once, here, and the run uses them; frozen
-    so they cannot go stale, a scenario is derived with dataclasses.replace."""
+    measurement operator are built once, here, and the run uses them; frozen,
+    as is every object it holds, so they cannot go stale, a scenario is
+    derived with dataclasses.replace."""
 
     lattice: LatticeConfig
     state: StateSpec
@@ -180,13 +181,12 @@ class Scenario:
 
 
 def with_interval(scenario: Scenario, interval: float | None) -> Scenario:
-    """Same scenario with a different measurement cadence.
-
-    interval=None strips the measurement entirely (an unmeasured run).
-    """
-    schedule = replace(scenario.schedule, measurement_interval=interval)
-    measurement = scenario.measurement if interval is not None else NoMeasurement()
-    return replace(scenario, schedule=schedule, measurement=measurement)
+    """Same scenario, measurement included, with a different measurement
+    cadence. interval=None is the unmeasured run, which keeps the
+    measurement spec and so a region PVM's partition and region masses, as
+    interval = none in the scenario file does; a later interval measures
+    again."""
+    return replace(scenario, schedule=replace(scenario.schedule, measurement_interval=interval))
 
 
 def with_regions(scenario: Scenario, m_regions: int) -> Scenario:

@@ -19,7 +19,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaussianPacketSpec:
     """Gaussian envelope exp(-(n - center)^2 / width^2) carrying a plane-wave
     phase exp(2*pi*i*momentum_index*n/N).
@@ -40,7 +40,7 @@ class GaussianPacketSpec:
             raise ValueError(f"width must be positive, with a finite square above 0: got {self.width!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PositionEigenstateSpec:
     """A single occupied site; site=None means the middle of the lattice."""
 

@@ -122,6 +122,17 @@ def test_sweep_intervals(tiny_scenario, tmp_path, capsys):
         assert (base / sub / "summary.csv").is_file()
 
 
+def test_sweep_of_none_keeps_the_region_masses(tiny_scenario, tmp_path):
+    """The unmeasured run of a region PVM scenario still reports its
+    region masses, as interval = none in the file does."""
+    base = tmp_path / "sweep"
+    assert main(["sweep", str(tiny_scenario), "--interval", "none,1", "--out", str(base)]) == 0
+    heads = [
+        (base / sub / "summary.csv").read_text().splitlines()[0] for sub in ("interval_none", "interval_1")
+    ]
+    assert heads[0] == heads[1] and heads[0].endswith(",region_mass_3")
+
+
 def test_sweep_regions(tiny_scenario, tmp_path, capsys):
     base = tmp_path / "sweep"
     assert main(["sweep", str(tiny_scenario), "--regions", "2,4", "--out", str(base)]) == 0
@@ -152,12 +163,32 @@ def test_sweep_of_a_kernel_that_is_not_psd_writes_nothing(tmp_path, capsys):
     assert not base.exists()
 
 
-@pytest.mark.parametrize("axis, values", [("--interval", "4,-1"), ("--regions", "2,abc")])
+@pytest.mark.parametrize(
+    "axis, values",
+    [("--interval", "4,-1"), ("--regions", "2,abc"), ("--interval", "none,None"), ("--interval", "2,2.0")],
+)
 def test_sweep_with_an_invalid_value_writes_nothing(tiny_scenario, tmp_path, capsys, axis, values):
     base = tmp_path / "sweep"
     assert main(["sweep", str(tiny_scenario), axis, values, "--out", str(base)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
     assert not base.exists()
+
+
+@pytest.mark.parametrize(
+    "axis, values, message",
+    [
+        ("--interval", "none,None", "--interval value 'none' repeats 'none'"),
+        ("--interval", "1,2,2.0", "--interval value '2.0' repeats '2'"),
+        ("--regions", "4,04", "--regions value '04' repeats '4'"),
+    ],
+    ids=["none_twice", "2_and_2.0", "4_and_04"],
+)
+def test_sweep_refuses_a_repeated_value(tiny_scenario, capsys, axis, values, message):
+    """A value that parses equal to an earlier one would run one run into
+    two directories, or into one directory twice."""
+    assert main(["sweep", str(tiny_scenario), axis, values]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_sweep_requires_exactly_one_axis(tiny_scenario):

@@ -2016,30 +2016,35 @@ def test_row_cut_moves_only_position_entries_within_its_certificate(name, kept, 
         lambda s: replace(s, measurement=RegionPvmSpec(1)),
         lambda s: replace(s, measurement=CustomKernelSpec((1.0,) * 256)),
         lambda s: replace(s, measurement=CustomKernelSpec((1.0,) * 256, DistanceConvention.LINEAR)),
+        lambda s: with_interval(s, 500.0),
+        lambda s: replace(s, schedule=replace(s.schedule, record_times=(0.0, 5.0))),
     ],
-    ids=["no_interval", "pvm1", "ones_minimal_image", "ones_linear"],
+    ids=[
+        "no_interval",
+        "pvm1",
+        "ones_minimal_image",
+        "ones_linear",
+        "interval_past_the_last_record",
+        "records_before_the_first_measurement",
+    ],
 )
 def test_runs_without_a_channel_are_the_unmeasured_run(derive, tmp_path):
-    """pointer_stationary with no measurement interval, or measured by an
+    """pointer_stationary with no measurement interval, measured by an
     identity channel (a 1-region PVM, an all-ones kernel under either
-    distance convention), is the unmeasured run: one Propagator of rows
-    0..128 with no plan, no share and C = 0. It writes the CSVs of
-    with_interval(scenario, None) byte for byte, but for the 1-region PVM's
-    region_mass_0 column at the end of each summary line."""
-    scenario = named_scenario("pointer_stationary")
-    derived = derive(scenario)
+    distance convention), or with a schedule that applies no measurement
+    (the first falls after the last record) is the unmeasured run: one
+    Propagator of rows 0..128 with no plan, no share and C = 0. It writes
+    the CSVs of its twin with the same record times and no interval,
+    with_interval(derived, None), byte for byte, the 1-region PVM's
+    region_mass_0 column included."""
+    derived = derive(named_scenario("pointer_stationary"))
     _, (_, plan, ops), certificate, blocks = captured_run(derived)
     assert plan is None and measurements_in(ops) == 0 and certificate == 0.0
     assert [(rows, share) for _, rows, share in blocks] == [(range(129), None)]
-    _, want = run_and_emit(with_interval(scenario, None), tmp_path / "unmeasured")
+    _, want = run_and_emit(with_interval(derived, None), tmp_path / "unmeasured")
     _, got = run_and_emit(derived, tmp_path / "derived")
-    for got_path, want_path in zip(got[:2], want[:2]):
+    for got_path, want_path in zip(got, want):
         assert got_path.read_bytes() == want_path.read_bytes()
-    summary, expected = (path.read_bytes().split(b"\n") for path in (got[2], want[2]))
-    if isinstance(derived.measurement, RegionPvmSpec):
-        assert summary[0] == expected[0] + b",region_mass_0"
-        summary = [line.rsplit(b",", 1)[0] for line in summary[:-1]] + summary[-1:]
-    assert summary == expected
 
 
 @pytest.mark.parametrize(

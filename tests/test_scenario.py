@@ -4,6 +4,7 @@ import dataclasses
 import math
 import textwrap
 
+import numpy as np
 import pytest
 
 from zenolattice import (
@@ -18,7 +19,11 @@ from zenolattice import (
     ScenarioError,
     Schedule,
     LatticeConfig,
+    grid_doubling_check,
     load_scenario,
+    make_regions,
+    pointer_kernel,
+    run_schedule,
     with_interval,
     with_regions,
 )
@@ -336,16 +341,29 @@ def _tiny_scenario():
     )
 
 
-def test_with_interval_strips_measurement_when_none():
+def test_with_interval_keeps_the_measurement():
     scenario = _tiny_scenario()
     unmeasured = with_interval(scenario, None)
-    assert isinstance(unmeasured.measurement, NoMeasurement)
+    assert unmeasured.measurement == RegionPvmSpec(4)
+    assert unmeasured.operator == scenario.operator
     assert unmeasured.schedule.measurement_interval is None
     retimed = with_interval(scenario, 2.5)
     assert retimed.measurement == RegionPvmSpec(4)
     assert retimed.schedule.measurement_interval == 2.5
     # the original is untouched
     assert scenario.schedule.measurement_interval == 1.0
+
+
+def test_with_interval_measures_again_after_none():
+    """Taking the interval away and giving it back is the scenario itself:
+    its records come back bit for bit, region masses included."""
+    scenario = _tiny_scenario()
+    again = run_schedule(with_interval(with_interval(scenario, None), 1.0))
+    for got, want in zip(again, run_schedule(scenario), strict=True):
+        for name in ("position_dist", "momentum_dist", "region_masses"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert got.purity == want.purity
+    assert again[-1].purity < 0.99  # measured, as the scenario is
 
 
 def test_scenario_is_frozen_and_derived_with_its_own_inputs():
@@ -356,8 +374,35 @@ def test_scenario_is_frozen_and_derived_with_its_own_inputs():
         scenario.measurement = NoMeasurement()
     with pytest.raises(dataclasses.FrozenInstanceError):
         scenario.operator = None
-    assert with_interval(scenario, None).operator is None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scenario.lattice.n_sites = 128
+    assert with_interval(scenario, None).operator == scenario.operator
     assert with_regions(scenario, 8).operator.n_regions == 8
+    assert grid_doubling_check(scenario).n_sites == 64
+
+
+@pytest.mark.parametrize(
+    "value, name",
+    [
+        (LatticeConfig(64), "n_sites"),
+        (LatticeConfig(64), "display_time_factor"),
+        (Schedule(1.0, 10.0, (0.0, 10.0)), "record_times"),
+        (NoMeasurement(), "kind"),
+        (RegionPvmSpec(4), "m_regions"),
+        (CustomKernelSpec((1.0, 0.5, 0.0, 0.5)), "values"),
+        (PointerSpec(0.5), "alpha"),
+        (GaussianPacketSpec(8, 8.0, 7), "width"),
+        (PositionEigenstateSpec(3), "site"),
+        (make_regions(64, 4), "boundaries"),
+        (pointer_kernel(PointerSpec(0.5), 64), "values"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+)
+def test_every_input_a_scenario_holds_is_frozen(value, name):
+    """A scenario checks its inputs and builds its state and operator once,
+    so none of the objects it holds can change after that."""
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, name, getattr(value, name, None))
 
 
 def test_with_regions_requires_pvm_scenario():

@@ -116,6 +116,24 @@ def test_traced_benchmark_execution_finds_every_layer(tmp_path):
     assert "layers" in result
 
 
+def test_output_digest_names_every_csv_once():
+    """scripts/output_digest.py, run in a child process as the bench is,
+    prints one digest per CSV of the four scenarios and three workloads."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "output_digest.py")],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    digests, names = zip(*(line.split("  ") for line in proc.stdout.splitlines()))
+    inputs = sorted([path.stem for path in (ROOT / "scenarios").glob("*.ini")])
+    inputs += ["pointer_n1024-7", "pvm_packet-7", "record_dense-7"]
+    csvs = ("momenta.csv", "positions.csv", "summary.csv")
+    assert list(names) == sorted(f"{stem}/{csv}" for stem in inputs for csv in csvs)
+    assert len(names) == 21 and all(len(digest) == 64 for digest in digests)
+
+
 def test_no_line_in_the_package_names_a_workload_or_scenario():
     """Figures of single runs live in README's table of measured figures,
     not in the package, so no line under src/zenolattice names a benchmark
