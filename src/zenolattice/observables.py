@@ -49,7 +49,7 @@ def position_distribution(rho: DensityMatrix) -> np.ndarray:
     _require_basis(rho, Basis.POSITION, "position_distribution")
     diag = np.diagonal(rho.entries)
     worst = float(np.max(np.abs(diag.imag)))
-    if worst > 1e-12:
+    if not worst <= 1e-12:  # NaN fails too
         raise ValueError(f"diagonal has imaginary parts up to {worst:.3e}")
     return diag.real.copy()
 

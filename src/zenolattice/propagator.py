@@ -27,7 +27,8 @@ snapshots check. In these coordinates:
   c = min(L - 1, N/2) for a PVM and the largest cut min(d, N - d) for a
   LINEAR kernel. By H[N - delta, d] = exp(-2 pi i delta d / N)
   conj H[delta, N - d], the window step (_mask) transforms along delta
-  only a (c, N) buffer that basic slices fill and empty: 1 + 2c/N passes;
+  only a (c, N) buffer that basic slices fill and empty: 1 + 2c/N passes,
+  with no twiddle in the symmetric frame of a narrowed engine (below);
 - a snapshot costs O(N^2) and no transform: p(k) is row 0, p(n) is the
   inverse FFT of the row sums s[delta], with s[N - delta] = conj s[delta],
   and the purity is the sum of |G|^2 over all N rows (Snapshots).
@@ -70,6 +71,31 @@ which the row cut below cannot allow. A record on the grid reads the band
 applied: its squared row norms and p(k), which no leg changes, are read off
 G, and its row sums are those of G times the leg's phases.
 
+Symmetric frame. A narrowed engine stores H'[delta, d] = exp(-i pi delta d
+/ N) H[delta, d], d signed, the band in Weyl's symmetric chord coordinates
+(Ozorio de Almeida, above), in which its leg kernel is real: the kernel of
+row delta is ifft_N of exp(i t (E(k - delta) - E(k))), and in the frame
+that is the transform of exp(i t (E(j - delta/2) - E(j + delta/2))), whose
+conjugate is its value at -j because E(k) = E(-k). So K, the fft_W of a
+real kernel, is Hermitian, and the engine keeps its columns m <= W/2, W//2
++ 1 per moving row; a leg multiplies the columns m > W/2 by conj K[W - m].
+Row 0, column 0 and |H| do not move, so a record on the grid and a re-cut
+read the band as they would H. No phase of the frame is built per entry: G
+rolled along k by ceil(delta/2), x[k - delta] y[k] read as x[k - a] y[k + b]
+with a + b = delta, a = floor(delta/2), has ifft_N exp(-2 pi i b d / N)
+H[delta, d], so H' is that on an even row and that times v[d] = exp(i pi
+d / N) on an odd one. Narrowing and a new K build their rows so, off
+strided views of the Weyl table of the two vectors (_weyl_pairs), and a
+record off the grid runs it backwards: the band times v on odd rows, fft_N,
+is G rolled by floor(delta/2), which a record reads alike, and the leg's
+phases are read rolled alike. In the window step, H'[N - delta, d] =
+conj H'[delta, -d], so the buffer's upper half is its mirror's conjugate,
+with no twiddle; an odd column times v, and an even one as it is, is column
+d of H shifted by floor(d/2) along delta, so its mask is the plan's cut
+rolled by floor(d/2) along n, and the column takes conj v after the fft.
+The plan's v is one N-vector, with delta' signed; v[N - delta'] is conj
+v[delta'] but at delta' = N/2, whose entry _mask sets on its own.
+
 Scratch. The band's zero padding, rows L..W - L of the d-major array, is
 one contiguous block of at least (2L - 2)(N/2 + 1) entries, more than the
 (L - 1) N of L - 1 rows of N columns. Every N-wide scratch of a narrowed
@@ -78,9 +104,12 @@ chunks of G, a new K's chunks, records on and off the grid, and the window
 step's (c, N) buffer, with the mirror column N - d held at W - d. Only where
 the padding holds less than one row of N, or is not contiguous (a re-cut's
 prefix view), is it one fresh chunk of CHUNK_ENTRIES entries. The d-major
-layout is kept for that memory, not for speed. An engine of N columns
-holds G, the leg's phase table (_phase_vector) and, for a window step, its
-own (c, N) buffer, and no other array of N columns per row.
+layout is kept for that memory, not for speed. A narrowed engine holds its
+band, K and, from its plan, the rolled cut and v: no array of N columns
+per row and no (c, N/2) table. An engine of N columns holds G, the leg's
+phase table (_phase_vector) and, for a window step, its own (c, N) buffer
+and its plan's (c, N/2) twiddle table, and no other array of N columns per
+row.
 
 Row blocks. Free legs, channels without cut columns and snapshots act on
 each row delta alone, so a Propagator may hold any range of rows, and
@@ -165,44 +194,47 @@ class ChannelPlan:
     measurement narrows to it, and N otherwise. The window's tables are
     d-major, as the window step's buffer: cut[d - 1, n] is the (c, N) mask
     along columns d = 1..c, the entries a PVM drops, to zero them without a
-    cast, or a LINEAR kernel's multiplier, and twiddle[d - 1, N/2 - delta]
-    is conj exp(-2 pi i delta d / N), for buffer entry N - delta: delta =
-    N/2..1 along each row. scale[d] is the value of column d outside the
-    window, constant there, and 1 inside it, at width columns with -d at
-    width - d; None for a PVM, whose other columns below L are all 1. A
-    minimal-image kernel that keeps N columns has its values as scale; one
-    built here is complex, which numpy would otherwise cast on every step.
-    growth is rho = sum |w| of the module docstring, for w = DFT(values) / N
-    of a kernel, 1 for a PVM; it bounds a row's l1 growth per measurement
-    only in a plan that does not couple rows. identity says that the
-    channel cuts no column and scales each by 1, as a 1-region PVM or an
-    all-ones kernel does; an engine applies such a plan like any other,
-    and harness.run_schedule runs it as the unmeasured run instead.
+    cast, or a LINEAR kernel's multiplier. A plan of N columns has
+    twiddle[d - 1, N/2 - delta] = conj exp(-2 pi i delta d / N), for buffer
+    entry N - delta: delta = N/2..1 along each row, and half_shift None. A
+    narrowing plan works in the module docstring's symmetric frame: its
+    cut is rolled by floor(d/2) along n, half_shift is the N-vector
+    v[delta'] = exp(i pi delta' / N), delta' signed, and twiddle is None.
+    Each phase is exp of an integer reduced mod 2N or N. scale[d] is the
+    value of column d outside the window, constant there, and 1 inside it,
+    at width columns with -d at width - d; None for a PVM, whose other
+    columns below L are all 1. A minimal-image kernel that keeps N columns
+    has its values as scale; one built here is complex, which numpy would
+    otherwise cast on every step. growth is rho = sum |w| of the module
+    docstring, for w = DFT(values) / N of a kernel, 1 for a PVM; it bounds
+    a row's l1 growth per measurement only in a plan that does not couple
+    rows. identity says that the channel cuts no column and scales each by
+    1, as a 1-region PVM or an all-ones kernel does; an engine applies such
+    a plan like any other, and harness.run_schedule runs it as the
+    unmeasured run instead.
     """
 
     def __init__(self, measurement: DampingKernel | RegionPartition) -> None:
         n = self.n = measurement.n_sites
         sites = np.arange(n)
         separation = np.minimum(sites, n - sites)
-        scale, growth = None, 1.0
+        scale, growth, region, c = None, 1.0, None, 0
         if isinstance(measurement, DampingKernel):
             values = measurement.values
             growth = float(np.abs(np.fft.fft(values)).sum()) / n
             if measurement.distance_convention is DistanceConvention.MINIMAL_IMAGE:
-                scale, c, cut = values, 0, np.empty((0, n))
+                scale = values
             else:
                 # LINEAR: column d is values[d] where n + d < N and values[N - d]
                 # past the wrap; a column inside the window whose two values
                 # agree is masked by that value.
                 mirrored = values[-sites]
                 c = int(separation[values != mirrored].max(initial=0))
-                window = sites[1 : c + 1, None]
-                cut = np.where(sites < n - window, values[window], mirrored[window])
                 inside = (separation > 0) & (separation <= c)
                 scale = np.where(inside, 1.0, values).astype(complex)
             band = 1 + max(c, int(separation[scale != 0].max()))
         elif measurement.n_regions == 1:
-            band, c, cut = n // 2 + 1, 0, np.empty((0, n))
+            band = n // 2 + 1
         else:
             # Regions are contiguous and do not wrap, so some pair at separation d
             # shares a region iff min(d, N - d) is below the largest region's size;
@@ -210,19 +242,32 @@ class ChannelPlan:
             largest = max(np.diff(measurement.boundaries + (n,)))
             c = int(min(largest - 1, n // 2))
             region = measurement.region_of
-            cut = region[(sites + sites[1 : c + 1, None]) % n] != region
             band = c + 1
         self.band, self.window, self.couples, self.growth = band, c, c > 0, growth
         self.width = min(_smooth_width(4 * band - 3), n)
+        narrows = self.width < n
         ones = scale is None or bool(np.all(scale == 1.0))
         self.identity = not c and 2 * band > n and ones
-        if scale is not None and self.width < n:
+        if scale is not None and narrows:
             # A narrowing engine applies the scale only after it narrows.
             scale = _band_columns(scale, band, np.empty(self.width, dtype=complex))
-        turns = np.outer(sites[1 : c + 1], sites[n // 2 : 0 : -1]) % n
-        self.twiddle = np.exp(-2j * np.pi * turns / n).conj()
-        self.scale, self.cut = scale, cut
-        for table in (self.scale, self.cut, self.twiddle):
+        # Row d - 1 of the cut is column d = 1..c along n, read at n - floor(d/2)
+        # in the symmetric frame of a narrowed engine.
+        window = sites[1 : c + 1, None]
+        at = (sites - window // 2) % n if narrows else sites
+        if region is not None:
+            cut = region[(at + window) % n] != region[at]
+        elif c:
+            cut = np.where(at < n - window, values[window], mirrored[window])
+        else:
+            cut = np.empty((0, n))
+        self.scale, self.cut, self.twiddle, self.half_shift = scale, cut, None, None
+        if narrows:
+            self.half_shift = _turns(np.where(2 * sites > n, sites - n, sites), 2 * n)
+        else:
+            turns = np.outer(sites[1 : c + 1], sites[n // 2 : 0 : -1]) % n
+            self.twiddle = np.exp(-2j * np.pi * turns / n).conj()
+        for table in (self.scale, self.cut, self.twiddle, self.half_shift):
             if table is not None:
                 table.flags.writeable = False
 
@@ -294,14 +339,18 @@ class Propagator:
         """A leg's phase table for u = exp(i t E(k)), 5N/2 entries built in
         place: conj u, then u from k = N/2 on, then u. Its last 2N entries
         stand for u doubled, of which _lagged reads for rows delta <= N/2
-        only the entries from N/2 on, which they hold."""
+        only the entries from N/2 on, which they hold. A narrowed engine's
+        is the Weyl table of u and conj u instead (_weyl_pairs)."""
         n = self._n
         energies = dispersion_table(n)  # its temporaries go before the table comes
         table = np.empty(5 * n // 2, dtype=complex)
-        u = table[3 * n // 2 :]
+        u = table[n // 4 : 5 * n // 4] if self._narrowed else table[3 * n // 2 :]
         np.multiply(energies, t, out=u.imag)
         u.real = 0.0
         np.exp(u, out=u)
+        if self._narrowed:
+            np.conjugate(u, out=table[5 * n // 4 : 9 * n // 4])
+            return _weyl_ends(table)
         table[n : 3 * n // 2] = u[n // 2 :]
         np.conjugate(u, out=table[:n])
         return table
@@ -339,20 +388,34 @@ class Propagator:
         return g
 
     def _band_kernel(self, turns: np.ndarray) -> np.ndarray:
-        """fft_W of each moving row's circulant kernel ifft_N(phases), cut to
-        the lags |l| <= 2L - 2 that carry the band onto itself, for the
-        phases of the leg whose table is turns: the leg applied to a chunk
-        of ones at a time in the band's padding (_scratch), whose lags are
-        written into K, a (rows, W) view of a d-major array, as the band."""
-        rows = self._rows[self._moving :]
-        kernel = np.empty((self._plan.width, len(rows)), dtype=complex).T
+        """K, for the leg whose Weyl table is turns: fft_W of each moving
+        row's circulant kernel ifft_N(phases), cut to the lags |l| <= 2L - 2
+        that carry the band onto itself, in the symmetric frame, where it is
+        real. The leg's phases, rolled by ceil(delta/2) along k (_weyl_pairs),
+        are applied a chunk of rows at a time in the band's padding
+        (_scratch) to exp(-2 pi i k (2L - 2) / N) rather than ones, so that
+        ifft_N lays the lags out in order from -(2L - 2) at column 0; an odd
+        row then takes v, the half shift the roll leaves. The lags' real
+        parts go through rfft_W straight into K, a (rows, W//2 + 1) view of
+        a d-major array, as the band, which then takes exp(2 pi i m (2L - 2)
+        / W), putting lag l back at column l mod W."""
+        plan, n = self._plan, self._n
+        rows, reach, width, v = self._rows[self._moving :], 2 * plan.band - 2, plan.width, plan.half_shift
+        kernel = np.empty((width // 2 + 1, len(rows)), dtype=complex).T
         with self._scratch(self._g.T, len(rows)) as scratch:
             for part, chunk, phases in _spans(rows, scratch):
-                phases.fill(1.0)
-                self._free_leg(phases, turns, chunk)
+                shift = phases[0]
+                _turns(np.multiply(np.arange(n, dtype=float), -reach, out=shift.imag), n, out=shift)
+                phases[1:] = shift
+                for pick, behind, ahead in _weyl_pairs(turns, chunk, n, False):
+                    np.multiply(phases[pick], behind, out=phases[pick])
+                    np.multiply(phases[pick], ahead, out=phases[pick])
                 np.fft.ifft(phases, axis=1, out=phases)
-                lags = _band_columns(phases, 2 * self._plan.band - 1, kernel[part])
-                np.fft.fft(lags, axis=1, out=lags)
+                odd = phases[1 - chunk.start % 2 :: 2]  # lag l at column l + reach
+                np.multiply(odd[:, :reach], v[n - reach :], out=odd[:, :reach])
+                np.multiply(odd[:, reach : 2 * reach + 1], v[: reach + 1], out=odd[:, reach : 2 * reach + 1])
+                np.fft.rfft(phases.real[:, : 2 * reach + 1], width, axis=1, out=kernel[part])
+        np.multiply(kernel, _turns(reach * np.arange(width // 2 + 1), width), out=kernel)
         return kernel
 
     def _leg_table(self, t: float) -> np.ndarray:
@@ -412,25 +475,38 @@ class Propagator:
         if self._narrowed and self._table is not None:
             self._table = self._table[: kept - self._moving]
 
-    def _pure_chunks(self, buffer: np.ndarray, t: float):
+    def _pure_chunks(self, buffer: np.ndarray, t: float, rolled: bool = False):
         """Leave the pure stage: (slice, rows in it, G of psi(t) on those
         rows) for each chunk of len(buffer) of the engine's rows, written
         into buffer in turn: G[delta, k] = conj phi(t)[k - delta] phi(t)[k] / N,
         for phi(t) = phi exp(-i t E), read off strided views of conj phi(t)
-        doubled. Row 0 is built from phi, its phase being exactly 1, so p(k)
-        keeps every bit. No leg's phase table is held meanwhile."""
+        doubled, or with rolled each row rolled by ceil(delta/2) along k,
+        off the Weyl table of conj phi(t) and phi(t) / N (_weyl_pairs). Row
+        0 is built from phi, its phase being exactly 1, so p(k) keeps every
+        bit. No leg's phase table is held meanwhile."""
         n, rows, phi, skip = self._n, self._rows, self._phi, self._moving
         self._phi = None
         if skip:  # row 0 of the first chunk
             np.multiply(phi.conj(), phi / n, out=buffer[0])
         phi *= _pure_phases(n, t)  # phi(t), then phi(t) / N, in place
-        doubled = np.empty(2 * n, dtype=complex)
-        np.conjugate(phi, out=doubled[:n])
-        doubled[n:] = doubled[:n]
-        phi /= n  # exact: N is a power of two
+        if rolled:
+            table = np.empty(5 * n // 2, dtype=complex)
+            np.conjugate(phi, out=table[n // 4 : 5 * n // 4])
+            np.divide(phi, n, out=table[5 * n // 4 : 9 * n // 4])  # exact: N is a power of two
+            _weyl_ends(table)
+            del phi
+        else:
+            doubled = np.empty(2 * n, dtype=complex)
+            np.conjugate(phi, out=doubled[:n])
+            doubled[n:] = doubled[:n]
+            phi /= n  # exact: N is a power of two
         for part, chunk, g in _spans(rows, buffer):
             built = skip if part.start == 0 else 0
-            np.multiply(_lagged(doubled, chunk[built:]), phi, out=g[built:])
+            if rolled:
+                for pick, behind, ahead in _weyl_pairs(table, chunk[built:], n, False):
+                    np.multiply(behind, ahead, out=g[built:][pick])
+            else:
+                np.multiply(_lagged(doubled, chunk[built:]), phi, out=g[built:])
             yield part, chunk, g
 
     def _pure_rows(self, t: float) -> np.ndarray:
@@ -441,19 +517,23 @@ class Propagator:
         return g
 
     def _pure_band(self, t: float) -> np.ndarray:
-        """The band of H of psi(t), with no G: G's rows are built one chunk
-        at a time, transformed by ifft_N along k, and their band columns
-        kept. The chunks lie in the band's own zero padding, rows L..W - L
-        of the d-major (W, rows) array, zeroed from the start and again
-        afterwards (_scratch); a window step's buffer stays there. Returns
-        the band as a (rows, W) view of that array."""
+        """The band of H of psi(t) in the symmetric frame, with no G: G's
+        rows, each rolled by ceil(delta/2) along k, are built one chunk at a
+        time, transformed by ifft_N along k, which leaves an odd row half a
+        shift short, made up by v, and their band columns kept. The chunks
+        lie in the band's own zero padding, rows L..W - L of the d-major
+        (W, rows) array, zeroed from the start and again afterwards
+        (_scratch); a window step's buffer stays there. Returns the band as
+        a (rows, W) view of that array."""
         plan, n, rows = self._plan, self._n, self._rows
         keep, width = plan.band, plan.width
         band = np.zeros((width, len(rows)), dtype=complex)
         h = band.T
         with self._scratch(band, len(rows)) as scratch:
-            for part, _, g in self._pure_chunks(scratch, t):
+            for part, chunk, g in self._pure_chunks(scratch, t, True):
                 np.fft.ifft(g, axis=1, out=g)
+                odd = g[1 - chunk.start % 2 :: 2]
+                np.multiply(odd, plan.half_shift, out=odd)
                 h[part, :keep] = g[:, :keep]
                 h[part, width - keep + 1 :] = g[:, n - keep + 1 :]
         if plan.window:
@@ -464,7 +544,8 @@ class Propagator:
         """Free evolution for natural time t of a measured engine: G times
         the leg's phases, or once narrowed an exact cyclic product of length
         W >= 4L - 3 with the leg's band kernel, which wraps nothing onto the
-        band."""
+        band. K holds the columns m <= W/2 of a Hermitian fft_W; a column
+        m > W/2 is multiplied by conj K[W - m], as conj(conj(x) K[W - m])."""
         if t == 0.0:
             return
         kernel = self._leg_table(t)
@@ -473,7 +554,12 @@ class Propagator:
             return
         h = self._g[self._moving :]
         np.fft.fft(h, axis=1, out=h)
-        np.multiply(h, kernel, out=h)
+        lower, upper = h[:, : kernel.shape[1]], h[:, kernel.shape[1] :]
+        np.multiply(lower, kernel, out=lower)
+        np.conjugate(upper, out=upper)
+        mirrored = upper[:, ::-1]  # m = W - 1 .. W//2 + 1, for W - m = 1 .. (W - 1)//2
+        np.multiply(mirrored, kernel[:, 1 : upper.shape[1] + 1], out=mirrored)
+        np.conjugate(upper, out=upper)
         np.fft.ifft(h, axis=1, out=h)
 
     def _mask(self, h: np.ndarray) -> None:
@@ -487,29 +573,43 @@ class Propagator:
         if c:
             if self._buffer is None:  # an engine of N columns keeps its own
                 self._buffer = np.empty((c, self._n), dtype=complex)
-            buffer, twiddle = self._buffer, plan.twiddle
+            buffer, twiddle, shift = self._buffer, plan.twiddle, plan.half_shift
             # Row j of buffer is d = j + 1 and row j of mirror is N - d, held
             # at width - d. Buffer columns N/2..N - 1 are delta' = N - delta for
             # delta = N/2..1, the columns of twiddle; w conj(x) = conj(x conj(w))
-            # builds them in place, in contiguous passes.
+            # builds them in place, in contiguous passes. In the symmetric
+            # frame they are conj H'[delta, -d], with no twiddle, and an odd
+            # row times v, whose entry 0 is 1, is a whole shift of H[., d].
             mirror = h[width - 1 : width - c - 1 : -1]
+            odd = buffer[::2, 1:]  # d = 1, 3, ... from delta' = 1
             buffer[:, :half] = h[1 : c + 1]
             upper = buffer[:, half:]  # delta' = N - delta, delta = N/2 - 1 .. 1
-            upper[:] = mirror[:, half - 2 : 0 : -1]
-            np.multiply(upper, twiddle[:, 1:], out=upper)
-            np.conjugate(upper, out=upper)
+            if twiddle is None:
+                np.conjugate(mirror[:, half - 2 : 0 : -1], out=upper)
+                np.multiply(odd, shift[1:], out=odd)
+            else:
+                upper[:] = mirror[:, half - 2 : 0 : -1]
+                np.multiply(upper, twiddle[:, 1:], out=upper)
+                np.conjugate(upper, out=upper)
             np.fft.ifft(buffer, axis=1, out=buffer)
             if plan.cut.dtype == bool:
                 np.copyto(buffer, 0.0, where=plan.cut)
             else:
                 np.multiply(buffer, plan.cut, out=buffer)
             np.fft.fft(buffer, axis=1, out=buffer)
+            if twiddle is None:
+                # v[N - delta'] is conj v[delta'] but at delta' = N/2, where
+                # the two factors of v[N/2] = i make -1, set right below.
+                np.multiply(odd, shift[:0:-1], out=odd)
             h[1 : c + 1] = buffer[:, :half]
+            if twiddle is None:  # and -conj of that is H'[N/2, -d] = (-1)^d conj H'[N/2, d]
+                np.negative(h[1 : c + 1 : 2, half - 1], out=h[1 : c + 1 : 2, half - 1])
             # delta = 0..N/2 of column N - d from (N - delta) mod N of column
             # d; column N/2, its own mirror, is written already.
             pairs = min(c, half - 2)
             lower = buffer[:, half - 1 :]  # delta' = N - delta, delta = N/2 .. 1
-            np.multiply(lower, twiddle, out=lower)
+            if twiddle is not None:
+                np.multiply(lower, twiddle, out=lower)
             np.conjugate(lower, out=lower)
             np.conjugate(buffer[:pairs, 0], out=mirror[:pairs, 0])
             mirror[:pairs, 1:] = lower[:pairs, ::-1]
@@ -518,17 +618,26 @@ class Propagator:
         h[plan.band : width - plan.band + 1] = 0.0
 
     def _g_chunks(self, t: float):
-        """(rows, G on those rows) t after a narrowed engine's last
-        measurement, over its rows: G rebuilt one chunk of rows at a time in
-        the band's padding (_scratch), as fft_N of the band in N columns
-        times the phases of a leg of t; a chunk is valid until the next.
+        """(rows, G on those rows, each row rolled by floor(delta/2) along k)
+        t after a narrowed engine's last measurement, over its rows: G
+        rebuilt one chunk of rows at a time in the band's padding
+        (_scratch), as fft_N of the band in N columns, an odd row times v,
+        which the roll makes a whole shift, times the phases of a leg of t,
+        rolled alike (_weyl_pairs); a chunk is valid until the next. A
+        record reads only row sums, norms and row 0, which no roll moves.
         The band itself is not written."""
         turns = self._phase_vector(t)
         with self._scratch(self._g.T, len(self._rows)) as scratch:
             for part, rows, g in _spans(self._rows, scratch):
                 _band_columns(self._g[part], self._plan.band, g)
+                odd = g[1 - rows.start % 2 :: 2]
+                np.multiply(odd, self._plan.half_shift, out=odd)
                 np.fft.fft(g, axis=1, out=g)
-                self._free_leg(g, turns, rows)
+                skip = 1 if rows.start == 0 else 0  # row 0's phase is exactly 1
+                for pick, behind, ahead in _weyl_pairs(turns, rows[skip:], self._n, True):
+                    moving = g[skip:][pick]
+                    np.multiply(moving, behind, out=moving)
+                    np.multiply(moving, ahead, out=moving)
                 yield rows, g
 
     def record(self, snapshots: Snapshots, j: int, t: float) -> None:
@@ -799,6 +908,43 @@ def _band_columns(a: np.ndarray, keep: int, out: np.ndarray) -> np.ndarray:
     out[..., keep : width - keep + 1] = 0.0
     out[..., width - keep + 1 :] = a[..., a.shape[-1] - keep + 1 :]
     return out
+
+
+def _turns(q: np.ndarray, period: int, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(2 pi i q / period) for the integers q, written into out if given,
+    whose imaginary part q may be; q is first reduced mod period in place,
+    so that no angle exceeds 2 pi."""
+    out = np.empty(q.shape, dtype=complex) if out is None else out
+    np.multiply(np.remainder(q, period, out=q), 2 * np.pi / period, out=out.imag)
+    out.real = 0.0
+    return np.exp(out, out=out)
+
+
+def _weyl_ends(table: np.ndarray) -> np.ndarray:
+    """Complete a Weyl table in place and return it: 5N/2 entries, x over
+    k = -N/4..N - 1 and then y over k = 0..5N/4 - 1, for x and y written
+    at their k = 0..N - 1, entries N/4.. and 5N/4.."""
+    quarter = table.size // 10
+    table[:quarter] = table[4 * quarter : 5 * quarter]
+    table[9 * quarter :] = table[5 * quarter : 6 * quarter]
+    return table
+
+
+def _weyl_pairs(table: np.ndarray, rows: range, n: int, late: bool):
+    """(pick, x[k - a], y[k + b]) for each parity of delta in rows: pick
+    selects those rows, and the views, off the Weyl table of x and y
+    (_weyl_ends), hold the rows a + b = delta, a = floor(delta/2), or
+    ceil(delta/2) with late. x[k - delta] y[k] rolled by b along k is
+    x[k - a] y[k + b]: G's rows rolled into the symmetric frame, with no
+    index table, for delta <= N/2."""
+    step = table.itemsize
+    for first in range(min(2, len(rows))):
+        delta = rows[first]
+        a = (delta + 1) // 2 if late else delta // 2
+        count = len(range(first, len(rows), 2))
+        behind = np.ndarray((count, n), table.dtype, table, (n // 4 - a) * step, (-step, step))
+        ahead = np.ndarray((count, n), table.dtype, table, (5 * n // 4 + delta - a) * step, (step, step))
+        yield slice(first, None, 2), behind, ahead
 
 
 def _smooth_width(m: int) -> int:

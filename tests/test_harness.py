@@ -266,8 +266,8 @@ class TestRunSchedule:
     @pytest.mark.parametrize(
         "measurement, bound",
         [
-            (RegionPvmSpec(6), 1.7),  # 1.53: the band and K, W = 1372 (1.87 with G first)
-            (PointerSpec(0.5, DistanceConvention.LINEAR), 0.65),  # 0.55: c = 109, W = 441 (1.33)
+            (RegionPvmSpec(6), 1.7),  # 1.03: the band and half K, W = 1372 (1.53 with all of K)
+            (PointerSpec(0.5, DistanceConvention.LINEAR), 0.65),  # 0.38: c = 109, W = 441 (0.55)
         ],
         ids=["pvm6", "linear0.5"],
     )
@@ -674,13 +674,10 @@ def test_narrowed_steps_match_dense_oracle(case):
     channel = pvm_channel if isinstance(measurement, RegionPartition) else kernel_channel
     rho = density_from_pure(state)
 
-    def evolve(rho, t):
-        return density_to_position(evolve_density(density_to_momentum(rho), t))
-
     for leg, record_at in steps:
         if record_at:  # a record part of the way through the leg
-            check_snapshot(engine, evolve(rho, record_at * leg), record_at * leg)
-        rho = channel(evolve(rho, leg), measurement)
+            check_snapshot(engine, evolved(rho, record_at * leg), record_at * leg)
+        rho = channel(evolved(rho, leg), measurement)
         engine.measure(leg)
         assert engine._g.shape == (n // 2 + 1, expected_width(measurement))
         if record_at == 0.0:
@@ -695,6 +692,141 @@ def check_snapshot(engine, rho, t=0.0):
     np.testing.assert_allclose(snapshots.momentum_distribution(0), momentum_distribution(rho),
                                rtol=0, atol=1e-12)
     assert abs(snapshots.purity(0) - purity(rho)) <= 1e-12
+
+
+def random_state(n, seed):
+    """A normalized state of random complex amplitudes."""
+    rng = np.random.default_rng(seed)
+    amplitudes = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return StateVector(amplitudes / np.linalg.norm(amplitudes))
+
+
+def evolved(rho, t):
+    """The position-basis reference of a free leg of length t."""
+    return density_to_position(evolve_density(density_to_momentum(rho), t))
+
+
+@pytest.mark.parametrize(
+    "measurement, width, window",
+    [
+        (make_regions(256, 16), 63, 15),
+        (make_regions(256, 6), 168, 41),
+        (RegionPartition(tuple(range(0, 256, 2)), 256), 5, 1),  # only the odd column d = 1
+        (RegionPartition(tuple(range(0, 256, 3)), 256), 9, 2),  # d = 1 and the even d = 2
+        (pointer_kernel(PointerSpec(3.0, DistanceConvention.LINEAR), 256), 75, 18),
+    ],
+    ids=["pvm16_odd_w", "pvm6_even_w", "pvm_odd_d", "pvm_even_d", "linear3"],
+)
+def test_symmetric_frame_matches_the_position_basis(measurement, width, window):
+    """A narrowed engine steps its band in the symmetric frame, with half a
+    band kernel and a window of odd and even columns d: of odd W and even
+    W, of a window of d = 1 alone and of d = 1, 2, and of a LINEAR kernel,
+    whose cut is a multiplier. On a random state, through legs of two
+    random lengths, each of which builds its K, and records on and off the
+    grid, it matches the position-basis channels at 1e-12."""
+    n = measurement.n_sites
+    plan = ChannelPlan(measurement)
+    assert (plan.width, plan.window) == (width, window) and plan.twiddle is None
+    rng = np.random.default_rng(width)
+    engine = Propagator(random_state(n, width), plan)
+    channel = pvm_channel if isinstance(measurement, RegionPartition) else kernel_channel
+    rho = density_from_pure(random_state(n, width))
+    a, b = rng.uniform(1e-3, 0.02, size=2)
+    kernels = []
+    for leg, record_at in ((a, None), (a, 0.0), (b, 0.4), (b, 0.0), (a, 0.7), (a, 0.0)):
+        if record_at:
+            check_snapshot(engine, evolved(rho, record_at * leg), record_at * leg)
+        rho = channel(evolved(rho, leg), measurement)
+        engine.measure(leg)
+        assert engine._g.shape == (n // 2 + 1, width)
+        kernels.append(engine._table_t)
+        if record_at == 0.0:
+            check_snapshot(engine, rho)
+    assert kernels == [None, a, b, b, a, a]  # K of a, of b, and of a again
+    assert engine._table.shape == (n // 2, width // 2 + 1)
+
+
+def test_narrowed_pointer_block_recuts_in_the_symmetric_frame():
+    """A row-local pointer that narrows (alpha = 1 at N = 256, W = 224),
+    stepped as a block of rows 3..79 of a packet at a random place and
+    momentum, with a share, re-cuts its band and its half K as a prefix:
+    after every measure its rows' partials, on and off the grid, equal bit
+    for bit those of the same rows of a block that keeps all of them. And
+    run_schedule's records of such a run, whose blocks re-cut, match the
+    position-basis reference at 1e-12."""
+    n = 256
+    measurement = pointer_kernel(PointerSpec(1.0), n)
+    plan = ChannelPlan(measurement)
+    assert plan.width == 224 and not plan.couples
+    rng = np.random.default_rng(5)
+    state = build_initial_state(GaussianPacketSpec(int(rng.integers(n)), 16.0, int(rng.integers(-60, 60))), n)
+    recut = Propagator(state, plan, range(3, 80), 1e-12, 8)
+    kept = Propagator(state, plan, range(3, 80))
+    for leg, record_at in ((0.01, 0.0), (0.01, 0.5), (0.013, 0.0), (0.013, 0.3), (0.01, 0.0)):
+        for engine in (recut, kept):
+            engine.measure(leg)
+        got, want = Snapshots(1, n), Snapshots(1, n)
+        recut.record(got, 0, record_at * leg)
+        kept.record(want, 0, record_at * leg)
+        rows = len(recut._rows)
+        for a, b in zip(got.partials(0, recut._rows)[:2], want.partials(0, kept._rows)[:2]):
+            np.testing.assert_array_equal(a.view(np.uint64), b[:rows].view(np.uint64))
+    assert len(recut._rows) < 77 and recut._table.shape == (len(recut._rows), 113)
+
+    scenario = Scenario(
+        lattice=LatticeConfig(n),
+        state=GaussianPacketSpec(100, 6.0, 17),
+        measurement=PointerSpec(1.0),
+        schedule=Schedule(2.0, 12.0, (0.0, 3.0, 6.0, 11.0, 12.0)),
+    )
+    records, _, certificate, blocks = captured_run(scenario)
+    assert certificate > 0 and any(engine._rows != rows for engine, rows, _ in blocks)
+    rho, applied = density_from_pure(build_initial_state(scenario.state, n)), 0
+    lattice = scenario.lattice
+    for rec in records:
+        while 2.0 * (applied + 1) <= rec.time_display + 1e-9:
+            rho = kernel_channel(evolved(rho, lattice.to_natural_time(2.0)), measurement)
+            applied += 1
+        at = evolved(rho, lattice.to_natural_time(rec.time_display - 2.0 * applied))
+        np.testing.assert_allclose(rec.position_dist, position_distribution(at), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rec.momentum_dist, momentum_distribution(at), rtol=0, atol=1e-12)
+        assert abs(rec.purity - purity(at)) <= 1e-12
+
+
+def test_symmetric_frame_lags_are_real_and_its_plan_holds_no_twiddle():
+    """E(k) = E(-k), so each row's cut kernel ifft_N(phases)[l] times
+    exp(-i pi delta l / N) is real: on a random leg its imaginary part is
+    within (1 + log2 N) eps of the row's l2 norm, 1, the round-off of
+    ifft_N and of the frame's multiply. A narrowed plan holds no (c, N/2)
+    twiddle table: its cut is the full-width plan's rolled by floor(d/2)
+    along n, for a PVM and a LINEAR kernel, and its one N-vector is
+    v = exp(i pi delta' / N), delta' signed."""
+    n = 256
+    rows = range(1, n // 2 + 1)
+    t = np.random.default_rng(3).uniform(1e-3, 0.05)
+    phases = leg_by_index(np.ones((len(rows), n), dtype=complex), rows, t)
+    kernel = np.fft.ifft(phases, axis=1)
+    reach = 2 * ChannelPlan(make_regions(n, 6)).band - 2
+    lags = np.arange(-reach, reach + 1)
+    framed = kernel[:, lags % n] * frame_phases(rows, lags, n, -1)
+    assert np.allclose(np.linalg.norm(kernel, axis=1), 1.0)
+    assert np.max(np.abs(framed.imag)) <= (1 + math.log2(n)) * np.finfo(float).eps
+
+    sites = np.arange(n)
+    signed = np.where(2 * sites > n, sites - n, sites)
+    for measurement in (make_regions(n, 6), pointer_kernel(PointerSpec(3.0, DistanceConvention.LINEAR), n)):
+        plan = ChannelPlan(measurement)
+        c = plan.window
+        arrays = {name: v.shape for name, v in vars(plan).items() if isinstance(v, np.ndarray)}
+        assert plan.twiddle is None and (c, n // 2) not in arrays.values()
+        np.testing.assert_allclose(plan.half_shift, np.exp(1j * np.pi * signed / n), rtol=0, atol=1e-15)
+        if isinstance(measurement, RegionPartition):
+            full = ~region_mask(measurement).T[1 : c + 1]  # the entries a PVM drops, column d along n
+        else:
+            values = measurement.values
+            full = np.where(sites < n - sites[1 : c + 1, None], values[1 : c + 1, None], values[-sites[1 : c + 1], None])
+        rolled = np.array([np.roll(row, d // 2) for d, row in enumerate(full, start=1)])
+        np.testing.assert_array_equal(plan.cut, rolled)
 
 
 @pytest.mark.parametrize(
@@ -725,9 +857,10 @@ def test_width_after_the_first_measurement(measurement, width):
 def test_narrowed_engine_holds_nothing_wider_than_w():
     """Until its first measurement the engine holds phi and no phase table,
     also after a record. Narrowing builds the band straight from psi(t),
-    with no G, and each new leg length its band kernel: the engine then
-    holds no array with more than W columns but the window's: its buffer,
-    which lies in the band's zero padding, and the plan's c-row tables,
+    with no G, and each new leg length its band kernel K, of W//2 + 1
+    columns: the engine then holds no array with more than W columns but
+    the window's: its buffer, which lies in the band's zero padding, the
+    plan's c-row cut and its one N-vector v, and no (c, N/2) twiddle table,
     through legs of other lengths and records on and off the grid, which
     take their N columns in that padding too."""
     n, t, width = 256, 0.001, 168
@@ -741,10 +874,11 @@ def test_narrowed_engine_holds_nothing_wider_than_w():
         engine.measure(leg)
         arrays = engine_arrays(engine)
         assert np.shares_memory(arrays.pop("_buffer"), engine._g)
-        for name in ("plan.cut", "plan.twiddle"):  # the window's c rows, d-major
-            assert arrays.pop(name).shape[0] == engine._plan.window
+        assert arrays.pop("plan.cut").shape == (engine._plan.window, n)  # d-major
+        assert arrays.pop("plan.half_shift").shape == (n,) and engine._plan.twiddle is None
         widths = {name: v.shape[-1] for name, v in arrays.items()}
-        assert max(widths.values()) == widths["_g"] == widths["_table"] == width
+        assert max(widths.values()) == widths["_g"] == width
+        assert widths["_table"] == width // 2 + 1
 
 
 @pytest.mark.parametrize(
@@ -784,8 +918,9 @@ def test_narrowed_records_and_new_leg_take_their_rows_in_the_padding():
     seen; 7.5 KiB when p(k) took a row of its own). In a record off the
     grid, and in a measure whose leg has a new length and builds a new K,
     it allocates a leg's 3N phase table and 8 KiB more: 20 KiB
-    (15.0 and 13.0 KiB seen; 80 KiB with a chunk of CHUNK_ENTRIES entries
-    of their own)."""
+    (15.9 and 17.4 KiB seen, of which 5 KiB is the one-row ufunc buffers of
+    the multiply that ends a new K; 15.0 and 13.0 with all of K; 80 KiB
+    with a chunk of CHUNK_ENTRIES entries of their own)."""
     n, t = 256, 0.001
     engine = Propagator(build_initial_state(GaussianPacketSpec(8, 8.0, 31), n), ChannelPlan(make_regions(n, 6)))
     snapshots = Snapshots(1, n)
@@ -845,6 +980,7 @@ def test_engine_keeps_one_phase_vector_beside_g(measurement):
     assert engine._g.shape == (n // 2 + 1, n) and engine._phi is None
     window = {"_buffer", "plan.cut", "plan.twiddle"}
     assert all(arrays[name].shape[0] == engine._plan.window for name in window & set(arrays))
+    assert engine._plan.half_shift is None  # the symmetric frame is a narrowed engine's alone
     assert max(v.size for name, v in arrays.items() if name not in {"_g", *window}) <= 3 * n
 
 
@@ -1578,31 +1714,64 @@ def leg_by_index(g, rows, t):
     return g
 
 
+def frame_phases(rows, lags, n, sign):
+    """exp(sign i pi delta l / N) at [delta - rows.start, j], for l = lags[j],
+    built whole from the integers delta l mod 2N: sign -1 takes a band's
+    columns into the symmetric frame, 1 out of it."""
+    turns = (sign * np.outer(np.asarray(rows), lags)) % (2 * n)
+    return np.exp(1j * (turns * (np.pi / n)))
+
+
+def rolled_leg_by_index(g, rows, t, late):
+    """g, rows of G each rolled along k by b = floor(delta/2), or by
+    ceil(delta/2) with late false, times the leg's phases rolled alike,
+    u[k - delta + b] conj u[k + b], through index tables and all rows at
+    once; row 0 is left alone. The whole-array reference of the engine's
+    Weyl views."""
+    n = g.shape[1]
+    delta = np.asarray(rows)[:, None]
+    ahead = delta // 2 if late else (delta + 1) // 2
+    sites = np.arange(n)[None, :]
+    turns = np.exp(1j * t * dispersion_table(n))
+    moving = 1 if rows.start == 0 else 0
+    np.multiply(g[moving:], turns[(sites - delta + ahead)[moving:] % n], out=g[moving:])
+    np.multiply(g[moving:], turns.conj()[(sites + ahead)[moving:] % n], out=g[moving:])
+    return g
+
+
 def widened(engine, t=0.0):
-    """G t after a narrowed engine's last measurement, rebuilt from its band
-    in one (rows, N) array: fft_N of the band in N columns, times the
-    phases of a leg of t."""
-    plan, n = engine._plan, engine._n
+    """G t after a narrowed engine's last measurement, each row rolled by
+    floor(delta/2) along k, as its records read it, rebuilt from its band
+    in one (rows, N) array: the band in N columns, its odd rows times v,
+    fft_N, times the phases of a leg of t rolled alike."""
+    plan, n, rows = engine._plan, engine._n, engine._rows
     keep, width = plan.band, plan.width
-    g = np.zeros((len(engine._rows), n), dtype=complex)
+    g = np.zeros((len(rows), n), dtype=complex)
     g[:, :keep] = engine._g[:, :keep]
     g[:, n - keep + 1 :] = engine._g[:, width - keep + 1 :]
+    g[1 - rows.start % 2 :: 2] *= plan.half_shift
     np.fft.fft(g, axis=1, out=g)
-    return leg_by_index(g, engine._rows, t) if t else g
+    return rolled_leg_by_index(g, rows, t, True) if t else g
 
 
 def whole_band_kernel(engine, t):
     """A narrowed engine's K for a leg of length t, built in one (rows, N)
-    array: the leg applied to ones, ifft_N, cut to the lags |l| <= 2L - 2
-    in W columns, fft_W; rows of the moving rows only."""
+    array, rows of the moving rows only: the leg's phases, rolled by
+    ceil(delta/2) along k, applied to exp(-2 pi i k (2L - 2) / N), ifft_N,
+    which puts lag l at l + 2L - 2, the odd rows times v at their lags, so
+    that the lags |l| <= 2L - 2 are in the symmetric frame, rfft_W of their
+    real parts, times exp(2 pi i m (2L - 2) / W), which puts lag l back at
+    l mod W."""
     plan, n = engine._plan, engine._n
-    keep, width = 2 * plan.band - 1, plan.width
-    phases = leg_by_index(np.ones((len(engine._rows), n), dtype=complex), engine._rows, t)
-    phases = np.fft.ifft(phases[engine._moving :], axis=1)
-    kernel = np.zeros((len(phases), width), dtype=complex)
-    kernel[:, :keep] = phases[:, :keep]
-    kernel[:, width - keep + 1 :] = phases[:, n - keep + 1 :]
-    return np.fft.fft(kernel, axis=1)
+    rows = engine._rows[engine._moving :]
+    reach, width = 2 * plan.band - 2, plan.width
+    shift = np.exp(1j * ((-reach * np.arange(n)) % n * (2 * np.pi / n)))
+    phases = rolled_leg_by_index(np.tile(shift, (len(rows), 1)), rows, t, False)
+    np.fft.ifft(phases, axis=1, out=phases)
+    lags = phases[:, : 2 * reach + 1]
+    lags[1 - rows.start % 2 :: 2] *= plan.half_shift[np.arange(-reach, reach + 1) % n]
+    kernel = np.fft.rfft(lags.real, width, axis=1)
+    return kernel * np.exp(1j * (reach * np.arange(width // 2 + 1) % width * (2 * np.pi / width)))
 
 
 def pure_rows(engine, t):
@@ -1776,14 +1945,16 @@ def pure_stage_cases(draw):
 def test_first_measurement_builds_what_the_legs_built(case):
     """The first measurement builds G of psi(t) from phi(t) = phi exp(-i t E),
     or, for a plan that narrows, the band of H from G's rows a chunk at a
-    time. The path it replaced built G of phi through an index table,
-    applied each leg, then ifft_N and the band columns. The two agree
-    within eps (1 + log2 N + (legs + 1) t E_max) times the largest |G| on
-    each row, t the legs' sum: each path rounds the phase t E(k), up to
-    t E_max radians, once per leg or once in all, to eps of its size;
-    each product of amplitudes and phases rounds by a few eps, and
-    ifft_N by up to log2 N eps of the row. Seen: at most 0.28 of the
-    bound on G, 0.03 on the band, over 300 random cases."""
+    time, in the symmetric frame exp(-i pi delta d / N) H[delta, d]. The
+    path it replaced built G of phi through an index table, applied each
+    leg, then ifft_N and the band columns, here taken into the frame whole.
+    The two agree within eps (1 + log2 N + (legs + 1) t E_max) times the
+    largest |G| on each row, t the legs' sum: each path rounds the phase
+    t E(k), up to t E_max radians, once per leg or once in all, to eps of
+    its size; each product of amplitudes and phases, the frame's phases
+    too, rounds by a few eps, and ifft_N by up to log2 N eps of the row.
+    Seen: at most 0.28 of the bound on G, 0.09 on the band (0.03 before
+    the frame's phases), over 300 random cases."""
     state, measurement, legs = case
     n = state.n_sites
     rows = range(n // 2 + 1)
@@ -1800,6 +1971,8 @@ def test_first_measurement_builds_what_the_legs_built(case):
         got, keep, width = engine._pure_band(sum(legs)), plan.band, plan.width
         want, h = np.zeros_like(got), np.fft.ifft(g, axis=1)
         want[:, :keep], want[:, width - keep + 1 :] = h[:, :keep], h[:, n - keep + 1 :]
+        columns, lags = np.r_[0:keep, width - keep + 1 : width], np.r_[0:keep, 1 - keep : 0]
+        want[:, columns] *= frame_phases(rows, lags, n, -1)
     else:
         got, want = engine._pure_rows(sum(legs)), g
     assert np.all(np.abs(got - want) <= bound)
@@ -1813,9 +1986,19 @@ def test_pure_stage_records_match_the_g_path(case):
     sums fft_N(|psi(t)|^2), and the purity its row norms, correlated
     directly. An engine that holds G of phi built at t = 0 and steps it
     through the same legs, as an unmeasured run did before the pure stage,
-    records p(k) and its three moments bit for bit the same, and p(n), the
-    region masses and the purity within 1e-15 (seen: 4.5e-16, 6.9e-16
-    and 5.6e-16 over 300 random cases)."""
+    records p(k) and its three moments bit for bit the same. p(n), the
+    region masses and the purity agree within the bound of
+    test_first_measurement_builds_what_the_legs_built, eps (1 + log2 N +
+    (legs + 1) t E_max), times the scale of each: every row of G has
+    ||G[delta]||_1 <= Tr rho = 1 (Cauchy-Schwarz on conj phi(k - delta)
+    phi(k) / N), so each path's rounding, of the phases t E(k), of the
+    products and of the transforms, moves a row sum s[delta] by at most
+    that bound, and p(n) = (1/N) sum_delta s[delta] exp(2 pi i delta n / N)
+    by at most it too: scale 1. A region R's mass is sum_delta s[delta]
+    c[delta] with sum_delta |c[delta]|^2 = |R| / N, so by Cauchy-Schwarz
+    it moves by at most sqrt(|R|) times the bound. The purity sums |G|^2,
+    each moved by at most twice G's relative rounding: scale 2 Tr rho^2.
+    Seen: at most 0.04, 0.03 and 0.06 of these over 300 random cases."""
     state, measurement, legs = case
     n = state.n_sites
     partition = measurement if isinstance(measurement, RegionPartition) else None
@@ -1832,8 +2015,12 @@ def test_pure_stage_records_match_the_g_path(case):
     np.testing.assert_array_equal(got.momentum_dist.view(np.uint64), want.momentum_dist.view(np.uint64))
     for field in ("expected_momentum_signed", "momentum_variance", "negative_momentum_fraction"):
         assert getattr(got, field) == getattr(want, field)
-    for field in ("position_dist", "region_masses", "purity"):
-        assert np.max(np.abs(np.subtract(getattr(got, field), getattr(want, field))), initial=0.0) <= 1e-15
+    bound = np.finfo(float).eps * (1 + math.log2(n) + (len(legs) + 1) * sum(legs) * dispersion_table(n).max())
+    assert np.max(np.abs(got.position_dist - want.position_dist)) <= bound
+    if partition is not None:
+        sizes = np.diff(partition.boundaries + (n,))
+        assert np.all(np.abs(got.region_masses - want.region_masses) <= bound * np.sqrt(sizes))
+    assert abs(got.purity - want.purity) <= 2 * bound * want.purity
 
 
 @pytest.mark.parametrize(
@@ -1847,10 +2034,11 @@ def test_narrowed_window_buffer_lies_in_the_band_padding(measurement):
     buffer is a view of the band's zero padding, rows L..W - L, which is
     exactly 0 after every measure, through legs of two lengths and records
     on and off the grid. Stepped as run_blocks steps it, its first
-    measure, which narrows, allocates at most the band and 16 KiB: 11.8 to
-    12.8 KiB beside the band at N = 256, for G's rows are built in the
-    band's padding and K waits for the second leg (one chunk of
-    CHUNK_ENTRIES entries, 64 KiB, when they were built apart from it)."""
+    measure, which narrows, allocates at most the band and 16 KiB: 14.4
+    KiB beside the band at N = 256 (11.8 to 12.8 before the 5N/2 table of
+    the symmetric frame), for G's rows are built in the band's padding and
+    K waits for the second leg (one chunk of CHUNK_ENTRIES entries, 64 KiB,
+    when they were built apart from it)."""
     n, t = 256, 0.001
     plan = ChannelPlan(measurement)
     keep, width, c, half = plan.band, plan.width, plan.window, n // 2 + 1

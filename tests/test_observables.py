@@ -47,6 +47,15 @@ class TestDistributions:
         rho = DensityMatrix(np.eye(32) / 32, Basis.POSITION)
         np.testing.assert_allclose(position_distribution(rho), 1 / 32)
 
+    @pytest.mark.parametrize("imag", [1e-9, np.nan], ids=["large", "nan"])
+    def test_position_refuses_an_imaginary_diagonal(self, imag):
+        """A diagonal entry whose imaginary part is above 1e-12, or NaN, is
+        refused, as Snapshots.position_distribution refuses it."""
+        entries = np.eye(32, dtype=complex) / 32
+        entries[3, 3] += 1j * imag
+        with pytest.raises(ValueError, match="imaginary parts"):
+            position_distribution(DensityMatrix(entries, Basis.POSITION))
+
     def test_position_requires_position_basis(self):
         rho = DensityMatrix(np.eye(32) / 32, Basis.MOMENTUM)
         with pytest.raises(BasisError):

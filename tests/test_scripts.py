@@ -134,6 +134,44 @@ def test_output_digest_names_every_csv_once():
     assert len(names) == 21 and all(len(digest) == 64 for digest in digests)
 
 
+def test_output_digest_against_its_own_src_reads_zero():
+    """With --against, output_digest.py runs the same inputs again in a
+    child process with that src on its PYTHONPATH and ends each digest line
+    with the largest absolute difference over the CSV's numeric fields:
+    against the same src every one of the 21 lines reads 0."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "output_digest.py"), "--against", str(ROOT / "src")],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    fields = [line.split("  ") for line in proc.stdout.splitlines()]
+    assert len(fields) == 21 and all(len(digest) == 64 for digest, _, _ in fields)
+    assert [difference for _, _, difference in fields] == ["0"] * 21
+
+
+def test_output_digest_reads_the_largest_difference(tmp_path):
+    """largest_difference reads |x - y| field by field over numeric fields,
+    and inf where the two CSVs differ in shape, in a field that is not a
+    number, or where only one field is NaN."""
+    digest = runpy.run_path(str(SCRIPTS / "output_digest.py"))
+    files = {
+        "a": "t,p\n0,0.25\n1,nan\n",
+        "near": "t,p\n0,0.2500000000000001\n1,nan\n",
+        "short": "t,p\n0,0.25\n",
+        "renamed": "t,q\n0,0.25\n1,nan\n",
+        "number": "t,p\n0,0.25\n1,0.5\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    largest = digest["largest_difference"]
+    assert largest(tmp_path / "a", tmp_path / "a") == 0.0
+    assert largest(tmp_path / "a", tmp_path / "near") == 0.2500000000000001 - 0.25
+    for other in ("short", "renamed", "number"):
+        assert largest(tmp_path / "a", tmp_path / other) == float("inf")
+
+
 def test_no_line_in_the_package_names_a_workload_or_scenario():
     """Figures of single runs live in README's table of measured figures,
     not in the package, so no line under src/zenolattice names a benchmark
